@@ -43,7 +43,8 @@ def instance_probability(m: int, kind: str, activity: str, table) -> float:
     if kind == KIND_AVG:
         return (m + 1) / (m * m)
     if kind == KIND_RANGE:
-        size = len(table.range_of(activity))
+        mn, mx = table.window(activity)
+        size = mx - mn  # the window's values besides the average, which lies in it
         if size == 0:
             raise CorrelationError(
                 "DEGENERATE_RANGE",
@@ -72,6 +73,14 @@ class Correlator:
         self.td = td
         self.table = table
         self.store = store if store is not None else CaseStore()
+        self._activities = td.activities()
+        # how far back an occurrence of each member can still anchor: the
+        # widest window among the activities it enables, widened as lo is below
+        self._horizon: dict[str, timedelta] = {}
+        for activity in self._activities:
+            reach = timedelta(seconds=table.window(activity)[1] + 1)
+            for member in frozenset().union(*td.alternatives(activity)):
+                self._horizon[member] = max(reach, self._horizon.get(member, reach))
         self._mode: str | None = None
         self._seq = 0
         self._last_ts = None
@@ -93,7 +102,7 @@ class Correlator:
         seq = self._seq
         self._seq += 1
 
-        if event.activity not in self.td.activities():
+        if event.activity not in self._activities:
             return [self._stash_noise(event, seq, "unknown-activity")]
         self._check_lifecycle(event)
 
@@ -148,11 +157,12 @@ class Correlator:
     def candidate_allocations(self, event) -> set[Allocation]:
         """Every allocation the event would produce against the current store.
 
-        Pure query: the store is not changed. Events of activities without
-        dependencies open fresh cases instead of allocating, so they yield
-        nothing here.
+        Pure query: the store is not changed, except that index entries too
+        old to anchor this or any later event are retired. Events of
+        activities without dependencies open fresh cases instead of
+        allocating, so they yield nothing here.
         """
-        if event.activity not in self.td.activities():
+        if event.activity not in self._activities:
             return set()
         if self._mode == MODE_PAIRED and event.lifecycle != "started":
             return self._pairing_allocations(event)
@@ -220,31 +230,26 @@ class Correlator:
         lo = ts - timedelta(seconds=mx + 1)
         out: set[Allocation] = set()
         for dep_set in self.td.alternatives(activity):
-            members = sorted(dep_set)
-            candidate_cases: set[int] | None = None
-            for member in members:
-                cases = self.store.cases_with(member)
-                candidate_cases = cases if candidate_cases is None else candidate_cases & cases
-                if not candidate_cases:
-                    break
-            if not candidate_cases:
-                continue
+            # the anchor is an occurrence of some member since lo (later ones
+            # fail the window), the other members need only have occurred by then
+            anchors_by_case: dict[int, set] = {}
+            for member in dep_set:
+                retire_before = ts - self._horizon[member]
+                for anchor, case_id in self.store.occurrences_since(member, lo, retire_before):
+                    anchors_by_case.setdefault(case_id, set()).add(anchor)
             # an alternative whose members can all re-occur in a loop may be
             # satisfied again; anything else is spent once confirmed
-            reusable = all(self.td.is_loop_entry(x) for x in members)
-            for case_id in candidate_cases:
+            reusable = all(self.td.is_loop_entry(x) for x in dep_set)
+            for case_id, anchors in anchors_by_case.items():
                 if not reusable and dep_set in self.store.certain_alternatives(case_id, activity):
                     continue
-                anchors: set = set()
-                for member in members:
-                    anchors.update(self.store.occurrences_between(case_id, member, lo, ts))
                 for anchor in anchors:
                     duration = whole_seconds_between(anchor, ts)
                     if not mn <= duration <= mx:
                         continue
                     if not all(
                         self.store.has_occurrence_at_or_before(case_id, x, anchor)
-                        for x in members
+                        for x in dep_set
                     ):
                         continue
                     out.add(

@@ -1,17 +1,18 @@
 """In-memory store of correlated event instances, one writer at a time.
 
 The store keeps every materialized instance, the per-case views, and the
-indexes the correlator queries while weighing candidate cases: occurrence
-times per case and activity (anchor lookups), open started events awaiting
-their completion, and the dependency alternatives already confirmed by a
-fully trusted instance.
+indexes the correlator queries while weighing candidate cases: a time index
+of recent occurrences per activity (anchor lookups, retiring those too old
+to anchor anything), occurrence times per case and activity (member
+checks), open started events awaiting their completion, and the dependency
+alternatives already confirmed by a fully trusted instance.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import datetime
 
@@ -55,8 +56,9 @@ class CaseStore:
         self._instances: list[CorrelatedEventInstance] = []
         self._noise: list[CorrelatedEventInstance] = []
         self._occurrences: dict[tuple[int, str], list[datetime]] = {}
-        self._cases_with: dict[str, set[int]] = {}
+        self._time_index: dict[str, list[tuple[datetime, int]]] = {}
         self._open_started: dict[tuple[int, str], list[CorrelatedEventInstance]] = {}
+        self._open_cases: dict[str, set[int]] = {}
         self._certain_alts: dict[tuple[int, str], set[frozenset[str]]] = {}
         self._next_case = 1
         self._last_ts: datetime | None = None
@@ -83,7 +85,9 @@ class CaseStore:
             self._occurrences.setdefault((instance.case_id, instance.activity), []).append(
                 instance.timestamp
             )
-            self._cases_with.setdefault(instance.activity, set()).add(instance.case_id)
+            self._time_index.setdefault(instance.activity, []).append(
+                (instance.timestamp, instance.case_id)
+            )
 
     def case_ids(self) -> list[int]:
         return sorted(self._cases)
@@ -102,12 +106,17 @@ class CaseStore:
 
     # anchor lookups
 
-    def cases_with(self, activity: str) -> set[int]:
-        return set(self._cases_with.get(activity, ()))
-
-    def occurrences_between(self, case_id: int, activity: str, lo: datetime, hi: datetime) -> list[datetime]:
-        times = self._occurrences.get((case_id, activity), ())
-        return list(times[bisect_left(times, lo):bisect_right(times, hi)])
+    def occurrences_since(
+        self, activity: str, lo: datetime, retire_before: datetime
+    ) -> list[tuple[datetime, int]]:
+        """(timestamp, case id) of each occurrence of activity from lo on, once
+        those before retire_before have left the index for good. Timestamps
+        only grow, so callers pass the earliest instant they can still reach.
+        """
+        entries = self._time_index.setdefault(activity, [])
+        # (t,) sorts before every (t, case_id)
+        del entries[:bisect_left(entries, (retire_before,))]
+        return entries[bisect_left(entries, (lo,)):]
 
     def has_occurrence_at_or_before(self, case_id: int, activity: str, ts: datetime) -> bool:
         times = self._occurrences.get((case_id, activity), ())
@@ -118,6 +127,7 @@ class CaseStore:
     def push_open_started(self, instance: CorrelatedEventInstance) -> None:
         key = (instance.case_id, instance.activity)
         self._open_started.setdefault(key, []).append(instance)
+        self._open_cases.setdefault(instance.activity, set()).add(instance.case_id)
 
     def peek_open_started(self, case_id: int, activity: str) -> CorrelatedEventInstance | None:
         queue = self._open_started.get((case_id, activity))
@@ -125,10 +135,14 @@ class CaseStore:
 
     def pop_open_started(self, case_id: int, activity: str) -> CorrelatedEventInstance | None:
         queue = self._open_started.get((case_id, activity))
-        return queue.pop(0) if queue else None
+        if not queue:
+            return None
+        if len(queue) == 1:
+            self._open_cases[activity].discard(case_id)
+        return queue.pop(0)
 
     def cases_with_open_started(self, activity: str) -> list[int]:
-        return sorted(c for (c, a), queue in self._open_started.items() if a == activity and queue)
+        return sorted(self._open_cases.get(activity, ()))
 
     # confirmed dependency alternatives, for loop-repeat exclusion
 
@@ -136,8 +150,9 @@ class CaseStore:
         bucket = self._certain_alts.setdefault((case_id, activity), set())
         bucket.update(dependency_sets)
 
-    def certain_alternatives(self, case_id: int, activity: str) -> set[frozenset[str]]:
-        return set(self._certain_alts.get((case_id, activity), ()))
+    def certain_alternatives(self, case_id: int, activity: str) -> set[frozenset[str]] | frozenset:
+        """The stored set itself, not a copy: callers only read it."""
+        return self._certain_alts.get((case_id, activity), frozenset())
 
     def export_log(self, threshold: float = 0.0) -> str:
         """Render stored instances at or above the trust threshold as CSV.

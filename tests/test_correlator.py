@@ -1,9 +1,12 @@
 """Correlator behavior on small hand-checked streams."""
 
-from datetime import datetime
+import random
+from datetime import datetime, timedelta
 
 import pytest
 
+import oracle
+import simulate
 from caseflow import (
     CorrelationError,
     Correlator,
@@ -13,6 +16,7 @@ from caseflow import (
     instance_probability,
     parse_simple_net,
     build_task_dependencies,
+    strip_case_ids,
 )
 
 
@@ -261,3 +265,37 @@ def test_sequence_numbers_count_every_event(clinic_correlator):
     assert seqs == [0, 1, 2, 3]
     # both instances of the shared event carry the same sequence number
     assert {i.seq for i in results[-1]} == {3}
+
+
+def test_retirement_keeps_anchors_the_widest_dependent_can_reach():
+    # A enables both B (window 1..1) and C (window 1..9)
+    after_a = frozenset({frozenset({"A"})})
+    td = TaskDependencies(
+        deps={"A": frozenset(), "B": after_a, "C": after_a}, loop_entries=frozenset()
+    )
+    corr = Correlator(td, HeuristicTable({"A": (1, 1), "B": (1, 1), "C": (1, 9)}))
+    half = timedelta(microseconds=500_000)
+    first_a = UncorrelatedEvent(timestamp=ev(0, "A").timestamp + half, activity="A")
+    feed(corr, [first_a, ev(5, "A"), ev(6, "B")])
+    # B's query came 5.5 s after the first A, far beyond B's own window; the
+    # first A must still anchor C 9 whole seconds later
+    late_c = UncorrelatedEvent(timestamp=ev(9, "C").timestamp + half, activity="C")
+    assert {(a.case_id, a.duration) for a in corr.candidate_allocations(late_c)} == {(1, 9), (2, 4)}
+
+
+@pytest.mark.parametrize("scale", [1, 3600])
+def test_allocations_match_brute_force_over_a_long_log(clinic_net, clinic_table, clinic_td, scale):
+    # the log spans some 50 times the widest window (11 s), so the index
+    # retires occurrences all along; cases start 5-15 s apart and overlap, so
+    # one case's short-window query (N after L) runs while another case still
+    # needs the same member for a wider window (M after L)
+    table = HeuristicTable({a: (mn * scale, mx * scale) for a, (mn, mx) in clinic_table.items()})
+    log = simulate.simulate_log(
+        clinic_net, table, random.Random(2), 60,
+        gap_range=(5 * scale, 15 * scale), weights={"M": 3, "G": 3},
+    )
+    stream, _ = strip_case_ids(log)
+    corr = Correlator(clinic_td, table)
+    for event in stream:
+        assert corr.candidate_allocations(event) == oracle.brute_force_allocations(corr, event)
+        corr.ingest(event)

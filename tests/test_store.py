@@ -1,6 +1,6 @@
 """Store behavior: ordering, indexes, pairing queues, log export."""
 
-from datetime import datetime
+from datetime import datetime, timedelta
 
 import pytest
 
@@ -63,18 +63,21 @@ def test_noise_is_kept_apart_from_cases():
     assert len(store) == 2
     assert store.noise_count() == 1
     assert store.noise()[0].activity == "Z"
-    assert store.cases_with("Z") == set()
+    assert store.occurrences_since("Z", ts(0), ts(0)) == []
 
 
 def test_occurrence_index_and_window_queries():
     store = CaseStore()
-    c1 = store.new_case_id()
-    for second in (1, 3, 5, 7):
-        store.add(inst(second, "B", c1, trust=40.0))
-    assert store.cases_with("B") == {c1}
-    assert store.occurrences_between(c1, "B", ts(3), ts(5)) == [ts(3), ts(5)]
-    assert store.occurrences_between(c1, "B", ts(4), ts(4)) == []
-    assert store.occurrences_between(c1, "B", ts(0), ts(9)) == [ts(1), ts(3), ts(5), ts(7)]
+    c1, c2 = store.new_case_id(), store.new_case_id()
+    for second, case_id in ((1, c1), (3, c1), (4, c2), (5, c1), (7, c1)):
+        store.add(inst(second, "B", case_id, trust=40.0))
+    assert store.occurrences_since("B", ts(3), ts(0)) == [
+        (ts(3), c1), (ts(4), c2), (ts(5), c1), (ts(7), c1)
+    ]
+    assert store.occurrences_since("B", ts(8), ts(0)) == []
+    assert [t for t, _ in store.occurrences_since("B", ts(0), ts(0))] == [
+        ts(1), ts(3), ts(4), ts(5), ts(7)
+    ]
     assert store.has_occurrence_at_or_before(c1, "B", ts(1))
     assert not store.has_occurrence_at_or_before(c1, "B", ts(0))
     assert not store.has_occurrence_at_or_before(c1, "Z", ts(9))
@@ -85,9 +88,34 @@ def test_non_anchorable_instances_stay_out_of_the_indexes():
     c1 = store.new_case_id()
     started = inst(1, "A", c1, lifecycle="started")
     store.add(started, anchorable=False)
-    assert store.cases_with("A") == set()
-    assert store.occurrences_between(c1, "A", ts(0), ts(9)) == []
+    assert store.occurrences_since("A", ts(0), ts(0)) == []
+    assert not store.has_occurrence_at_or_before(c1, "A", ts(9))
     assert store.case_view(c1) == [started]
+
+
+def test_time_index_keeps_the_window_edge_and_subsecond_occurrences():
+    store = CaseStore()
+    c1, c2 = store.new_case_id(), store.new_case_id()
+    subsecond = ts(0) + timedelta(microseconds=300_000)
+    store.add(inst(0, "B", c1))
+    store.add(CorrelatedEventInstance(timestamp=subsecond, activity="B", case_id=c2, trust=100.0))
+    # an event at second 5 whose window ends at 4 s looks back to ts - max - 1
+    lo = ts(5) - timedelta(seconds=5)
+    assert lo == ts(0)
+    assert store.occurrences_since("B", lo, lo) == [(ts(0), c1), (subsecond, c2)]
+
+
+def test_time_index_retires_occurrences_older_than_the_horizon():
+    store = CaseStore()
+    c1, c2 = store.new_case_id(), store.new_case_id()
+    store.add(inst(1, "B", c1))
+    store.add(inst(2, "B", c2))
+    store.add(inst(3, "B", c1))
+    assert store.occurrences_since("B", ts(3), ts(2)) == [(ts(3), c1)]
+    # retired for good: a wider window later does not bring them back
+    assert store.occurrences_since("B", ts(0), ts(0)) == [(ts(2), c2), (ts(3), c1)]
+    # the per-case member check still sees a case's earliest occurrence
+    assert store.has_occurrence_at_or_before(c1, "B", ts(1))
 
 
 def test_open_started_queue_is_first_in_first_out():
@@ -103,6 +131,23 @@ def test_open_started_queue_is_first_in_first_out():
     assert store.pop_open_started(c1, "B") is second
     assert store.pop_open_started(c1, "B") is None
     assert store.cases_with_open_started("B") == []
+
+
+def test_drained_queues_leave_the_open_started_cases():
+    store = CaseStore()
+    c1, c2 = store.new_case_id(), store.new_case_id()
+    store.push_open_started(inst(1, "B", c1, lifecycle="started"))
+    store.push_open_started(inst(2, "B", c2, lifecycle="started"))
+    store.push_open_started(inst(3, "C", c1, lifecycle="started"))
+    assert store.cases_with_open_started("B") == [c1, c2]
+    store.pop_open_started(c1, "B")
+    assert store.cases_with_open_started("B") == [c2]
+    assert store.cases_with_open_started("C") == [c1]
+    store.pop_open_started(c2, "B")
+    assert store.pop_open_started(c2, "B") is None
+    assert store.cases_with_open_started("B") == []
+    store.push_open_started(inst(4, "B", c1, lifecycle="started"))
+    assert store.cases_with_open_started("B") == [c1]
 
 
 def test_certain_alternatives_accumulate_per_case_and_activity():
