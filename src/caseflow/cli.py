@@ -41,9 +41,15 @@ def _fail(message: str):
     sys.exit(2)
 
 
-def _load_config(path: str | None) -> dict[str, str]:
+# config keys are parameter names, except these two whose flags name them differently
+_CONFIG_RENAMES = {"input": "input_path", "format": "stream_format"}
+
+
+def _read_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
+    """Load a key=value file into the command's defaults, so click converts
+    and validates its values like flags, and explicit flags still win."""
     if path is None:
-        return {}
+        return
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -56,52 +62,57 @@ def _load_config(path: str | None) -> dict[str, str]:
         if "=" not in line:
             _fail(f"{path}:{i}: expected key=value")
         key, value = line.split("=", 1)
-        cfg[key.strip()] = value.strip().strip("\"'")
-    return cfg
+        key = key.strip()
+        cfg[_CONFIG_RENAMES.get(key, key)] = value.strip().strip("\"'")
+    ctx.default_map = cfg
 
 
-def _pick(flag, cfg: dict, key: str, default=None, convert=None):
-    """Explicit flag beats config file beats default."""
-    if flag is not None:
-        return flag
-    if key in cfg:
-        raw = cfg[key]
-        try:
-            return convert(raw) if convert else raw
-        except ValueError:
-            _fail(f"config {key}={raw!r} is not valid")
-    return default
+def _options(*decorators):
+    """Apply several click.option decorators as one, in the order listed."""
+    def apply(f):
+        for decorator in reversed(decorators):
+            f = decorator(f)
+        return f
+    return apply
 
 
-def _parse_silent_labels(value) -> frozenset[str]:
-    if value is None:
-        return DEFAULT_SILENT_LABELS
-    return frozenset(x.strip() for x in str(value).split(",") if x.strip())
+_model_options = _options(
+    click.option("--model", type=str, default=None, help="Workflow model file."),
+    click.option("--model-format", type=click.Choice(["pnml", "net"]), default=None),
+    click.option("--silent-labels", default=None, help="Comma-separated silent transition labels."),
+)
+_stream_options = _options(
+    click.option("--input", "input_path", type=str, default=None, help="Event stream."),
+    click.option("--format", "stream_format", type=click.Choice(["csv", "jsonl"]), default="csv"),
+)
+_output_options = _options(
+    click.option("--output", type=str, default=None, help="Write here instead of stdout."),
+    click.option("--config", type=str, callback=_read_config, is_eager=True,
+                 expose_value=False, help="key=value defaults file."),
+)
+_heuristics_option = click.option("--heuristics", type=str, default=None,
+                                  help="Duration windows CSV.")
+_speedup_option = click.option("--speedup", type=float, default=math.inf,
+                               help="Replay speed factor; inf is no pacing.")
 
 
-def _check_threshold(threshold: float) -> float:
-    if not 0 <= threshold <= 100:
-        _fail(f"threshold must be within [0, 100], got {threshold}")
-    return threshold
-
-
-def _load_net(model, model_format, silent_labels):
+def _load_td(model, model_format, silent_labels):
+    """Parse and validate the model, then derive its task dependencies."""
     if model is None:
         _fail("a model file is required (--model or config)")
     try:
         text = Path(model).read_text(encoding="utf-8")
     except OSError as exc:
         _fail(f"cannot read model: {exc}")
-    fmt = model_format
-    if fmt is None:
-        fmt = "pnml" if str(model).endswith(".pnml") or text.lstrip().startswith("<") else "net"
+    if silent_labels is None:
+        labels = DEFAULT_SILENT_LABELS
+    else:
+        labels = frozenset(x.strip() for x in silent_labels.split(",") if x.strip())
+    if model_format is None:
+        model_format = "pnml" if model.endswith(".pnml") or text.lstrip().startswith("<") else "net"
+    parse = parse_pnml if model_format == "pnml" else parse_simple_net
     try:
-        if fmt == "pnml":
-            net = parse_pnml(text, silent_labels=silent_labels)
-        elif fmt == "net":
-            net = parse_simple_net(text, silent_labels=silent_labels)
-        else:
-            _fail(f"unknown model format {fmt!r}")
+        net = parse(text, silent_labels=labels)
     except NetError as exc:
         _fail(str(exc))
     diagnostics = validate(net)
@@ -112,18 +123,13 @@ def _load_net(model, model_format, silent_labels):
             where = f" ({error.node})" if error.node else ""
             click.echo(f"error: {error.code}: {error.message}{where}", err=True)
         sys.exit(2)
-    return net
-
-
-def _build_td(net):
     try:
         return build_task_dependencies(net)
     except DependencyError as exc:
         _fail(str(exc))
 
 
-def _load_table(heuristics, cfg):
-    path = _pick(heuristics, cfg, "heuristics")
+def _load_table(path):
     if path is None:
         _fail("a heuristics file is required (--heuristics or config)")
     try:
@@ -152,109 +158,77 @@ def _emit(text: str, output: str | None) -> None:
         Path(output).write_text(text, encoding="utf-8")
 
 
-@click.group()
+@click.group(context_settings={"show_default": True})
 def main():
     """Correlate unlabeled event streams to cases using a workflow model."""
 
 
 @main.command()
-@click.option("--model", type=str, default=None, help="Workflow model file.")
-@click.option("--model-format", type=click.Choice(["pnml", "net"]), default=None)
-@click.option("--silent-labels", default=None, help="Comma-separated silent transition labels.")
-@click.option("--output", type=str, default=None, help="Write JSON here instead of stdout.")
-@click.option("--config", "config_path", type=str, default=None, help="key=value defaults file.")
-def analyze(model, model_format, silent_labels, output, config_path):
+@_model_options
+@_output_options
+def analyze(model, model_format, silent_labels, output):
     """Derive task dependencies and loop entries from a workflow model."""
-    cfg = _load_config(config_path)
-    labels = _parse_silent_labels(_pick(silent_labels, cfg, "silent_labels"))
-    net = _load_net(_pick(model, cfg, "model"), _pick(model_format, cfg, "model_format"), labels)
-    td = _build_td(net)
-    _emit(json.dumps(td.to_json_dict(), indent=2, sort_keys=True) + "\n",
-          _pick(output, cfg, "output"))
+    td = _load_td(model, model_format, silent_labels)
+    _emit(json.dumps(td.to_json_dict(), indent=2, sort_keys=True) + "\n", output)
 
 
 @main.command()
-@click.option("--model", type=str, default=None)
-@click.option("--model-format", type=click.Choice(["pnml", "net"]), default=None)
-@click.option("--silent-labels", default=None)
-@click.option("--heuristics", type=str, default=None, help="Duration windows CSV.")
-@click.option("--input", "input_path", type=str, default=None, help="Event stream to correlate.")
-@click.option("--format", "stream_format", type=click.Choice(["csv", "jsonl"]), default=None)
-@click.option("--threshold", type=float, default=None, help="Minimum trust to keep, 0..100.")
-@click.option("--speedup", type=float, default=None, help="Replay speed factor; default is no pacing.")
-@click.option("--output", type=str, default=None)
-@click.option("--config", "config_path", type=str, default=None)
+@_model_options
+@_heuristics_option
+@_stream_options
+@click.option("--threshold", type=click.FloatRange(0, 100), default=0.0,
+              help="Minimum trust to keep.")
+@_speedup_option
+@_output_options
 def correlate(model, model_format, silent_labels, heuristics, input_path, stream_format,
-              threshold, speedup, output, config_path):
+              threshold, speedup, output):
     """Correlate an unlabeled stream and export the result as CSV."""
-    cfg = _load_config(config_path)
-    labels = _parse_silent_labels(_pick(silent_labels, cfg, "silent_labels"))
-    net = _load_net(_pick(model, cfg, "model"), _pick(model_format, cfg, "model_format"), labels)
-    td = _build_td(net)
-    table = _load_table(heuristics, cfg)
-    events = _read_stream(_pick(input_path, cfg, "input"),
-                          _pick(stream_format, cfg, "format", default="csv"))
-    threshold = _check_threshold(_pick(threshold, cfg, "threshold", default=0.0, convert=float))
-    speedup = _pick(speedup, cfg, "speedup", default=math.inf, convert=float)
+    td = _load_td(model, model_format, silent_labels)
+    table = _load_table(heuristics)
+    events = _read_stream(input_path, stream_format)
     try:
         correlator = Correlator(td, table)
         replay(events, correlator.ingest, speedup=speedup)
     except (CorrelationError, ReplayError) as exc:
         _fail(str(exc))
-    _emit(correlator.store.export_log(threshold), _pick(output, cfg, "output"))
+    _emit(correlator.store.export_log(threshold), output)
     click.echo(f"noise events: {correlator.store.noise_count()}", err=True)
 
 
 @main.command("replay")
-@click.option("--input", "input_path", type=str, default=None)
-@click.option("--format", "stream_format", type=click.Choice(["csv", "jsonl"]), default=None)
-@click.option("--speedup", type=float, default=None)
-@click.option("--output", type=str, default=None)
-@click.option("--config", "config_path", type=str, default=None)
-def replay_command(input_path, stream_format, speedup, output, config_path):
+@_stream_options
+@_speedup_option
+@_output_options
+def replay_command(input_path, stream_format, speedup, output):
     """Replay a stream at speed, echoing events in delivery order."""
-    cfg = _load_config(config_path)
-    events = _read_stream(_pick(input_path, cfg, "input"),
-                          _pick(stream_format, cfg, "format", default="csv"))
-    speedup = _pick(speedup, cfg, "speedup", default=math.inf, convert=float)
+    events = _read_stream(input_path, stream_format)
     delivered = []
     try:
         report = replay(events, delivered.append, speedup=speedup)
     except ReplayError as exc:
         _fail(str(exc))
-    _emit(events_to_csv(delivered), _pick(output, cfg, "output"))
+    _emit(events_to_csv(delivered), output)
     click.echo(f"delivered {report.delivered} events in {report.wall_seconds:.3f}s", err=True)
 
 
 @main.command()
-@click.option("--model", type=str, default=None)
-@click.option("--model-format", type=click.Choice(["pnml", "net"]), default=None)
-@click.option("--silent-labels", default=None)
-@click.option("--heuristics", type=str, default=None)
-@click.option("--truth", type=str, default=None, help="Labeled log; its case ids are the truth.")
-@click.option("--input", "input_path", type=str, default=None,
-              help="Alias for --truth, for config symmetry.")
-@click.option("--format", "stream_format", type=click.Choice(["csv", "jsonl"]), default=None)
-@click.option("--mode", type=click.Choice(["max_trust", "threshold"]), default=None)
-@click.option("--threshold", type=float, default=None)
-@click.option("--output", type=str, default=None)
-@click.option("--config", "config_path", type=str, default=None)
+@_model_options
+@_heuristics_option
+@click.option("--truth", type=str, default=None,
+              help="Labeled log; its case ids are the truth. --input is an alias.")
+@_stream_options
+@click.option("--mode", type=click.Choice(["max_trust", "threshold"]), default="max_trust")
+@click.option("--threshold", type=click.FloatRange(0, 100), default=None,
+              help="Minimum trust to select, for threshold mode.")
+@_output_options
 def evaluate(model, model_format, silent_labels, heuristics, truth, input_path,
-             stream_format, mode, threshold, output, config_path):
+             stream_format, mode, threshold, output):
     """Strip a labeled log, re-correlate it, and score the result."""
-    cfg = _load_config(config_path)
-    labels = _parse_silent_labels(_pick(silent_labels, cfg, "silent_labels"))
-    net = _load_net(_pick(model, cfg, "model"), _pick(model_format, cfg, "model_format"), labels)
-    td = _build_td(net)
-    table = _load_table(heuristics, cfg)
-    truth_path = _pick(truth, cfg, "truth") or _pick(input_path, cfg, "input")
-    labeled = _read_stream(truth_path, _pick(stream_format, cfg, "format", default="csv"))
-    mode = _pick(mode, cfg, "mode", default="max_trust")
-    threshold = _pick(threshold, cfg, "threshold", convert=float)
-    if mode == "threshold":
-        if threshold is None:
-            _fail("threshold mode needs --threshold")
-        _check_threshold(threshold)
+    td = _load_td(model, model_format, silent_labels)
+    table = _load_table(heuristics)
+    labeled = _read_stream(truth or input_path, stream_format)
+    if mode == "threshold" and threshold is None:
+        _fail("threshold mode needs --threshold")
     stream, _ = strip_case_ids(labeled)
     truth_labels = [ev.case_id for ev in labeled]
     try:
@@ -264,34 +238,23 @@ def evaluate(model, model_format, silent_labels, heuristics, truth, input_path,
     except (CorrelationError, ReplayError, ValueError) as exc:
         _fail(str(exc))
     payload = build_report(counts, report.latencies)
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", _pick(output, cfg, "output"))
+    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", output)
 
 
 @main.command("extract-heuristics")
-@click.option("--input", "input_path", type=str, default=None, help="Labeled log to measure.")
-@click.option("--format", "stream_format", type=click.Choice(["csv", "jsonl"]), default=None)
-@click.option("--model", type=str, default=None,
-              help="Needed for completions-only logs to anchor durations.")
-@click.option("--model-format", type=click.Choice(["pnml", "net"]), default=None)
-@click.option("--silent-labels", default=None)
-@click.option("--output", type=str, default=None)
-@click.option("--config", "config_path", type=str, default=None)
+@_stream_options
+@_model_options
+@_output_options
 def extract_heuristics_command(input_path, stream_format, model, model_format,
-                               silent_labels, output, config_path):
+                               silent_labels, output):
     """Measure per-activity duration windows from a labeled log."""
-    cfg = _load_config(config_path)
-    events = _read_stream(_pick(input_path, cfg, "input"),
-                          _pick(stream_format, cfg, "format", default="csv"))
-    td = None
-    model = _pick(model, cfg, "model")
-    if model is not None:
-        labels = _parse_silent_labels(_pick(silent_labels, cfg, "silent_labels"))
-        td = _build_td(_load_net(model, _pick(model_format, cfg, "model_format"), labels))
+    events = _read_stream(input_path, stream_format)
+    td = None if model is None else _load_td(model, model_format, silent_labels)
     try:
         table = extract_heuristics(events, td=td)
     except HeuristicError as exc:
         _fail(str(exc))
-    _emit(save_heuristics(table), _pick(output, cfg, "output"))
+    _emit(save_heuristics(table), output)
 
 
 if __name__ == "__main__":

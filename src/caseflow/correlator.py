@@ -142,8 +142,10 @@ class Correlator:
                 )
             )
 
+        # only dependency members are ever looked up as anchors or members
+        anchorable = not is_started and event.activity in self._horizon
         for inst in instances:
-            self.store.add(inst, anchorable=not is_started)
+            self.store.add(inst, anchorable=anchorable)
             if is_started:
                 self.store.push_open_started(inst)
             elif self._mode == MODE_PAIRED:
@@ -188,7 +190,7 @@ class Correlator:
             seq=seq,
         )
         is_started = event.lifecycle == "started"
-        self.store.add(inst, anchorable=not is_started)
+        self.store.add(inst, anchorable=not is_started and event.activity in self._horizon)
         if is_started:
             self.store.push_open_started(inst)
         return inst

@@ -129,17 +129,13 @@ class WorkflowNet:
 def validate(net: WorkflowNet) -> NetDiagnostics:
     """Check workflow-net structure, returning diagnostics instead of raising.
 
-    Only structural preconditions are checked: bipartite arcs, exactly one
-    source and one sink place, all nodes on a source-to-sink path, unique
-    labels among observable transitions. Behavioral soundness (freedom from
-    deadlock and livelock) is not verified; an unsound net can yield faulty
-    correlations downstream.
+    Only structural preconditions are checked: exactly one source and one
+    sink place, all nodes on a source-to-sink path, unique labels among
+    observable transitions. Behavioral soundness (freedom from deadlock and
+    livelock) is not verified; an unsound net can yield faulty correlations
+    downstream.
     """
     diags = NetDiagnostics()
-
-    for src, dst in sorted(net.flows):
-        if net.is_place(src) == net.is_place(dst):
-            diags.errors.append(Diagnostic("BIPARTITE", src, f"arc {src!r} -> {dst!r} is not place-transition"))
 
     sources = net.source_places()
     sinks = net.sink_places()

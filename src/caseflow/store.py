@@ -3,7 +3,7 @@
 The store keeps every materialized instance, the per-case views, and the
 indexes the correlator queries while weighing candidate cases: a time index
 of recent occurrences per activity (anchor lookups, retiring those too old
-to anchor anything), occurrence times per case and activity (member
+to anchor anything), the first occurrence per case and activity (member
 checks), open started events awaiting their completion, and the dependency
 alternatives already confirmed by a fully trusted instance.
 """
@@ -51,17 +51,21 @@ class CorrelatedEventInstance:
 
 
 class CaseStore:
+    """Callers add instances in timestamp order; the store does not check it,
+    and the time index and first-occurrence map are only right if they do.
+    """
+
     def __init__(self):
         self._cases: dict[int, list[CorrelatedEventInstance]] = {}
         self._instances: list[CorrelatedEventInstance] = []
         self._noise: list[CorrelatedEventInstance] = []
-        self._occurrences: dict[tuple[int, str], list[datetime]] = {}
+        self._first_seen: dict[tuple[int, str], datetime] = {}
         self._time_index: dict[str, list[tuple[datetime, int]]] = {}
-        self._open_started: dict[tuple[int, str], list[CorrelatedEventInstance]] = {}
-        self._open_cases: dict[str, set[int]] = {}
+        # activity -> case id -> its open started events, oldest first; a
+        # case leaves when its queue drains
+        self._open_started: dict[str, dict[int, list[CorrelatedEventInstance]]] = {}
         self._certain_alts: dict[tuple[int, str], set[frozenset[str]]] = {}
         self._next_case = 1
-        self._last_ts: datetime | None = None
 
     def __len__(self) -> int:
         return len(self._instances)
@@ -73,18 +77,13 @@ class CaseStore:
         return case_id
 
     def add(self, instance: CorrelatedEventInstance, anchorable: bool = True) -> None:
-        if self._last_ts is not None and instance.timestamp < self._last_ts:
-            raise ValueError(f"OUT_OF_ORDER: {instance.timestamp} before {self._last_ts}")
-        self._last_ts = instance.timestamp
         self._instances.append(instance)
         if instance.is_noise():
             self._noise.append(instance)
             return
         self._cases[instance.case_id].append(instance)
         if anchorable:
-            self._occurrences.setdefault((instance.case_id, instance.activity), []).append(
-                instance.timestamp
-            )
+            self._first_seen.setdefault((instance.case_id, instance.activity), instance.timestamp)
             self._time_index.setdefault(instance.activity, []).append(
                 (instance.timestamp, instance.case_id)
             )
@@ -119,30 +118,30 @@ class CaseStore:
         return entries[bisect_left(entries, (lo,)):]
 
     def has_occurrence_at_or_before(self, case_id: int, activity: str, ts: datetime) -> bool:
-        times = self._occurrences.get((case_id, activity), ())
-        return bool(times) and times[0] <= ts
+        first = self._first_seen.get((case_id, activity))
+        return first is not None and first <= ts
 
     # started/completed pairing
 
     def push_open_started(self, instance: CorrelatedEventInstance) -> None:
-        key = (instance.case_id, instance.activity)
-        self._open_started.setdefault(key, []).append(instance)
-        self._open_cases.setdefault(instance.activity, set()).add(instance.case_id)
+        queues = self._open_started.setdefault(instance.activity, {})
+        queues.setdefault(instance.case_id, []).append(instance)
 
     def peek_open_started(self, case_id: int, activity: str) -> CorrelatedEventInstance | None:
-        queue = self._open_started.get((case_id, activity))
+        queue = self._open_started.get(activity, {}).get(case_id)
         return queue[0] if queue else None
 
     def pop_open_started(self, case_id: int, activity: str) -> CorrelatedEventInstance | None:
-        queue = self._open_started.get((case_id, activity))
-        if not queue:
+        queues = self._open_started.get(activity, {})
+        queue = queues.get(case_id)
+        if queue is None:
             return None
         if len(queue) == 1:
-            self._open_cases[activity].discard(case_id)
+            del queues[case_id]
         return queue.pop(0)
 
     def cases_with_open_started(self, activity: str) -> list[int]:
-        return sorted(self._open_cases.get(activity, ()))
+        return sorted(self._open_started.get(activity, ()))
 
     # confirmed dependency alternatives, for loop-repeat exclusion
 

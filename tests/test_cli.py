@@ -299,6 +299,37 @@ def test_config_rejects_malformed_lines(runner, tmp_path):
     assert "expected key=value" in result.stderr
 
 
+def test_config_values_are_type_checked_like_flags(runner, data_dir, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("threshold = abc\n")
+    result = invoke(runner, "correlate", *correlate_args(data_dir), "--config", str(cfg))
+    assert result.exit_code == 2
+    assert "threshold" in result.stderr
+
+
+def test_config_model_format_must_be_a_known_choice(runner, data_dir, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"model = {data_dir / 'clinic.net'}\nmodel_format = xml\n")
+    result = invoke(runner, "analyze", "--config", str(cfg))
+    assert result.exit_code == 2
+    assert "model-format" in result.stderr
+
+
+def test_evaluate_takes_the_labeled_log_from_config_input(runner, data_dir, tmp_path):
+    log = tmp_path / "labeled.csv"
+    log.write_text(SELF_EVAL_LOG)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"input = {log}\nformat = csv\n")
+    common = (*model_args(data_dir), "--heuristics", str(data_dir / "heuristics.csv"))
+    via_config = invoke(runner, "evaluate", *common, "--config", str(cfg))
+    via_truth = invoke(runner, "evaluate", *common, "--truth", str(log))
+    assert via_config.exit_code == 0 and via_truth.exit_code == 0
+    reports = [json.loads(r.stdout) for r in (via_config, via_truth)]
+    for report in reports:
+        del report["latency_ms"]
+    assert reports[0] == reports[1]
+
+
 def test_replay_echoes_in_delivery_order(runner, data_dir, clinic_events):
     from caseflow import events_to_csv
 

@@ -283,6 +283,18 @@ def test_retirement_keeps_anchors_the_widest_dependent_can_reach():
     assert {(a.case_id, a.duration) for a in corr.candidate_allocations(late_c)} == {(1, 9), (2, 4)}
 
 
+def test_activities_that_enable_nothing_stay_out_of_the_time_index(
+    clinic_net, clinic_table, clinic_td
+):
+    # M enables no activity of the clinic net, so no query ever reads it
+    log = simulate.simulate_log(clinic_net, clinic_table, random.Random(3), 20, weights={"M": 3})
+    assert any(event.activity == "M" for event in log)
+    stream, _ = strip_case_ids(log)
+    corr = Correlator(clinic_td, clinic_table)
+    feed(corr, stream)
+    assert corr.store.occurrences_since("M", datetime.min, datetime.min) == []
+
+
 @pytest.mark.parametrize("scale", [1, 3600])
 def test_allocations_match_brute_force_over_a_long_log(clinic_net, clinic_table, clinic_td, scale):
     # the log spans some 50 times the widest window (11 s), so the index
