@@ -13,7 +13,7 @@ from __future__ import annotations
 from datetime import timedelta
 
 from .store import Allocation, CaseStore, CorrelatedEventInstance
-from .streams import whole_seconds_between
+from .streams import _ceil_seconds, floor_to_second
 
 KIND_AVG = "avg"
 KIND_RANGE = "range"
@@ -73,14 +73,27 @@ class Correlator:
         self.td = td
         self.table = table
         self.store = store if store is not None else CaseStore()
-        self._activities = td.activities()
         # how far back an occurrence of each member can still anchor: the
-        # widest window among the activities it enables, widened as lo is below
+        # widest window among the activities it enables, plus the second an
+        # unfloored event timestamp can lie past its floor
         self._horizon: dict[str, timedelta] = {}
-        for activity in self._activities:
+        for activity in td.activities():
             reach = timedelta(seconds=table.window(activity)[1] + 1)
             for member in frozenset().union(*td.alternatives(activity)):
                 self._horizon[member] = max(reach, self._horizon.get(member, reach))
+        # activity -> (min, max, average, max as a timedelta, alternatives),
+        # each alternative (members, ((member, horizon), ...), reusable); an
+        # alternative whose members can all re-occur in a loop may be
+        # satisfied again, anything else is spent once confirmed
+        self._plan: dict[str, tuple] = {}
+        for activity in td.activities():
+            mn, mx = table.window(activity)
+            alternatives = tuple(
+                (dep_set, tuple((x, self._horizon[x]) for x in dep_set),
+                 all(td.is_loop_entry(x) for x in dep_set))
+                for dep_set in td.alternatives(activity)
+            )
+            self._plan[activity] = (mn, mx, table.avg(activity), timedelta(seconds=mx), alternatives)
         self._mode: str | None = None
         self._seq = 0
         self._last_ts = None
@@ -102,14 +115,18 @@ class Correlator:
         seq = self._seq
         self._seq += 1
 
-        if event.activity not in self._activities:
+        plan = self._plan.get(event.activity)
+        if plan is None:
             return [self._stash_noise(event, seq, "unknown-activity")]
         self._check_lifecycle(event)
 
-        if self._opens_case(event):
+        is_started = event.lifecycle == "started"
+        pairs = self._mode == MODE_PAIRED and not is_started
+        if not pairs and not plan[4]:  # no alternatives: the event opens a case
             return [self._open_case(event, seq)]
 
-        allocations = self.candidate_allocations(event)
+        search = self._pairing_allocations if pairs else self._dependency_allocations
+        allocations = search(event, plan)
         if not allocations:
             return [self._stash_noise(event, seq, "no-allocation")]
 
@@ -118,42 +135,39 @@ class Correlator:
             by_case.setdefault(alloc.case_id, []).append(alloc)
         m = len(allocations)
 
-        is_started = event.lifecycle == "started"
-        instances = []
-        for case_id in sorted(by_case):
-            allocs = sorted(
-                by_case[case_id],
-                key=lambda a: (a.anchor, a.duration, a.kind, tuple(sorted(a.dependency_set))),
-            )
-            raw = 100.0 * sum(
-                instance_probability(m, a.kind, event.activity, self.table) for a in allocs
-            )
-            instances.append(
-                CorrelatedEventInstance(
-                    timestamp=event.timestamp,
-                    activity=event.activity,
-                    case_id=case_id,
-                    trust=min(100.0, raw),
-                    lifecycle=event.lifecycle,
-                    resource=event.resource,
-                    allocations=tuple(allocs),
-                    raw_trust=raw,
-                    seq=seq,
-                )
-            )
-
         # only dependency members are ever looked up as anchors or members
         anchorable = not is_started and event.activity in self._horizon
-        for inst in instances:
+        instances = []
+        for case_id in sorted(by_case):
+            allocs = by_case[case_id]
+            if len(allocs) > 1:
+                allocs.sort(
+                    key=lambda a: (a.anchor, a.duration, a.kind, tuple(sorted(a.dependency_set)))
+                )
+            raw = 100.0 if m == 1 else 100.0 * sum(
+                instance_probability(m, a.kind, event.activity, self.table) for a in allocs
+            )
+            inst = CorrelatedEventInstance(
+                timestamp=event.timestamp,
+                activity=event.activity,
+                case_id=case_id,
+                trust=min(100.0, raw),
+                lifecycle=event.lifecycle,
+                resource=event.resource,
+                allocations=tuple(allocs),
+                raw_trust=raw,
+                seq=seq,
+            )
+            instances.append(inst)
             self.store.add(inst, anchorable=anchorable)
             if is_started:
                 self.store.push_open_started(inst)
-            elif self._mode == MODE_PAIRED:
-                self.store.pop_open_started(inst.case_id, inst.activity)
+            elif pairs:
+                self.store.pop_open_started(case_id, inst.activity)
             if inst.trust >= 100.0 - 1e-9:
-                confirmed = {a.dependency_set for a in inst.allocations if a.dependency_set}
+                confirmed = {a.dependency_set for a in allocs if a.dependency_set}
                 if confirmed:
-                    self.store.register_certain(inst.case_id, inst.activity, confirmed)
+                    self.store.register_certain(case_id, inst.activity, confirmed)
         return instances
 
     def candidate_allocations(self, event) -> set[Allocation]:
@@ -164,18 +178,14 @@ class Correlator:
         activities without dependencies open fresh cases instead of
         allocating, so they yield nothing here.
         """
-        if event.activity not in self._activities:
+        plan = self._plan.get(event.activity)
+        if plan is None:
             return set()
         if self._mode == MODE_PAIRED and event.lifecycle != "started":
-            return self._pairing_allocations(event)
-        return self._dependency_allocations(event)
+            return self._pairing_allocations(event, plan)
+        return self._dependency_allocations(event, plan)
 
     # internals
-
-    def _opens_case(self, event) -> bool:
-        if self.td.alternatives(event.activity):
-            return False
-        return self._mode == MODE_COMPLETED or event.lifecycle == "started"
 
     def _open_case(self, event, seq: int) -> CorrelatedEventInstance:
         case_id = self.store.new_case_id()
@@ -222,36 +232,28 @@ class Correlator:
                 f"paired stream needs started/completed lifecycles, got {event.lifecycle!r}",
             )
 
-    def _dependency_allocations(self, event) -> set[Allocation]:
+    def _dependency_allocations(self, event, plan) -> set[Allocation]:
         activity = event.activity
         ts = event.timestamp
-        mn, mx = self.table.window(activity)
-        avg = self.table.avg(activity)
-        # widened by a second so sub-second anchors are not cut off before
-        # the whole-second duration check
-        lo = ts - timedelta(seconds=mx + 1)
+        ts0 = floor_to_second(ts)
+        mn, _, avg, max_span, alternatives = plan
+        # anchors from lo on lie at most max whole seconds before the event,
+        # earlier ones more; anchors after the event fail the min check
+        lo = ts0 - max_span
+        store = self.store
         out: set[Allocation] = set()
-        for dep_set in self.td.alternatives(activity):
-            # the anchor is an occurrence of some member since lo (later ones
-            # fail the window), the other members need only have occurred by then
-            anchors_by_case: dict[int, set] = {}
-            for member in dep_set:
-                retire_before = ts - self._horizon[member]
-                for anchor, case_id in self.store.occurrences_since(member, lo, retire_before):
-                    anchors_by_case.setdefault(case_id, set()).add(anchor)
-            # an alternative whose members can all re-occur in a loop may be
-            # satisfied again; anything else is spent once confirmed
-            reusable = all(self.td.is_loop_entry(x) for x in dep_set)
-            for case_id, anchors in anchors_by_case.items():
-                if not reusable and dep_set in self.store.certain_alternatives(case_id, activity):
-                    continue
-                for anchor in anchors:
-                    duration = whole_seconds_between(anchor, ts)
-                    if not mn <= duration <= mx:
+        for dep_set, members, reusable in alternatives:
+            # the anchor is an occurrence of some member, the other members
+            # need only have occurred by then
+            for member, horizon in members:
+                for anchor, case_id in store.occurrences_since(member, lo, ts - horizon):
+                    duration = _ceil_seconds(ts0 - anchor)
+                    if duration < mn:
                         continue
-                    if not all(
-                        self.store.has_occurrence_at_or_before(case_id, x, anchor)
-                        for x in dep_set
+                    if not reusable and dep_set in store.certain_alternatives(case_id, activity):
+                        continue
+                    if len(members) > 1 and not all(
+                        store.has_occurrence_at_or_before(case_id, x, anchor) for x in dep_set
                     ):
                         continue
                     out.add(
@@ -265,14 +267,14 @@ class Correlator:
                     )
         return out
 
-    def _pairing_allocations(self, event) -> set[Allocation]:
+    def _pairing_allocations(self, event, plan) -> set[Allocation]:
         activity = event.activity
-        mn, mx = self.table.window(activity)
-        avg = self.table.avg(activity)
+        ts0 = floor_to_second(event.timestamp)
+        mn, mx, avg, _, _ = plan
         out: set[Allocation] = set()
         for case_id in self.store.cases_with_open_started(activity):
             started = self.store.peek_open_started(case_id, activity)
-            duration = whole_seconds_between(started.timestamp, event.timestamp)
+            duration = _ceil_seconds(ts0 - started.timestamp)
             if mn <= duration <= mx:
                 out.add(
                     Allocation(

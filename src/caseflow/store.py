@@ -13,13 +13,13 @@ from __future__ import annotations
 import csv
 import io
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 
 from .streams import format_timestamp
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Allocation:
     """One way an event can belong to a case: the dependency alternative it
     satisfies there, the anchor instant that enabled it, and the implied
@@ -33,7 +33,7 @@ class Allocation:
     kind: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CorrelatedEventInstance:
     timestamp: datetime
     activity: str
@@ -78,7 +78,7 @@ class CaseStore:
 
     def add(self, instance: CorrelatedEventInstance, anchorable: bool = True) -> None:
         self._instances.append(instance)
-        if instance.is_noise():
+        if instance.noise_reason is not None:
             self._noise.append(instance)
             return
         self._cases[instance.case_id].append(instance)

@@ -9,7 +9,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field, replace
-from datetime import datetime
+from datetime import datetime, timedelta
 from pathlib import Path
 
 
@@ -28,7 +28,7 @@ class ReplayError(Exception):
         self.cause = cause
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UncorrelatedEvent:
     timestamp: datetime
     activity: str
@@ -64,9 +64,15 @@ def floor_to_second(ts: datetime) -> datetime:
     return ts.replace(microsecond=0)
 
 
+def _ceil_seconds(delta: timedelta) -> int:
+    """A timedelta rounded up to whole seconds, in integer arithmetic."""
+    return delta.days * 86400 + delta.seconds + (delta.microseconds > 0)
+
+
 def whole_seconds_between(start: datetime, end: datetime) -> int:
-    """Signed difference in whole seconds, both ends floored to the second."""
-    return int((floor_to_second(end) - floor_to_second(start)).total_seconds())
+    """Signed difference in whole seconds, both ends floored to the second:
+    floor(end) - start rounded up, as floor(end) is whole."""
+    return _ceil_seconds(floor_to_second(end) - start)
 
 
 def _coerce_case_id(value) -> int | str | None:

@@ -1,6 +1,7 @@
 """Correlator behavior on small hand-checked streams."""
 
 import random
+from dataclasses import replace
 from datetime import datetime, timedelta
 
 import pytest
@@ -295,19 +296,81 @@ def test_activities_that_enable_nothing_stay_out_of_the_time_index(
     assert corr.store.occurrences_since("M", datetime.min, datetime.min) == []
 
 
-@pytest.mark.parametrize("scale", [1, 3600])
-def test_allocations_match_brute_force_over_a_long_log(clinic_net, clinic_table, clinic_td, scale):
+def long_log(clinic_net, table, scale=1):
     # the log spans some 50 times the widest window (11 s), so the index
     # retires occurrences all along; cases start 5-15 s apart and overlap, so
     # one case's short-window query (N after L) runs while another case still
     # needs the same member for a wider window (M after L)
-    table = HeuristicTable({a: (mn * scale, mx * scale) for a, (mn, mx) in clinic_table.items()})
     log = simulate.simulate_log(
         clinic_net, table, random.Random(2), 60,
         gap_range=(5 * scale, 15 * scale), weights={"M": 3, "G": 3},
     )
-    stream, _ = strip_case_ids(log)
-    corr = Correlator(clinic_td, table)
+    return strip_case_ids(log)[0]
+
+
+def assert_allocations_match_brute_force(td, table, stream):
+    corr = Correlator(td, table)
     for event in stream:
         assert corr.candidate_allocations(event) == oracle.brute_force_allocations(corr, event)
         corr.ingest(event)
+
+
+@pytest.mark.parametrize("scale", [1, 3600])
+def test_allocations_match_brute_force_over_a_long_log(clinic_net, clinic_table, clinic_td, scale):
+    table = HeuristicTable({a: (mn * scale, mx * scale) for a, (mn, mx) in clinic_table.items()})
+    assert_allocations_match_brute_force(clinic_td, table, long_log(clinic_net, table, scale))
+
+
+def test_allocations_match_brute_force_with_subsecond_timestamps(clinic_net, clinic_table, clinic_td):
+    # whole-second durations of sub-second instants: the window's lower edge
+    # must be taken from the floored event time, not the raw one
+    jitter = random.Random(7)
+    stream = sorted(
+        (
+            replace(e, timestamp=e.timestamp + timedelta(microseconds=jitter.randrange(1_000_000)))
+            for e in long_log(clinic_net, clinic_table)
+        ),
+        key=lambda e: e.timestamp,
+    )
+    assert_allocations_match_brute_force(clinic_td, clinic_table, stream)
+
+
+def test_window_edge_counts_whole_seconds_of_subsecond_instants():
+    # B follows A by 1 to 3 whole seconds and arrives at T + 0.7 s
+    after_a = frozenset({frozenset({"A"})})
+    td = TaskDependencies(deps={"A": frozenset(), "B": after_a}, loop_entries=frozenset())
+    corr = Correlator(td, HeuristicTable({"A": (1, 1), "B": (1, 3)}))
+    t = ev(10, "B").timestamp
+
+    def at(offset, activity):
+        return UncorrelatedEvent(timestamp=t + timedelta(seconds=offset), activity=activity)
+
+    # case 1's A at T - 3.2 s lies 4 whole seconds back (second 6 to 10),
+    # case 2's A at T - 2.8 s lies 3 (second 7 to 10)
+    feed(corr, [at(-3.2, "A"), at(-2.8, "A")])
+    (inst,) = corr.ingest(at(0.7, "B"))
+    assert inst.case_id == 2
+    assert [a.duration for a in inst.allocations] == [3]
+
+
+class LookupCounter:
+    """Stands in for an object, counting every attribute looked up on it."""
+
+    def __init__(self, target):
+        self.target = target
+        self.lookups = 0
+
+    def __getattr__(self, name):
+        self.lookups += 1
+        return getattr(self.target, name)
+
+
+def test_ingest_consults_no_dependency_after_construction(clinic_net, clinic_table, clinic_td):
+    td = LookupCounter(clinic_td)
+    corr = Correlator(td, clinic_table)
+    assert td.lookups > 0
+    td.lookups = 0
+    log = simulate.simulate_log(clinic_net, clinic_table, random.Random(5), 30, weights={"M": 3})
+    feed(corr, strip_case_ids(log)[0])
+    assert len(corr.store.case_ids()) == 30
+    assert td.lookups == 0

@@ -23,6 +23,7 @@ from caseflow import (
     validate,
     whole_seconds_between,
 )
+from caseflow.streams import _ceil_seconds
 
 families_strategy = st.lists(
     st.sets(st.sampled_from("abcdef"), min_size=1, max_size=4),
@@ -147,6 +148,20 @@ def test_whole_seconds_ignore_subsecond_parts(a, b):
         a.replace(microsecond=0), b.replace(microsecond=0)
     )
     assert whole_seconds_between(a, b) == -whole_seconds_between(b, a)
+
+
+@given(
+    st.datetimes(min_value=datetime(2000, 1, 1), max_value=datetime(2100, 1, 1)),
+    st.one_of(
+        st.integers(-2_000_000, 2_000_000),
+        st.integers(-5 * 86_400_000_000, 5 * 86_400_000_000),
+    ).map(lambda us: timedelta(microseconds=us)),
+)
+def test_whole_seconds_are_the_two_floor_difference(start, span):
+    end = start + span
+    two_floor = int((end.replace(microsecond=0) - start.replace(microsecond=0)).total_seconds())
+    assert _ceil_seconds(end.replace(microsecond=0) - start) == two_floor
+    assert whole_seconds_between(start, end) == two_floor
 
 
 events_strategy = st.lists(
