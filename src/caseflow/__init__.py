@@ -3,117 +3,45 @@
 Given a workflow net and per-activity duration windows, the package assigns
 case ids to events that arrive without one, scores how trustworthy each
 assignment is, and evaluates the result against labeled logs.
+
+The names below are the library surface; everything else imports from its
+submodule (`caseflow.model`, `caseflow.store`, ...).
 """
 
-from .correlator import CorrelationError, Correlator, instance_probability
-from .dependencies import (
-    DependencyError,
-    DependencyGraph,
-    TaskDependencies,
-    build_dependency_graph,
-    build_raw_dependencies,
-    build_task_dependencies,
-    eliminate_silent,
-    find_loop_entries,
-    non_cartesian_product,
-)
-from .evaluation import (
-    ConfusionCounts,
-    align_cases,
-    build_report,
-    f_score,
-    latency_report,
-    precision,
-    recall,
-    score,
-    selections,
-)
-from .heuristics import (
-    HeuristicError,
-    HeuristicTable,
-    extract_heuristics,
-    load_heuristics,
-    save_heuristics,
-)
-from .model import (
-    DEFAULT_SILENT_LABELS,
-    Diagnostic,
-    NetDiagnostics,
-    NetError,
-    Transition,
-    WorkflowNet,
-    parse_pnml,
-    parse_simple_net,
-    validate,
-)
-from .store import Allocation, CaseStore, CorrelatedEventInstance
+from .correlator import CorrelationError, Correlator
+from .dependencies import DependencyError, build_task_dependencies
+from .evaluation import f_score, latency_report, score
+from .heuristics import HeuristicError, HeuristicTable, load_heuristics
+from .model import NetError, parse_pnml
 from .streams import (
-    GroundTruth,
     ReplayError,
-    ReplayReport,
     StreamFormatError,
     UncorrelatedEvent,
-    events_to_csv,
-    format_timestamp,
-    parse_timestamp,
     read_events,
     replay,
     strip_case_ids,
-    whole_seconds_between,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Allocation",
-    "CaseStore",
-    "ConfusionCounts",
-    "CorrelatedEventInstance",
     "CorrelationError",
     "Correlator",
-    "DEFAULT_SILENT_LABELS",
     "DependencyError",
-    "DependencyGraph",
-    "Diagnostic",
-    "GroundTruth",
     "HeuristicError",
     "HeuristicTable",
-    "NetDiagnostics",
     "NetError",
     "ReplayError",
-    "ReplayReport",
     "StreamFormatError",
-    "TaskDependencies",
-    "Transition",
     "UncorrelatedEvent",
-    "WorkflowNet",
-    "align_cases",
-    "build_dependency_graph",
-    "build_raw_dependencies",
-    "build_report",
     "build_task_dependencies",
-    "eliminate_silent",
-    "events_to_csv",
-    "extract_heuristics",
     "f_score",
-    "find_loop_entries",
-    "format_timestamp",
-    "instance_probability",
     "latency_report",
     "load_heuristics",
-    "non_cartesian_product",
     "parse_pnml",
-    "parse_simple_net",
-    "parse_timestamp",
-    "precision",
     "read_events",
-    "recall",
     "replay",
-    "save_heuristics",
     "score",
-    "selections",
     "strip_case_ids",
-    "validate",
-    "whole_seconds_between",
     "__version__",
 ]

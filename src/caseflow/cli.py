@@ -116,8 +116,6 @@ def _load_td(model, model_format, silent_labels):
     except NetError as exc:
         _fail(str(exc))
     diagnostics = validate(net)
-    for warning in diagnostics.warnings:
-        click.echo(f"warning: {warning.code}: {warning.message}", err=True)
     if not diagnostics.ok():
         for error in diagnostics.errors:
             where = f" ({error.node})" if error.node else ""

@@ -64,7 +64,7 @@ class Correlator:
     allocated through task dependencies directly.
     """
 
-    def __init__(self, td, table, store: CaseStore | None = None):
+    def __init__(self, td, table):
         missing = sorted(td.activities() - table.activities())
         if missing:
             raise CorrelationError(
@@ -72,7 +72,7 @@ class Correlator:
             )
         self.td = td
         self.table = table
-        self.store = store if store is not None else CaseStore()
+        self.store = CaseStore()
         # how far back an occurrence of each member can still anchor: the
         # widest window among the activities it enables, plus the second an
         # unfloored event timestamp can lie past its floor
@@ -122,18 +122,19 @@ class Correlator:
 
         is_started = event.lifecycle == "started"
         pairs = self._mode == MODE_PAIRED and not is_started
-        if not pairs and not plan[4]:  # no alternatives: the event opens a case
-            return [self._open_case(event, seq)]
-
-        search = self._pairing_allocations if pairs else self._dependency_allocations
-        allocations = search(event, plan)
-        if not allocations:
-            return [self._stash_noise(event, seq, "no-allocation")]
-
         by_case: dict[int, list[Allocation]] = {}
-        for alloc in allocations:
-            by_case.setdefault(alloc.case_id, []).append(alloc)
-        m = len(allocations)
+        if not pairs and not plan[4]:
+            # no alternatives: the event opens a case, its one allocation-free instance
+            by_case[self.store.new_case_id()] = []
+            m = 1
+        else:
+            search = self._pairing_allocations if pairs else self._dependency_allocations
+            allocations = search(event, plan)
+            if not allocations:
+                return [self._stash_noise(event, seq, "no-allocation")]
+            for alloc in allocations:
+                by_case.setdefault(alloc.case_id, []).append(alloc)
+            m = len(allocations)
 
         # only dependency members are ever looked up as anchors or members
         anchorable = not is_started and event.activity in self._horizon
@@ -186,24 +187,6 @@ class Correlator:
         return self._dependency_allocations(event, plan)
 
     # internals
-
-    def _open_case(self, event, seq: int) -> CorrelatedEventInstance:
-        case_id = self.store.new_case_id()
-        inst = CorrelatedEventInstance(
-            timestamp=event.timestamp,
-            activity=event.activity,
-            case_id=case_id,
-            trust=100.0,
-            lifecycle=event.lifecycle,
-            resource=event.resource,
-            raw_trust=100.0,
-            seq=seq,
-        )
-        is_started = event.lifecycle == "started"
-        self.store.add(inst, anchorable=not is_started and event.activity in self._horizon)
-        if is_started:
-            self.store.push_open_started(inst)
-        return inst
 
     def _stash_noise(self, event, seq: int, reason: str) -> CorrelatedEventInstance:
         inst = CorrelatedEventInstance(

@@ -11,6 +11,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .model import _reachable
+
 
 class DependencyError(ValueError):
     def __init__(self, code: str, message: str):
@@ -39,21 +41,12 @@ class TaskDependencies:
     def is_loop_entry(self, activity: str) -> bool:
         return activity in self.loop_entries
 
-    def start_activities(self) -> frozenset[str]:
-        return frozenset(a for a, alts in self.deps.items() if not alts)
-
     def to_json_dict(self) -> dict:
         deps = {
             a: sorted(sorted(s) for s in alts)
             for a, alts in sorted(self.deps.items())
         }
         return {"deps": deps, "loop_entries": sorted(self.loop_entries)}
-
-
-@dataclass(frozen=True)
-class DependencyGraph:
-    nodes: frozenset[str]
-    edges: frozenset[tuple[str, str]]
 
 
 def non_cartesian_product(families) -> set[frozenset[str]]:
@@ -143,86 +136,27 @@ def eliminate_silent(raw: dict[str, set[frozenset[str]]], is_silent) -> dict[str
     return result
 
 
-def build_dependency_graph(td: TaskDependencies) -> DependencyGraph:
-    edges = set()
-    for t, alts in td.deps.items():
-        for s in alts:
-            for x in s:
-                edges.add((x, t))
-    return DependencyGraph(nodes=frozenset(td.deps), edges=frozenset(edges))
-
-
 def find_loop_entries(td: TaskDependencies) -> frozenset[str]:
     """Dependency activities whose firing can re-enable an earlier activity.
 
     An activity x is a loop entry when some activity t with at least two
     alternatives lists x in one of them and the dependency edge x -> t lies
-    on a cycle. Since the edge exists, that is exactly when x and t share a
-    strongly connected component of the dependency graph.
+    on a cycle. Since the edge exists, that is exactly when t reaches x
+    again along dependency edges (x == t counts).
     """
-    graph = build_dependency_graph(td)
-    adjacency: dict[str, list[str]] = {n: [] for n in graph.nodes}
-    for x, t in sorted(graph.edges):
-        adjacency.setdefault(x, []).append(t)
-        adjacency.setdefault(t, [])
-    component = _scc_ids(adjacency)
+    enables: dict[str, set[str]] = {}
+    for t, alts in td.deps.items():
+        for s in alts:
+            for x in s:
+                enables.setdefault(x, set()).add(t)
 
     entries = set()
     for t, alts in td.deps.items():
         if len(alts) < 2:
             continue
-        for s in alts:
-            for x in s:
-                if component[x] == component[t]:
-                    entries.add(x)
+        reached = _reachable([t], lambda node: enables.get(node, ()))
+        entries.update(x for s in alts for x in s if x in reached)
     return frozenset(entries)
-
-
-def _scc_ids(adjacency: dict[str, list[str]]) -> dict[str, int]:
-    """Strongly connected components, iterative Tarjan. Returns node -> component id."""
-    index: dict[str, int] = {}
-    lowlink: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    component: dict[str, int] = {}
-    counter = itertools.count()
-    comp_counter = itertools.count()
-
-    for root in sorted(adjacency):
-        if root in index:
-            continue
-        work = [(root, iter(adjacency[root]))]
-        index[root] = lowlink[root] = next(counter)
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, neighbors = work[-1]
-            advanced = False
-            for nxt in neighbors:
-                if nxt not in index:
-                    index[nxt] = lowlink[nxt] = next(counter)
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(adjacency[nxt])))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    lowlink[node] = min(lowlink[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                comp = next(comp_counter)
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component[member] = comp
-                    if member == node:
-                        break
-    return component
 
 
 def build_task_dependencies(net) -> TaskDependencies:

@@ -61,9 +61,6 @@ class HeuristicTable:
         mn, mx = self.window(activity)
         return frozenset(range(mn, mx + 1)) - {self.avg(activity)}
 
-    def covers(self, activities) -> bool:
-        return all(a in self._entries for a in activities)
-
 
 def load_heuristics(text: str) -> HeuristicTable:
     """Parse `activity,min,max` CSV. Empty input yields an empty table."""

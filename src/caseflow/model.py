@@ -39,7 +39,6 @@ class Diagnostic:
 @dataclass
 class NetDiagnostics:
     errors: list[Diagnostic] = field(default_factory=list)
-    warnings: list[Diagnostic] = field(default_factory=list)
 
     def ok(self) -> bool:
         return not self.errors
@@ -90,9 +89,6 @@ class WorkflowNet:
 
     def is_place(self, node: str) -> bool:
         return node in self.places
-
-    def has_node(self, node: str) -> bool:
-        return node in self._nodes
 
     def transition(self, tid: str) -> Transition:
         t = self._nodes.get(tid)
@@ -148,8 +144,8 @@ def validate(net: WorkflowNet) -> NetDiagnostics:
             Diagnostic("UNIQUE_SINK", None, f"expected one sink place, found {len(sinks)}: {sinks}")
         )
 
-    forward = _reachable(net, sources, net.postset)
-    backward = _reachable(net, sinks, net.preset)
+    forward = _reachable(sources, net.postset)
+    backward = _reachable(sinks, net.preset)
     for node in sorted(net._nodes):
         if node not in forward or node not in backward:
             diags.errors.append(
@@ -170,7 +166,7 @@ def validate(net: WorkflowNet) -> NetDiagnostics:
     return diags
 
 
-def _reachable(net, starts, step):
+def _reachable(starts, step):
     seen = set(starts)
     frontier = list(starts)
     while frontier:

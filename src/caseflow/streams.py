@@ -121,8 +121,10 @@ def read_events(source, fmt: str = "csv") -> tuple[UncorrelatedEvent, ...]:
         if missing:
             raise StreamFormatError("MISSING_COLUMN", f"missing column(s) {sorted(missing)}")
         events = [_event_from_record(row, i + 2) for i, row in enumerate(reader)]
+        positions = range(2, len(events) + 2)
     elif fmt == "jsonl":
         events = []
+        positions = []
         for i, line in enumerate(source):
             if not line.strip():
                 continue
@@ -131,8 +133,20 @@ def read_events(source, fmt: str = "csv") -> tuple[UncorrelatedEvent, ...]:
             except json.JSONDecodeError as exc:
                 raise StreamFormatError("BAD_ROW", f"line {i + 1}: {exc}") from exc
             events.append(_event_from_record(record, i + 1))
+            positions.append(i + 1)
     else:
         raise StreamFormatError("UNKNOWN_FORMAT", f"unknown stream format {fmt!r}")
+
+    # naive and offset timestamps do not compare, so a stream must keep to one kind
+    if events:
+        naive = events[0].timestamp.utcoffset() is None
+        for event, position in zip(events, positions):
+            if (event.timestamp.utcoffset() is None) != naive:
+                first, this = ("naive", "offset") if naive else ("offset", "naive")
+                raise StreamFormatError(
+                    "MIXED_TIMEZONES",
+                    f"row {position}: {this} timestamp in a stream whose first timestamp is {first}",
+                )
 
     if any(a.timestamp > b.timestamp for a, b in zip(events, events[1:])):
         warnings.warn("event stream out of order; sorting by timestamp", RuntimeWarning, stacklevel=2)

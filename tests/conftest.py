@@ -7,13 +7,13 @@ import pytest
 from caseflow import (
     Correlator,
     HeuristicTable,
-    TaskDependencies,
-    WorkflowNet,
     build_task_dependencies,
     load_heuristics,
     parse_pnml,
     read_events,
 )
+from caseflow.dependencies import TaskDependencies
+from caseflow.model import WorkflowNet
 
 DATA = Path(__file__).parent / "data"
 

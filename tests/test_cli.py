@@ -144,6 +144,19 @@ def test_correlate_counts_unmodeled_activity_as_noise(runner, data_dir, tmp_path
     assert len(noise_rows) == 1 and ",ZZZ,," in noise_rows[0]
 
 
+def test_correlate_rejects_naive_and_offset_timestamps_in_one_stream(runner, data_dir, tmp_path):
+    stream = tmp_path / "stream.csv"
+    stream.write_text(
+        "timestamp,activity\n2019-06-16 11:55:01,A\n2019-06-16T11:55:03+00:00,A\n"
+    )
+    result = invoke(
+        runner, "correlate", *model_args(data_dir),
+        "--heuristics", str(data_dir / "heuristics.csv"), "--input", str(stream),
+    )
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: MIXED_TIMEZONES: row 3")
+
+
 def test_correlate_rejects_out_of_range_threshold(runner, data_dir):
     result = invoke(runner, "correlate", *correlate_args(data_dir), "--threshold", "250")
     assert result.exit_code == 2
@@ -331,7 +344,7 @@ def test_evaluate_takes_the_labeled_log_from_config_input(runner, data_dir, tmp_
 
 
 def test_replay_echoes_in_delivery_order(runner, data_dir, clinic_events):
-    from caseflow import events_to_csv
+    from caseflow.streams import events_to_csv
 
     result = invoke(runner, "replay", "--input", str(data_dir / "stream.csv"))
     assert result.exit_code == 0

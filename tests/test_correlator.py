@@ -12,13 +12,13 @@ from caseflow import (
     CorrelationError,
     Correlator,
     HeuristicTable,
-    TaskDependencies,
     UncorrelatedEvent,
-    instance_probability,
-    parse_simple_net,
     build_task_dependencies,
     strip_case_ids,
 )
+from caseflow.correlator import instance_probability
+from caseflow.dependencies import TaskDependencies
+from caseflow.model import parse_simple_net
 
 
 def ev(second, activity, lifecycle=None, minute=55):
@@ -66,12 +66,27 @@ def test_instance_probability_rejects_bad_arguments(clinic_table):
     assert instance_probability(1, "range", "F", clinic_table) == 1.0
 
 
-def test_start_activity_opens_fresh_cases(clinic_correlator):
+def test_start_activity_opens_fresh_cases(clinic_correlator, clinic_td, clinic_table):
     (first,), (second,) = feed(clinic_correlator, [ev(1, "A"), ev(2, "A")])
     assert (first.case_id, first.trust) == (1, 100.0)
     assert (second.case_id, second.trust) == (2, 100.0)
+    for opening in (first, second):
+        assert opening.allocations == ()
+        assert opening.raw_trust == 100.0
     assert clinic_correlator.mode == "completed"
     assert clinic_correlator.store.case_ids() == [1, 2]
+
+    # paired: a started A opens a case and waits in the open-started queue
+    # until its completion pairs with it
+    corr = Correlator(clinic_td, clinic_table)
+    (started,) = corr.ingest(ev(1, "A", "started"))
+    assert (started.case_id, started.trust, started.raw_trust) == (1, 100.0, 100.0)
+    assert started.allocations == ()
+    assert corr.store.peek_open_started(1, "A") is started
+    (completed,) = corr.ingest(ev(2, "A", "completed"))
+    assert (completed.case_id, completed.trust) == (1, 100.0)
+    assert [a.anchor for a in completed.allocations] == [started.timestamp]
+    assert corr.store.peek_open_started(1, "A") is None
 
 
 def test_shared_event_is_materialized_once_per_case(clinic_correlator):

@@ -1,18 +1,18 @@
 """Dependency derivation: alternatives, silent elimination, loop entries."""
 
+import random
+
 import pytest
 
-from caseflow import (
-    DependencyError,
+from caseflow import DependencyError, build_task_dependencies
+from caseflow.dependencies import (
     TaskDependencies,
-    build_dependency_graph,
     build_raw_dependencies,
-    build_task_dependencies,
     eliminate_silent,
     find_loop_entries,
     non_cartesian_product,
-    parse_simple_net,
 )
+from caseflow.model import parse_simple_net
 
 
 def fs(*xs):
@@ -170,6 +170,36 @@ def test_loop_entry_requires_at_least_two_alternatives():
     assert find_loop_entries(td) == {"B"}
 
 
+def test_loop_entries_match_a_transitive_closure_on_random_maps():
+    # reference: close the x -> t edges (x in an alternative of t) and mark
+    # x when it is in one of at least two alternatives of t and t and x
+    # reach each other
+    rng = random.Random(2020)
+    for _ in range(2000):
+        names = [f"a{i}" for i in range(rng.randint(1, 12))]
+        deps = {
+            t: frozenset(
+                frozenset(rng.sample(names, rng.randint(1, min(3, len(names)))))
+                for _ in range(rng.randint(0, 3))
+            )
+            for t in names
+        }
+        reach = {(x, t) for t, alts in deps.items() for s in alts for x in s}
+        for k in names:
+            for i in names:
+                for j in names:
+                    if (i, k) in reach and (k, j) in reach:
+                        reach.add((i, j))
+        expected = {
+            x
+            for t, alts in deps.items() if len(alts) >= 2
+            for s in alts for x in s
+            if x == t or ((x, t) in reach and (t, x) in reach)
+        }
+        td = TaskDependencies(deps=deps, loop_entries=frozenset())
+        assert find_loop_entries(td) == expected, deps
+
+
 def test_clinic_dependencies(clinic_td):
     expected = {
         "A": frozenset(),
@@ -188,15 +218,6 @@ def test_clinic_dependencies(clinic_td):
     }
     assert dict(clinic_td.deps) == expected
     assert clinic_td.loop_entries == {"D", "G", "H", "I", "J", "N"}
-    assert clinic_td.start_activities() == {"A"}
-
-
-def test_clinic_dependency_graph(clinic_td):
-    graph = build_dependency_graph(clinic_td)
-    assert ("N", "B") in graph.edges
-    assert ("I", "L") in graph.edges
-    assert ("A", "B") in graph.edges
-    assert all(x in graph.nodes and t in graph.nodes for x, t in graph.edges)
 
 
 def test_to_json_dict_is_sorted_and_plain(clinic_td):

@@ -4,18 +4,16 @@ from datetime import datetime
 
 import pytest
 
-from caseflow import (
+from caseflow import f_score, latency_report, score
+from caseflow.evaluation import (
     ConfusionCounts,
-    CorrelatedEventInstance,
     align_cases,
     build_report,
-    f_score,
-    latency_report,
     precision,
     recall,
-    score,
     selections,
 )
+from caseflow.store import CorrelatedEventInstance
 
 
 def inst(seq, case_id, trust, noise_reason=None):

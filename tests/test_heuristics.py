@@ -4,14 +4,8 @@ from datetime import datetime
 
 import pytest
 
-from caseflow import (
-    HeuristicError,
-    HeuristicTable,
-    UncorrelatedEvent,
-    extract_heuristics,
-    load_heuristics,
-    save_heuristics,
-)
+from caseflow import HeuristicError, HeuristicTable, UncorrelatedEvent, load_heuristics
+from caseflow.heuristics import extract_heuristics, save_heuristics
 
 
 def ev(second, activity, case_id=None, lifecycle=None, minute=55):
@@ -35,11 +29,9 @@ def test_window_avg_and_range(clinic_table):
     assert clinic_table.range_of("F") == frozenset()
 
 
-def test_covers_and_membership(clinic_table):
+def test_membership(clinic_table):
     assert "B" in clinic_table
     assert "Z" not in clinic_table
-    assert clinic_table.covers({"A", "B", "N"})
-    assert not clinic_table.covers({"A", "Z"})
     assert len(clinic_table) == 13
 
 

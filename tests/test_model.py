@@ -2,14 +2,8 @@
 
 import pytest
 
-from caseflow import (
-    NetError,
-    Transition,
-    WorkflowNet,
-    parse_pnml,
-    parse_simple_net,
-    validate,
-)
+from caseflow import NetError, parse_pnml
+from caseflow.model import Transition, WorkflowNet, parse_simple_net, validate
 
 SMALL = """
 place p0

@@ -9,21 +9,22 @@ from hypothesis import strategies as st
 
 import simulate
 from caseflow import (
-    CaseStore,
-    CorrelatedEventInstance,
-    GroundTruth,
     HeuristicTable,
     UncorrelatedEvent,
     build_task_dependencies,
-    format_timestamp,
-    instance_probability,
-    non_cartesian_product,
-    parse_timestamp,
     strip_case_ids,
-    validate,
+)
+from caseflow.correlator import instance_probability
+from caseflow.dependencies import non_cartesian_product
+from caseflow.model import validate
+from caseflow.store import CaseStore, CorrelatedEventInstance
+from caseflow.streams import (
+    GroundTruth,
+    _ceil_seconds,
+    format_timestamp,
+    parse_timestamp,
     whole_seconds_between,
 )
-from caseflow.streams import _ceil_seconds
 
 families_strategy = st.lists(
     st.sets(st.sampled_from("abcdef"), min_size=1, max_size=4),

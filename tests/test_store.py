@@ -4,7 +4,7 @@ from datetime import datetime, timedelta
 
 import pytest
 
-from caseflow import CaseStore, CorrelatedEventInstance
+from caseflow.store import CaseStore, CorrelatedEventInstance
 
 
 def ts(second, minute=0):

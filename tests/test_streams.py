@@ -6,16 +6,18 @@ from datetime import datetime
 import pytest
 
 from caseflow import (
-    GroundTruth,
     ReplayError,
     StreamFormatError,
     UncorrelatedEvent,
-    events_to_csv,
-    format_timestamp,
-    parse_timestamp,
     read_events,
     replay,
     strip_case_ids,
+)
+from caseflow.streams import (
+    GroundTruth,
+    events_to_csv,
+    format_timestamp,
+    parse_timestamp,
     whole_seconds_between,
 )
 
@@ -122,6 +124,29 @@ def test_read_events_jsonl_bad_line():
     with pytest.raises(StreamFormatError) as err:
         read_events(io.StringIO("{not json}\n"), fmt="jsonl")
     assert err.value.code == "BAD_ROW"
+
+
+def test_read_events_rejects_naive_and_offset_timestamps_in_one_stream():
+    mixed = "timestamp,activity\n2019-06-16 11:55:01,A\n2019-06-16T11:55:03+00:00,A\n"
+    with pytest.raises(StreamFormatError) as err:
+        read_events(io.StringIO(mixed))
+    assert err.value.code == "MIXED_TIMEZONES"
+    assert "row 3" in str(err.value)
+    # jsonl rows are numbered by line, blank lines included
+    mixed = (
+        '{"timestamp": "2019-06-16T11:55:01+02:00", "activity": "A"}\n'
+        "\n"
+        '{"timestamp": "2019-06-16 11:55:03", "activity": "A"}\n'
+    )
+    with pytest.raises(StreamFormatError) as err:
+        read_events(io.StringIO(mixed), fmt="jsonl")
+    assert err.value.code == "MIXED_TIMEZONES"
+    assert "row 3" in str(err.value)
+    # one kind throughout reads as before, offsets compared as instants
+    offsets = "timestamp,activity\n2019-06-16T11:55:03+00:00,B\n2019-06-16T13:55:01+02:00,A\n"
+    with pytest.warns(RuntimeWarning, match="out of order"):
+        events = read_events(io.StringIO(offsets))
+    assert [e.activity for e in events] == ["A", "B"]
 
 
 def test_read_events_sorts_disordered_input_with_warning():
