@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -26,10 +28,12 @@ from .heuristics import (
     save_heuristics,
 )
 from .model import DEFAULT_SILENT_LABELS, NetError, parse_pnml, parse_simple_net, validate
+from .store import ExportWriter
 from .streams import (
     ReplayError,
     StreamFormatError,
     events_to_csv,
+    iter_events,
     read_events,
     replay,
     strip_case_ids,
@@ -138,15 +142,21 @@ def _load_table(path):
         _fail(str(exc))
 
 
-def _read_stream(path, fmt):
+def _open_input(path):
     if path is None:
         _fail("an input stream is required (--input or config)")
     try:
-        return read_events(path, fmt=fmt)
+        return open(path, encoding="utf-8")
     except OSError as exc:
         _fail(f"cannot read input: {exc}")
-    except StreamFormatError as exc:
-        _fail(str(exc))
+
+
+def _read_stream(path, fmt):
+    with _open_input(path) as handle:
+        try:
+            return read_events(handle, fmt=fmt)
+        except StreamFormatError as exc:
+            _fail(str(exc))
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -154,6 +164,27 @@ def _emit(text: str, output: str | None) -> None:
         click.echo(text, nl=False)
     else:
         Path(output).write_text(text, encoding="utf-8")
+
+
+@contextmanager
+def _output_stream(output: str | None):
+    """Standard output, or a temporary file beside --output that replaces it
+    only if the block exits normally, so a failed run leaves it untouched."""
+    if output is None:
+        yield sys.stdout
+        return
+    target = Path(output)
+    temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        handle = open(temporary, "x", encoding="utf-8")
+    except OSError as exc:
+        _fail(f"cannot write output: {exc}")
+    try:
+        with handle:
+            yield handle
+        os.replace(temporary, target)
+    finally:
+        temporary.unlink(missing_ok=True)
 
 
 @click.group(context_settings={"show_default": True})
@@ -180,16 +211,26 @@ def analyze(model, model_format, silent_labels, output):
 @_output_options
 def correlate(model, model_format, silent_labels, heuristics, input_path, stream_format,
               threshold, speedup, output):
-    """Correlate an unlabeled stream and export the result as CSV."""
+    """Correlate an unlabeled stream and export the result as CSV.
+
+    Rows are written as events resolve; the stream must be in timestamp
+    order. --output is replaced only when the whole stream correlated.
+    """
     td = _load_td(model, model_format, silent_labels)
     table = _load_table(heuristics)
-    events = _read_stream(input_path, stream_format)
-    try:
-        correlator = Correlator(td, table)
-        replay(events, correlator.ingest, speedup=speedup)
-    except (CorrelationError, ReplayError) as exc:
-        _fail(str(exc))
-    _emit(correlator.store.export_log(threshold), output)
+    with _open_input(input_path) as source:
+        try:
+            correlator = Correlator(td, table, keep_instances=False)
+        except CorrelationError as exc:
+            _fail(str(exc))
+        with _output_stream(output) as out:
+            writer = ExportWriter(out, threshold)
+            try:
+                replay(iter_events(source, stream_format),
+                       lambda event: writer.write(correlator.ingest(event)), speedup=speedup)
+            except (StreamFormatError, ReplayError) as exc:
+                _fail(str(exc))
+            writer.close()
     click.echo(f"noise events: {correlator.store.noise_count()}", err=True)
 
 

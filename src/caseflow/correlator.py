@@ -62,9 +62,13 @@ class Correlator:
     dependencies and completions close their earliest open counterpart;
     anything else selects completions-only operation, where every event is
     allocated through task dependencies directly.
+
+    As the stream advances, the store forgets the cases no later event can
+    reach. With keep_instances false it also keeps no instance, so memory
+    stays bounded by the cases still open.
     """
 
-    def __init__(self, td, table):
+    def __init__(self, td, table, *, keep_instances: bool = True):
         missing = sorted(td.activities() - table.activities())
         if missing:
             raise CorrelationError(
@@ -72,7 +76,7 @@ class Correlator:
             )
         self.td = td
         self.table = table
-        self.store = CaseStore()
+        self.store = CaseStore(keep_instances=keep_instances)
         # how far back an occurrence of each member can still anchor: the
         # widest window among the activities it enables, plus the second an
         # unfloored event timestamp can lie past its floor
@@ -94,9 +98,17 @@ class Correlator:
                 for dep_set in td.alternatives(activity)
             )
             self._plan[activity] = (mn, mx, table.avg(activity), timedelta(seconds=mx), alternatives)
+        # a case whose last instance is older than this can take no later
+        # event: its anchors lie before any search's lower edge, and its open
+        # started events are past every window. Start activities count, as
+        # the paired path reads their windows.
+        self._reach = timedelta(
+            seconds=max((table.window(a)[1] for a in td.activities()), default=0) + 1
+        )
         self._mode: str | None = None
         self._seq = 0
         self._last_ts = None
+        self._swept = None  # when the store last retired finished cases
 
     @property
     def mode(self) -> str | None:
@@ -104,10 +116,19 @@ class Correlator:
 
     def ingest(self, event) -> list[CorrelatedEventInstance]:
         """Process one event, returning its stored instances by case order."""
-        if self._last_ts is not None and event.timestamp < self._last_ts:
-            raise CorrelationError(
-                "OUT_OF_ORDER", f"{event.timestamp} arrived after {self._last_ts}"
-            )
+        last = self._last_ts
+        if last is not None:
+            try:
+                if event.timestamp < last:
+                    raise CorrelationError(
+                        "OUT_OF_ORDER", f"{event.timestamp} arrived after {last}"
+                    )
+            except TypeError:
+                raise CorrelationError(
+                    "MIXED_TIMEZONES",
+                    f"{event.timestamp} cannot follow {last}: "
+                    "naive and offset timestamps do not compare",
+                ) from None
         self._last_ts = event.timestamp
         if self._mode is None:
             self._mode = MODE_PAIRED if event.lifecycle == "started" else MODE_COMPLETED
@@ -124,7 +145,15 @@ class Correlator:
         pairs = self._mode == MODE_PAIRED and not is_started
         by_case: dict[int, list[Allocation]] = {}
         if not pairs and not plan[4]:
-            # no alternatives: the event opens a case, its one allocation-free instance
+            # no alternatives: the event opens a case, its one allocation-free
+            # instance. Only this adds a case to the store's per-case state,
+            # so this is where finished cases retire, at most once per reach.
+            ts = event.timestamp
+            if self._swept is None:
+                self._swept = ts
+            elif ts - self._swept >= self._reach:
+                self.store.retire_cases_before(ts - self._reach)
+                self._swept = ts
             by_case[self.store.new_case_id()] = []
             m = 1
         else:
@@ -138,6 +167,7 @@ class Correlator:
 
         # only dependency members are ever looked up as anchors or members
         anchorable = not is_started and event.activity in self._horizon
+        store = self.store
         instances = []
         for case_id in sorted(by_case):
             allocs = by_case[case_id]
@@ -160,15 +190,15 @@ class Correlator:
                 seq=seq,
             )
             instances.append(inst)
-            self.store.add(inst, anchorable=anchorable)
+            store.add(inst, anchorable)
             if is_started:
-                self.store.push_open_started(inst)
+                store.push_open_started(inst)
             elif pairs:
-                self.store.pop_open_started(case_id, inst.activity)
+                store.pop_open_started(case_id, inst.activity)
             if inst.trust >= 100.0 - 1e-9:
                 confirmed = {a.dependency_set for a in allocs if a.dependency_set}
                 if confirmed:
-                    self.store.register_certain(case_id, inst.activity, confirmed)
+                    store.register_certain(case_id, inst.activity, confirmed)
         return instances
 
     def candidate_allocations(self, event) -> set[Allocation]:

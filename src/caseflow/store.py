@@ -1,11 +1,22 @@
 """In-memory store of correlated event instances, one writer at a time.
 
-The store keeps every materialized instance, the per-case views, and the
+The store keeps the materialized instances, the per-case views, and the
 indexes the correlator queries while weighing candidate cases: a time index
 of recent occurrences per activity (anchor lookups, retiring those too old
 to anchor anything), the first occurrence per case and activity (member
 checks), open started events awaiting their completion, and the dependency
 alternatives already confirmed by a fully trusted instance.
+
+Cases retire: once the correlator finds that no later event can reach a
+case, the store drops the case's per-case state (last touch, first
+occurrences, confirmed alternatives, open started events). The instances
+themselves are kept for instances(), case_view() and export_log() unless the
+store is built with keep_instances false, when it only counts them; then
+memory is bounded by the cases still open, not by the length of the stream.
+
+ExportWriter renders instances as export CSV while they arrive, holding back
+only the rows of the current instant; export_log is that writer run over the
+kept instances.
 """
 
 from __future__ import annotations
@@ -50,43 +61,81 @@ class CorrelatedEventInstance:
         return self.noise_reason is not None
 
 
+_NOTHING: dict = {}  # the per-case state of a retired or unknown case; never written
+
+
 class CaseStore:
     """Callers add instances in timestamp order; the store does not check it,
-    and the time index and first-occurrence map are only right if they do.
+    and the time index, the first-occurrence map and the export are only
+    right if they do.
+
+    With keep_instances false the store keeps no instance, only counts them:
+    instances(), noise(), case_ids(), case_view() and export_log() then see
+    none.
     """
 
-    def __init__(self):
+    def __init__(self, *, keep_instances: bool = True):
+        self._keep = keep_instances
+        self._count = 0  # instances added, when they are not kept
+        self._noise_count = 0
         self._cases: dict[int, list[CorrelatedEventInstance]] = {}
         self._instances: list[CorrelatedEventInstance] = []
-        self._noise: list[CorrelatedEventInstance] = []
-        self._first_seen: dict[tuple[int, str], datetime] = {}
+        # per case: when it last got an instance, the first occurrence of
+        # each activity, and the alternatives confirmed per activity
+        self._last_touch: dict[int, datetime] = {}
+        self._first_seen: dict[int, dict[str, datetime]] = {}
+        self._certain_alts: dict[int, dict[str, set[frozenset[str]]]] = {}
         self._time_index: dict[str, list[tuple[datetime, int]]] = {}
         # activity -> case id -> its open started events, oldest first; a
         # case leaves when its queue drains
         self._open_started: dict[str, dict[int, list[CorrelatedEventInstance]]] = {}
-        self._certain_alts: dict[tuple[int, str], set[frozenset[str]]] = {}
         self._next_case = 1
 
     def __len__(self) -> int:
-        return len(self._instances)
+        return len(self._instances) if self._keep else self._count
 
     def new_case_id(self) -> int:
         case_id = self._next_case
         self._next_case += 1
-        self._cases[case_id] = []
+        if self._keep:
+            self._cases[case_id] = []
+        self._first_seen[case_id] = {}
+        self._certain_alts[case_id] = {}
         return case_id
 
     def add(self, instance: CorrelatedEventInstance, anchorable: bool = True) -> None:
-        self._instances.append(instance)
+        if self._keep:
+            self._instances.append(instance)
+        else:
+            self._count += 1
         if instance.noise_reason is not None:
-            self._noise.append(instance)
+            self._noise_count += 1
             return
-        self._cases[instance.case_id].append(instance)
+        case_id = instance.case_id
+        if self._keep:
+            self._cases[case_id].append(instance)
+        ts = instance.timestamp
+        self._last_touch[case_id] = ts
         if anchorable:
-            self._first_seen.setdefault((instance.case_id, instance.activity), instance.timestamp)
-            self._time_index.setdefault(instance.activity, []).append(
-                (instance.timestamp, instance.case_id)
-            )
+            self._first_seen[case_id].setdefault(instance.activity, ts)
+            self._time_index.setdefault(instance.activity, []).append((ts, case_id))
+
+    def retire_cases_before(self, cutoff: datetime) -> None:
+        """Forget the per-case state of every case whose last instance is
+        older than cutoff. Callers pick a cutoff past which no later event
+        can reach a case; the case's kept instances stay.
+        """
+        stale = [case_id for case_id, last in self._last_touch.items() if last < cutoff]
+        if not stale:
+            return
+        for case_id in stale:
+            del self._last_touch[case_id]
+            del self._first_seen[case_id]
+            del self._certain_alts[case_id]
+        for queues in self._open_started.values():
+            if queues:
+                for case_id in stale:
+                    queues.pop(case_id, None)
 
     def case_ids(self) -> list[int]:
         return sorted(self._cases)
@@ -98,10 +147,10 @@ class CaseStore:
         return list(self._instances)
 
     def noise(self) -> list[CorrelatedEventInstance]:
-        return list(self._noise)
+        return [inst for inst in self._instances if inst.noise_reason is not None]
 
     def noise_count(self) -> int:
-        return len(self._noise)
+        return self._noise_count
 
     # anchor lookups
 
@@ -118,7 +167,7 @@ class CaseStore:
         return entries[bisect_left(entries, (lo,)):]
 
     def has_occurrence_at_or_before(self, case_id: int, activity: str, ts: datetime) -> bool:
-        first = self._first_seen.get((case_id, activity))
+        first = self._first_seen.get(case_id, _NOTHING).get(activity)
         return first is not None and first <= ts
 
     # started/completed pairing
@@ -146,40 +195,95 @@ class CaseStore:
     # confirmed dependency alternatives, for loop-repeat exclusion
 
     def register_certain(self, case_id: int, activity: str, dependency_sets) -> None:
-        bucket = self._certain_alts.setdefault((case_id, activity), set())
-        bucket.update(dependency_sets)
+        alts = self._certain_alts[case_id]
+        spent = alts.get(activity)
+        if spent is None:
+            alts[activity] = set(dependency_sets)
+        else:
+            spent.update(dependency_sets)
 
     def certain_alternatives(self, case_id: int, activity: str) -> set[frozenset[str]] | frozenset:
         """The stored set itself, not a copy: callers only read it."""
-        return self._certain_alts.get((case_id, activity), frozenset())
+        return self._certain_alts.get(case_id, _NOTHING).get(activity, frozenset())
 
     def export_log(self, threshold: float = 0.0) -> str:
-        """Render stored instances at or above the trust threshold as CSV.
-
-        Noise rows, having no trust, survive only a zero threshold. Rows are
-        ordered by timestamp, noise after proper instances at the same
-        instant, then by case id.
-        """
-        selected = []
-        for inst in self._instances:
-            if inst.is_noise():
-                if threshold <= 0:
-                    selected.append(inst)
-            elif inst.trust is not None and inst.trust >= threshold:
-                selected.append(inst)
-        selected.sort(
-            key=lambda i: (i.timestamp, 1 if i.is_noise() else 0, i.case_id if i.case_id is not None else 0)
-        )
+        """Render stored instances at or above the trust threshold as CSV,
+        in the order ExportWriter gives."""
         buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["case_id", "timestamp", "activity", "trust", "lifecycle", "resource"])
-        for inst in selected:
-            writer.writerow([
+        writer = ExportWriter(buffer, threshold)
+        writer.write(self._instances)
+        writer.close()
+        return buffer.getvalue()
+
+
+class ExportWriter:
+    """Writes correlated instances as export CSV rows while they arrive.
+
+    Rows keep instances at or above the trust threshold; noise rows, having
+    no trust, survive only a zero threshold. They are ordered by timestamp,
+    noise after proper instances at the same instant, then by case id. Given
+    instances in timestamp order, the writer needs to hold back only the
+    current instant's rows, which it sorts once the instant is over.
+    """
+
+    _BATCH = 500  # rows formatted before each write to the stream
+
+    def __init__(self, out, threshold: float = 0.0):
+        self._writer = csv.writer(out, lineterminator="\n")
+        self._writer.writerow(["case_id", "timestamp", "activity", "trust", "lifecycle", "resource"])
+        self._threshold = threshold
+        self._instant: datetime | None = None
+        self._held: list[CorrelatedEventInstance] = []
+        self._rows: list[list] = []
+
+    def write(self, instances) -> None:
+        """Take instances in timestamp order, the instances of one event in
+        case order, as Correlator.ingest returns them."""
+        held = self._held
+        threshold = self._threshold
+        for inst in instances:
+            if inst.timestamp != self._instant:
+                self._release()
+                self._instant = inst.timestamp
+            if inst.noise_reason is not None:
+                if threshold <= 0:
+                    held.append(inst)
+            elif inst.trust is not None and inst.trust >= threshold:
+                held.append(inst)
+
+    def close(self) -> None:
+        """Write every row still held. The stream stays open."""
+        self._release()
+        self._writer.writerows(self._rows)
+        self._rows.clear()
+
+    def _release(self) -> None:
+        held = self._held
+        if not held:
+            return
+        if len(held) > 1:
+            # a stable sort: equal keys keep their arrival order
+            held.sort(key=_tie_order)
+        rows = self._rows
+        text, formatted = None, None
+        for inst in held:
+            # instances of one event share their timestamp object
+            if inst.timestamp is not formatted:
+                formatted = inst.timestamp
+                text = format_timestamp(formatted)
+            rows.append([
                 "" if inst.case_id is None else inst.case_id,
-                format_timestamp(inst.timestamp),
+                text,
                 inst.activity,
                 "" if inst.trust is None else f"{inst.trust:.2f}",
                 inst.lifecycle or "",
                 inst.resource or "",
             ])
-        return buffer.getvalue()
+        held.clear()
+        if len(rows) >= self._BATCH:
+            self._writer.writerows(rows)
+            rows.clear()
+
+
+def _tie_order(inst: CorrelatedEventInstance) -> tuple[bool, int]:
+    return inst.noise_reason is not None, inst.case_id or 0

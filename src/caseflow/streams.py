@@ -57,7 +57,8 @@ def parse_timestamp(text: str) -> datetime:
 
 
 def format_timestamp(ts: datetime) -> str:
-    return ts.strftime("%Y-%m-%d %H:%M:%S")
+    """Whole seconds, and the UTC offset of an offset timestamp."""
+    return ts.isoformat(sep=" ", timespec="seconds")
 
 
 def floor_to_second(ts: datetime) -> datetime:
@@ -102,6 +103,49 @@ def _event_from_record(record: dict, position: int) -> UncorrelatedEvent:
     )
 
 
+def _records(handle, fmt: str):
+    """(position, record) per row: CSV rows by line, the header being line
+    1; JSON lines by line, blank ones skipped but counted."""
+    if fmt == "csv":
+        reader = csv.DictReader(handle)
+        if reader.fieldnames is None:
+            return
+        missing = {"timestamp", "activity"} - set(reader.fieldnames)
+        if missing:
+            raise StreamFormatError("MISSING_COLUMN", f"missing column(s) {sorted(missing)}")
+        yield from enumerate(reader, start=2)
+    elif fmt == "jsonl":
+        for position, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise StreamFormatError("BAD_ROW", f"line {position}: {exc}") from exc
+            yield position, record
+    else:
+        raise StreamFormatError("UNKNOWN_FORMAT", f"unknown stream format {fmt!r}")
+
+
+def iter_events(handle, fmt: str = "csv"):
+    """Yield the events of an open text stream one row at a time, in file
+    order, reading no further ahead than the row being yielded."""
+    naive = None
+    for position, record in _records(handle, fmt):
+        event = _event_from_record(record, position)
+        # naive and offset timestamps do not compare, so a stream must keep to one kind
+        is_naive = event.timestamp.utcoffset() is None
+        if naive is None:
+            naive = is_naive
+        elif is_naive != naive:
+            first, this = ("naive", "offset") if naive else ("offset", "naive")
+            raise StreamFormatError(
+                "MIXED_TIMEZONES",
+                f"row {position}: {this} timestamp in a stream whose first timestamp is {first}",
+            )
+        yield event
+
+
 def read_events(source, fmt: str = "csv") -> tuple[UncorrelatedEvent, ...]:
     """Read an event stream from a path or open text stream.
 
@@ -113,41 +157,7 @@ def read_events(source, fmt: str = "csv") -> tuple[UncorrelatedEvent, ...]:
         with open(source, encoding="utf-8") as handle:
             return read_events(handle, fmt=fmt)
 
-    if fmt == "csv":
-        reader = csv.DictReader(source)
-        if reader.fieldnames is None:
-            return ()
-        missing = {"timestamp", "activity"} - set(reader.fieldnames)
-        if missing:
-            raise StreamFormatError("MISSING_COLUMN", f"missing column(s) {sorted(missing)}")
-        events = [_event_from_record(row, i + 2) for i, row in enumerate(reader)]
-        positions = range(2, len(events) + 2)
-    elif fmt == "jsonl":
-        events = []
-        positions = []
-        for i, line in enumerate(source):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise StreamFormatError("BAD_ROW", f"line {i + 1}: {exc}") from exc
-            events.append(_event_from_record(record, i + 1))
-            positions.append(i + 1)
-    else:
-        raise StreamFormatError("UNKNOWN_FORMAT", f"unknown stream format {fmt!r}")
-
-    # naive and offset timestamps do not compare, so a stream must keep to one kind
-    if events:
-        naive = events[0].timestamp.utcoffset() is None
-        for event, position in zip(events, positions):
-            if (event.timestamp.utcoffset() is None) != naive:
-                first, this = ("naive", "offset") if naive else ("offset", "naive")
-                raise StreamFormatError(
-                    "MIXED_TIMEZONES",
-                    f"row {position}: {this} timestamp in a stream whose first timestamp is {first}",
-                )
-
+    events = list(iter_events(source, fmt))
     if any(a.timestamp > b.timestamp for a, b in zip(events, events[1:])):
         warnings.warn("event stream out of order; sorting by timestamp", RuntimeWarning, stacklevel=2)
         events.sort(key=lambda e: e.timestamp)
@@ -224,18 +234,19 @@ def replay(events, sink, speedup: float = math.inf) -> ReplayReport:
     replay start, so a slow sink eats into later waits instead of shifting
     the whole schedule. Infinite speedup delivers as fast as possible.
 
-    The per-event latency recorded is the sink call duration in seconds.
+    Events are drawn from the iterable one at a time, so a generator is
+    read only as fast as the sink consumes it. The per-event latency
+    recorded is the sink call duration in seconds.
     """
     if speedup <= 0:
         raise ValueError("speedup must be positive")
     report = ReplayReport()
-    events = list(events)
-    if not events:
-        return report
     start_wall = time.monotonic()
-    start_ts = events[0].timestamp
+    start_ts = None
     for i, ev in enumerate(events):
         if math.isfinite(speedup):
+            if start_ts is None:
+                start_ts = ev.timestamp
             target = start_wall + (ev.timestamp - start_ts).total_seconds() / speedup
             delay = target - time.monotonic()
             if delay > 0:

@@ -1,12 +1,29 @@
 """End-to-end command behavior through the click runner."""
 
+import io
 import json
+import os
+import random
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from caseflow import load_heuristics
+import caseflow
+import simulate
+from caseflow import (
+    Correlator,
+    build_task_dependencies,
+    load_heuristics,
+    read_events,
+    strip_case_ids,
+)
 from caseflow.cli import main
+from caseflow.model import parse_simple_net
+from caseflow.streams import events_to_csv
 
 TOY_NET = """
 place p0
@@ -172,6 +189,136 @@ def test_correlate_requires_heuristics_covering_the_model(runner, data_dir, tmp_
     )
     assert result.exit_code == 2
     assert "MISSING_HEURISTIC" in result.stderr
+
+
+TOY_WINDOWS = "activity,min,max\nA,1,1\nB,1,3\n"
+
+# ties at one instant: two cases and noise at second 2, where the second B's
+# rows must sort among the first's; then two distinct instants within second
+# 5, printed alike, with noise at the first
+TIED_STREAM = (
+    "timestamp,activity\n"
+    "2021-03-01 09:00:00,A\n"
+    "2021-03-01 09:00:00,A\n"
+    "2021-03-01 09:00:02,B\n"
+    "2021-03-01 09:00:02,Z\n"
+    "2021-03-01 09:00:02,B\n"
+    "2021-03-01 09:00:05.250,A\n"
+    "2021-03-01 09:00:05.250,Z\n"
+    "2021-03-01 09:00:05.750,A\n"
+    "2021-03-01 09:00:08.100,B\n"
+)
+
+
+def toy_args(tmp_path, stream_text):
+    for name, text in (("toy.net", TOY_NET), ("toy.csv", TOY_WINDOWS), ("in.csv", stream_text)):
+        (tmp_path / name).write_text(text)
+    return ("--model", str(tmp_path / "toy.net"), "--heuristics", str(tmp_path / "toy.csv"),
+            "--input", str(tmp_path / "in.csv"))
+
+
+def test_correlate_streams_the_export_log_rows_in_order(runner, tmp_path):
+    corr = Correlator(build_task_dependencies(parse_simple_net(TOY_NET)),
+                      load_heuristics(TOY_WINDOWS))
+    for event in read_events(io.StringIO(TIED_STREAM)):
+        corr.ingest(event)
+    assert corr.store.export_log(0.0).splitlines()[1:] == [
+        "1,2021-03-01 09:00:00,A,100.00,,",
+        "2,2021-03-01 09:00:00,A,100.00,,",
+        "1,2021-03-01 09:00:02,B,75.00,,",
+        "1,2021-03-01 09:00:02,B,75.00,,",
+        "2,2021-03-01 09:00:02,B,75.00,,",
+        "2,2021-03-01 09:00:02,B,75.00,,",
+        ",2021-03-01 09:00:02,Z,,,",
+        "3,2021-03-01 09:00:05,A,100.00,,",
+        ",2021-03-01 09:00:05,Z,,,",
+        "4,2021-03-01 09:00:05,A,100.00,,",
+        "3,2021-03-01 09:00:08,B,37.50,,",
+        "4,2021-03-01 09:00:08,B,37.50,,",
+    ]
+    args = toy_args(tmp_path, TIED_STREAM)
+    for threshold in ("0", "60"):
+        out = tmp_path / f"out{threshold}.csv"
+        to_stdout = invoke(runner, "correlate", *args, "--threshold", threshold)
+        to_file = invoke(runner, "correlate", *args, "--threshold", threshold, "--output", str(out))
+        expected = corr.store.export_log(float(threshold))
+        assert to_stdout.stdout == expected
+        assert to_file.exit_code == 0 and out.read_text() == expected
+        assert to_stdout.stderr == to_file.stderr == "noise events: 2\n"
+
+
+def test_correlate_rejects_a_disordered_stream_and_keeps_the_output(runner, tmp_path):
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"an earlier export\n")
+    disordered = "timestamp,activity\n2021-03-01 09:00:05,A\n2021-03-01 09:00:01,A\n"
+    result = invoke(runner, "correlate", *toy_args(tmp_path, disordered), "--output", str(out))
+    assert result.exit_code == 2
+    assert "OUT_OF_ORDER" in result.stderr
+    assert out.read_bytes() == b"an earlier export\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", "out.csv", "toy.csv", "toy.net"]
+
+
+def test_correlate_exports_offset_timestamps_with_their_offsets(runner, tmp_path):
+    offsets = (
+        "timestamp,activity\n"
+        "2021-03-01T11:00:00+02:00,A\n"
+        "2021-03-01T09:00:01+00:00,A\n"
+        "2021-03-01T11:00:02+02:00,B\n"
+    )
+    result = invoke(runner, "correlate", *toy_args(tmp_path, offsets))
+    assert result.exit_code == 0
+    assert [row.split(",")[1] for row in result.stdout.splitlines()[1:]] == [
+        "2021-03-01 11:00:00+02:00",
+        "2021-03-01 09:00:01+00:00",
+        "2021-03-01 11:00:02+02:00",
+        "2021-03-01 11:00:02+02:00",
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an out-of-order warning would fail here
+        again = read_events(io.StringIO(result.stdout))
+    sent = read_events(io.StringIO(offsets))
+    assert [e.timestamp for e in again] == [sent[0].timestamp, sent[1].timestamp,
+                                            sent[2].timestamp, sent[2].timestamp]
+
+
+# Runs the CLI, then prints the peak resident set of the child's own image,
+# in KiB, as the last word on standard error.
+PEAK_RSS_PROGRAM = """\
+import runpy, sys
+try:
+    runpy.run_module("caseflow", run_name="__main__", alter_sys=True)
+finally:
+    with open("/proc/self/status") as status:
+        print(*[line.split()[1] for line in status if line.startswith("VmHWM:")], file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads /proc/self/status")
+def test_correlate_peak_memory_does_not_grow_with_the_log(data_dir, tmp_path, clinic_net,
+                                                        clinic_table):
+    # the child imports the package this test imported
+    src = str(Path(caseflow.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    peaks = []
+    for n_cases in (1200, 4800):
+        log = simulate.simulate_log(clinic_net, clinic_table, random.Random(n_cases), n_cases,
+                                    weights={"M": 3, "G": 3})
+        stream = tmp_path / "stream.csv"
+        stream.write_text(events_to_csv(strip_case_ids(log)[0]))
+        del log
+        proc = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS_PROGRAM, "correlate",
+             "--model", str(data_dir / "clinic.pnml"),
+             "--heuristics", str(data_dir / "heuristics.csv"),
+             "--input", str(stream), "--output", str(tmp_path / "out.csv")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        peaks.append(int(proc.stderr.split()[-1]))
+    # four times the cases may cost the replay's per-event latency list, not
+    # the store or the export
+    assert abs(peaks[1] - peaks[0]) <= 2 * 1024, f"peak RSS {peaks[0]} then {peaks[1]} KiB"
 
 
 def test_evaluate_recovers_a_well_separated_log(runner, data_dir, tmp_path):

@@ -2,7 +2,7 @@
 
 import random
 from dataclasses import replace
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
@@ -129,6 +129,16 @@ def test_out_of_order_ingest_is_an_error(clinic_correlator):
     with pytest.raises(CorrelationError) as err:
         clinic_correlator.ingest(ev(4, "A"))
     assert err.value.code == "OUT_OF_ORDER"
+
+
+def test_naive_then_offset_ingest_is_a_correlation_error(clinic_correlator):
+    clinic_correlator.ingest(ev(5, "A"))
+    offset = UncorrelatedEvent(
+        timestamp=datetime(2019, 6, 16, 11, 55, 6, tzinfo=timezone.utc), activity="A"
+    )
+    with pytest.raises(CorrelationError) as err:
+        clinic_correlator.ingest(offset)
+    assert err.value.code == "MIXED_TIMEZONES"
 
 
 def test_started_event_after_completions_only_opening(clinic_correlator):
@@ -309,6 +319,55 @@ def test_activities_that_enable_nothing_stay_out_of_the_time_index(
     corr = Correlator(clinic_td, clinic_table)
     feed(corr, stream)
     assert corr.store.occurrences_since("M", datetime.min, datetime.min) == []
+
+
+@pytest.mark.parametrize("start, opening, end", [(0, 10, 10), (0.5, 10.6, 10.9)])
+def test_retirement_keeps_open_started_events_a_start_window_can_reach(start, opening, end):
+    # A's own window, read only when its completion pairs, is wider than any
+    # window of an activity A enables. A second case opens just before the
+    # completion, which retires what is out of reach by then; the completion
+    # still comes 10 whole seconds after the first start.
+    after_a = frozenset({frozenset({"A"})})
+    td = TaskDependencies(deps={"A": frozenset(), "B": after_a}, loop_entries=frozenset())
+    corr = Correlator(td, HeuristicTable({"A": (1, 10), "B": (1, 2)}))
+    t = ev(0, "A").timestamp
+
+    def at(offset, lifecycle):
+        return UncorrelatedEvent(
+            timestamp=t + timedelta(seconds=offset), activity="A", lifecycle=lifecycle
+        )
+
+    feed(corr, [at(start, "started"), at(opening, "started")])
+    (completed,) = corr.ingest(at(end, "completed"))
+    assert (completed.case_id, completed.trust) == (1, 100.0)
+    assert completed.allocations[0].duration == 10
+
+
+@pytest.mark.parametrize("n_cases", [300, 1200])
+def test_retired_cases_leave_the_store(clinic_net, clinic_table, clinic_td, n_cases):
+    log = simulate.simulate_log(
+        clinic_net, clinic_table, random.Random(4), n_cases, weights={"M": 3, "G": 3}
+    )
+    stream = strip_case_ids(log)[0]
+    corr = Correlator(clinic_td, clinic_table, keep_instances=False)
+    store = corr.store
+    # when a case opens, the cases last touched more than 12 s before (L's
+    # 11 s window and the second past a floor) retire, unless a sweep ran
+    # less than 12 s before; so every case kept was touched within 24 s of
+    # the latest opening
+    reach = timedelta(seconds=12)
+    opened, peak = None, 0
+    for event in stream:
+        corr.ingest(event)
+        if event.activity == "A":  # the clinic net's one case-opening activity
+            opened = event.timestamp
+        live = store._last_touch
+        assert all(last >= opened - 2 * reach for last in live.values())
+        assert set(store._first_seen) == set(store._certain_alts) == set(live)
+        peak = max(peak, len(live))
+    assert peak <= 10  # the same bound at every log size
+    assert len(store) >= len(stream)
+    assert store.instances() == [] and store.case_ids() == []
 
 
 def long_log(clinic_net, table, scale=1):

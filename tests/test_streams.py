@@ -1,7 +1,7 @@
 """Stream reading, ground truth round trips, timed replay."""
 
 import io
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
@@ -58,6 +58,15 @@ def test_format_timestamp_round_trip():
     ts = datetime(2019, 6, 16, 11, 55, 1)
     assert parse_timestamp(format_timestamp(ts)) == ts
     assert format_timestamp(ts) == "2019-06-16 11:55:01"
+    assert format_timestamp(ts.replace(microsecond=250000)) == "2019-06-16 11:55:01"
+
+
+def test_format_timestamp_keeps_the_utc_offset():
+    ts = datetime(2019, 6, 16, 13, 55, 1, tzinfo=timezone(timedelta(hours=2)))
+    assert format_timestamp(ts) == "2019-06-16 13:55:01+02:00"
+    assert parse_timestamp(format_timestamp(ts)) == ts
+    events = (UncorrelatedEvent(ts, "A"), UncorrelatedEvent(ts.astimezone(timezone.utc), "B"))
+    assert read_events(io.StringIO(events_to_csv(events))) == events
 
 
 def test_whole_seconds_floor_before_differencing():
@@ -217,6 +226,18 @@ def test_replay_paces_by_stream_time_over_speedup():
 def test_replay_rejects_nonpositive_speedup():
     with pytest.raises(ValueError):
         replay([ev(1, "A")], lambda e: None, speedup=0)
+
+
+def test_replay_draws_events_only_as_the_sink_takes_them():
+    def source(k):
+        for second in range(k):
+            yield ev(second, "A")
+        raise RuntimeError("source failed")
+
+    seen = []
+    with pytest.raises(RuntimeError, match="source failed"):
+        replay(source(3), seen.append)
+    assert [e.timestamp.second for e in seen] == [0, 1, 2]
 
 
 def test_replay_wraps_sink_failures_with_position():
