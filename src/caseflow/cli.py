@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+import time
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -159,13 +160,6 @@ def _read_stream(path, fmt):
             _fail(str(exc))
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        click.echo(text, nl=False)
-    else:
-        Path(output).write_text(text, encoding="utf-8")
-
-
 @contextmanager
 def _output_stream(output: str | None):
     """Standard output, or a temporary file beside --output that replaces it
@@ -198,7 +192,8 @@ def main():
 def analyze(model, model_format, silent_labels, output):
     """Derive task dependencies and loop entries from a workflow model."""
     td = _load_td(model, model_format, silent_labels)
-    _emit(json.dumps(td.to_json_dict(), indent=2, sort_keys=True) + "\n", output)
+    with _output_stream(output) as out:
+        out.write(json.dumps(td.to_json_dict(), indent=2, sort_keys=True) + "\n")
 
 
 @main.command()
@@ -246,7 +241,8 @@ def replay_command(input_path, stream_format, speedup, output):
         report = replay(events, delivered.append, speedup=speedup)
     except ReplayError as exc:
         _fail(str(exc))
-    _emit(events_to_csv(delivered), output)
+    with _output_stream(output) as out:
+        out.write(events_to_csv(delivered))
     click.echo(f"delivered {report.delivered} events in {report.wall_seconds:.3f}s", err=True)
 
 
@@ -270,14 +266,22 @@ def evaluate(model, model_format, silent_labels, heuristics, truth, input_path,
         _fail("threshold mode needs --threshold")
     stream, _ = strip_case_ids(labeled)
     truth_labels = [ev.case_id for ev in labeled]
+    latencies = []
+
+    def timed_ingest(event):
+        before = time.perf_counter()
+        correlator.ingest(event)
+        latencies.append(time.perf_counter() - before)
+
     try:
         correlator = Correlator(td, table)
-        report = replay(stream, correlator.ingest)
+        replay(stream, timed_ingest)
         counts = score(correlator.store.instances(), truth_labels, mode=mode, threshold=threshold)
     except (CorrelationError, ReplayError, ValueError) as exc:
         _fail(str(exc))
-    payload = build_report(counts, report.latencies)
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", output)
+    payload = build_report(counts, latencies)
+    with _output_stream(output) as out:
+        out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 @main.command("extract-heuristics")
@@ -293,7 +297,8 @@ def extract_heuristics_command(input_path, stream_format, model, model_format,
         table = extract_heuristics(events, td=td)
     except HeuristicError as exc:
         _fail(str(exc))
-    _emit(save_heuristics(table), output)
+    with _output_stream(output) as out:
+        out.write(save_heuristics(table))
 
 
 if __name__ == "__main__":

@@ -21,6 +21,9 @@ KIND_RANGE = "range"
 MODE_PAIRED = "paired"
 MODE_COMPLETED = "completed"
 
+# the plan of a windowless start activity, whose events only open cases
+_OPENS_ONLY = (0, 0, 0, timedelta(0), ())
+
 
 class CorrelationError(Exception):
     def __init__(self, code: str, message: str):
@@ -69,46 +72,31 @@ class Correlator:
     """
 
     def __init__(self, td, table, *, keep_instances: bool = True):
-        missing = sorted(td.activities() - table.activities())
-        if missing:
-            raise CorrelationError(
-                "MISSING_HEURISTIC", f"no duration window for: {', '.join(missing)}"
-            )
         self.td = td
         self.table = table
-        self.store = CaseStore(keep_instances=keep_instances)
-        # how far back an occurrence of each member can still anchor: the
-        # widest window among the activities it enables, plus the second an
-        # unfloored event timestamp can lie past its floor
-        self._horizon: dict[str, timedelta] = {}
-        for activity in td.activities():
-            reach = timedelta(seconds=table.window(activity)[1] + 1)
-            for member in frozenset().union(*td.alternatives(activity)):
-                self._horizon[member] = max(reach, self._horizon.get(member, reach))
+        self._require_windows(a for a in td.activities() if td.alternatives(a))
         # activity -> (min, max, average, max as a timedelta, alternatives),
-        # each alternative (members, ((member, horizon), ...), reusable); an
-        # alternative whose members can all re-occur in a loop may be
-        # satisfied again, anything else is spent once confirmed
+        # each alternative (members, reusable); an alternative whose members
+        # can all re-occur in a loop may be satisfied again, anything else is
+        # spent once confirmed
         self._plan: dict[str, tuple] = {}
         for activity in td.activities():
+            if activity not in table:
+                self._plan[activity] = _OPENS_ONLY
+                continue
             mn, mx = table.window(activity)
             alternatives = tuple(
-                (dep_set, tuple((x, self._horizon[x]) for x in dep_set),
-                 all(td.is_loop_entry(x) for x in dep_set))
+                (dep_set, all(td.is_loop_entry(x) for x in dep_set))
                 for dep_set in td.alternatives(activity)
             )
             self._plan[activity] = (mn, mx, table.avg(activity), timedelta(seconds=mx), alternatives)
-        # a case whose last instance is older than this can take no later
-        # event: its anchors lie before any search's lower edge, and its open
-        # started events are past every window. Start activities count, as
-        # the paired path reads their windows.
-        self._reach = timedelta(
-            seconds=max((table.window(a)[1] for a in td.activities()), default=0) + 1
-        )
+        # nothing older than the widest window, plus the second an unfloored
+        # timestamp can lie past its floor, can reach a later event
+        reach = max((plan[1] for plan in self._plan.values()), default=0) + 1
+        self.store = CaseStore(timedelta(seconds=reach), keep_instances=keep_instances)
         self._mode: str | None = None
         self._seq = 0
         self._last_ts = None
-        self._swept = None  # when the store last retired finished cases
 
     @property
     def mode(self) -> str | None:
@@ -131,7 +119,12 @@ class Correlator:
                 ) from None
         self._last_ts = event.timestamp
         if self._mode is None:
-            self._mode = MODE_PAIRED if event.lifecycle == "started" else MODE_COMPLETED
+            if event.lifecycle == "started":
+                # completions pair with their start, so every window is read
+                self._require_windows(self.td.activities())
+                self._mode = MODE_PAIRED
+            else:
+                self._mode = MODE_COMPLETED
 
         seq = self._seq
         self._seq += 1
@@ -145,15 +138,7 @@ class Correlator:
         pairs = self._mode == MODE_PAIRED and not is_started
         by_case: dict[int, list[Allocation]] = {}
         if not pairs and not plan[4]:
-            # no alternatives: the event opens a case, its one allocation-free
-            # instance. Only this adds a case to the store's per-case state,
-            # so this is where finished cases retire, at most once per reach.
-            ts = event.timestamp
-            if self._swept is None:
-                self._swept = ts
-            elif ts - self._swept >= self._reach:
-                self.store.retire_cases_before(ts - self._reach)
-                self._swept = ts
+            # no alternatives: the event opens a case, its one allocation-free instance
             by_case[self.store.new_case_id()] = []
             m = 1
         else:
@@ -165,8 +150,6 @@ class Correlator:
                 by_case.setdefault(alloc.case_id, []).append(alloc)
             m = len(allocations)
 
-        # only dependency members are ever looked up as anchors or members
-        anchorable = not is_started and event.activity in self._horizon
         store = self.store
         instances = []
         for case_id in sorted(by_case):
@@ -190,7 +173,7 @@ class Correlator:
                 seq=seq,
             )
             instances.append(inst)
-            store.add(inst, anchorable)
+            store.add(inst)
             if is_started:
                 store.push_open_started(inst)
             elif pairs:
@@ -204,10 +187,9 @@ class Correlator:
     def candidate_allocations(self, event) -> set[Allocation]:
         """Every allocation the event would produce against the current store.
 
-        Pure query: the store is not changed, except that index entries too
-        old to anchor this or any later event are retired. Events of
-        activities without dependencies open fresh cases instead of
-        allocating, so they yield nothing here.
+        Pure query: the store is not changed. Events of activities without
+        dependencies open fresh cases instead of allocating, so they yield
+        nothing here.
         """
         plan = self._plan.get(event.activity)
         if plan is None:
@@ -217,6 +199,13 @@ class Correlator:
         return self._dependency_allocations(event, plan)
 
     # internals
+
+    def _require_windows(self, activities) -> None:
+        missing = sorted(a for a in activities if a not in self.table)
+        if missing:
+            raise CorrelationError(
+                "MISSING_HEURISTIC", f"no duration window for: {', '.join(missing)}"
+            )
 
     def _stash_noise(self, event, seq: int, reason: str) -> CorrelatedEventInstance:
         inst = CorrelatedEventInstance(
@@ -247,25 +236,24 @@ class Correlator:
 
     def _dependency_allocations(self, event, plan) -> set[Allocation]:
         activity = event.activity
-        ts = event.timestamp
-        ts0 = floor_to_second(ts)
+        ts0 = floor_to_second(event.timestamp)
         mn, _, avg, max_span, alternatives = plan
         # anchors from lo on lie at most max whole seconds before the event,
         # earlier ones more; anchors after the event fail the min check
         lo = ts0 - max_span
         store = self.store
         out: set[Allocation] = set()
-        for dep_set, members, reusable in alternatives:
+        for dep_set, reusable in alternatives:
             # the anchor is an occurrence of some member, the other members
             # need only have occurred by then
-            for member, horizon in members:
-                for anchor, case_id in store.occurrences_since(member, lo, ts - horizon):
+            for member in dep_set:
+                for anchor, case_id in store.occurrences_since(member, lo):
                     duration = _ceil_seconds(ts0 - anchor)
                     if duration < mn:
                         continue
                     if not reusable and dep_set in store.certain_alternatives(case_id, activity):
                         continue
-                    if len(members) > 1 and not all(
+                    if len(dep_set) > 1 and not all(
                         store.has_occurrence_at_or_before(case_id, x, anchor) for x in dep_set
                     ):
                         continue

@@ -2,17 +2,20 @@
 
 The store keeps the materialized instances, the per-case views, and the
 indexes the correlator queries while weighing candidate cases: a time index
-of recent occurrences per activity (anchor lookups, retiring those too old
-to anchor anything), the first occurrence per case and activity (member
-checks), open started events awaiting their completion, and the dependency
-alternatives already confirmed by a fully trusted instance.
+of recent occurrences per activity (anchor lookups), and per case a record of
+its first occurrence of each activity (member checks) and of the dependency
+alternatives a fully trusted instance confirmed, beside the open started
+events awaiting their completion.
 
-Cases retire: once the correlator finds that no later event can reach a
-case, the store drops the case's per-case state (last touch, first
-occurrences, confirmed alternatives, open started events). The instances
-themselves are kept for instances(), case_view() and export_log() unless the
-store is built with keep_instances false, when it only counts them; then
-memory is bounded by the cases still open, not by the length of the stream.
+The store forgets by one distance, its reach R: the widest window plus the
+second an unfloored timestamp can lie past its floor. Nothing older than R
+before an event can reach it: such anchors lie before the search's lower
+edge, and such open started events are past every window. So each add trims
+its activity's index to R before the newest entry, and a case's first
+instance retires the cases last touched more than R before, with their open
+started events. Queries change nothing. The instances themselves are kept
+for instances(), case_view() and export_log() unless keep_instances is
+false; then memory is bounded by the cases still open.
 
 ExportWriter renders instances as export CSV while they arrive, holding back
 only the rows of the current instant; export_log is that writer run over the
@@ -24,8 +27,8 @@ from __future__ import annotations
 import csv
 import io
 from bisect import bisect_left
-from dataclasses import dataclass
-from datetime import datetime
+from dataclasses import dataclass, field
+from datetime import datetime, timedelta
 
 from .streams import format_timestamp
 
@@ -61,30 +64,34 @@ class CorrelatedEventInstance:
         return self.noise_reason is not None
 
 
-_NOTHING: dict = {}  # the per-case state of a retired or unknown case; never written
+@dataclass(slots=True)
+class _Case:
+    last: datetime  # when the case last got an instance
+    first_seen: dict[str, datetime] = field(default_factory=dict)
+    spent: dict[str, set[frozenset[str]]] = field(default_factory=dict)  # confirmed alternatives
+
+
+_GONE = _Case(datetime.min)  # the record of a retired or unknown case; never written
 
 
 class CaseStore:
     """Callers add instances in timestamp order; the store does not check it,
-    and the time index, the first-occurrence map and the export are only
-    right if they do.
+    and the time index, the per-case records and the export are only right
+    if they do. reach is the distance R past which the store forgets.
 
     With keep_instances false the store keeps no instance, only counts them:
     instances(), noise(), case_ids(), case_view() and export_log() then see
     none.
     """
 
-    def __init__(self, *, keep_instances: bool = True):
+    def __init__(self, reach: timedelta, *, keep_instances: bool = True):
+        self._reach = reach
         self._keep = keep_instances
         self._count = 0  # instances added, when they are not kept
         self._noise_count = 0
         self._cases: dict[int, list[CorrelatedEventInstance]] = {}
         self._instances: list[CorrelatedEventInstance] = []
-        # per case: when it last got an instance, the first occurrence of
-        # each activity, and the alternatives confirmed per activity
-        self._last_touch: dict[int, datetime] = {}
-        self._first_seen: dict[int, dict[str, datetime]] = {}
-        self._certain_alts: dict[int, dict[str, set[frozenset[str]]]] = {}
+        self._live: dict[int, _Case] = {}
         self._time_index: dict[str, list[tuple[datetime, int]]] = {}
         # activity -> case id -> its open started events, oldest first; a
         # case leaves when its queue drains
@@ -99,11 +106,11 @@ class CaseStore:
         self._next_case += 1
         if self._keep:
             self._cases[case_id] = []
-        self._first_seen[case_id] = {}
-        self._certain_alts[case_id] = {}
         return case_id
 
-    def add(self, instance: CorrelatedEventInstance, anchorable: bool = True) -> None:
+    def add(self, instance: CorrelatedEventInstance) -> None:
+        """Store an instance; a started one, which no search reads as an
+        anchor or member, stays out of the time index and first occurrences."""
         if self._keep:
             self._instances.append(instance)
         else:
@@ -115,27 +122,30 @@ class CaseStore:
         if self._keep:
             self._cases[case_id].append(instance)
         ts = instance.timestamp
-        self._last_touch[case_id] = ts
-        if anchorable:
-            self._first_seen[case_id].setdefault(instance.activity, ts)
-            self._time_index.setdefault(instance.activity, []).append((ts, case_id))
-
-    def retire_cases_before(self, cutoff: datetime) -> None:
-        """Forget the per-case state of every case whose last instance is
-        older than cutoff. Callers pick a cutoff past which no later event
-        can reach a case; the case's kept instances stay.
-        """
-        stale = [case_id for case_id, last in self._last_touch.items() if last < cutoff]
-        if not stale:
+        case = self._live.get(case_id)
+        if case is None:
+            # only a case's first instance adds per-case state
+            self._retire_cases_before(ts - self._reach)
+            case = self._live[case_id] = _Case(ts)
+        else:
+            case.last = ts
+        if instance.lifecycle == "started":
             return
-        for case_id in stale:
-            del self._last_touch[case_id]
-            del self._first_seen[case_id]
-            del self._certain_alts[case_id]
-        for queues in self._open_started.values():
-            if queues:
-                for case_id in stale:
-                    queues.pop(case_id, None)
+        activity = instance.activity
+        case.first_seen.setdefault(activity, ts)
+        entries = self._time_index.setdefault(activity, [])
+        entries.append((ts, case_id))
+        edge = ts - self._reach
+        if entries[0][0] < edge:
+            # (t,) sorts before every (t, case_id)
+            del entries[:bisect_left(entries, (edge,))]
+
+    def _retire_cases_before(self, cutoff: datetime) -> None:
+        """Forget the per-case state of each case last touched before cutoff."""
+        for case_id in [c for c, case in self._live.items() if case.last < cutoff]:
+            del self._live[case_id]
+            for queues in self._open_started.values():
+                queues.pop(case_id, None)
 
     def case_ids(self) -> list[int]:
         return sorted(self._cases)
@@ -154,20 +164,14 @@ class CaseStore:
 
     # anchor lookups
 
-    def occurrences_since(
-        self, activity: str, lo: datetime, retire_before: datetime
-    ) -> list[tuple[datetime, int]]:
-        """(timestamp, case id) of each occurrence of activity from lo on, once
-        those before retire_before have left the index for good. Timestamps
-        only grow, so callers pass the earliest instant they can still reach.
-        """
-        entries = self._time_index.setdefault(activity, [])
-        # (t,) sorts before every (t, case_id)
-        del entries[:bisect_left(entries, (retire_before,))]
+    def occurrences_since(self, activity: str, lo: datetime) -> list[tuple[datetime, int]]:
+        """(timestamp, case id) of each indexed occurrence of activity from lo
+        on; those more than the reach before the newest are gone."""
+        entries = self._time_index.get(activity, [])
         return entries[bisect_left(entries, (lo,)):]
 
     def has_occurrence_at_or_before(self, case_id: int, activity: str, ts: datetime) -> bool:
-        first = self._first_seen.get(case_id, _NOTHING).get(activity)
+        first = self._live.get(case_id, _GONE).first_seen.get(activity)
         return first is not None and first <= ts
 
     # started/completed pairing
@@ -195,16 +199,16 @@ class CaseStore:
     # confirmed dependency alternatives, for loop-repeat exclusion
 
     def register_certain(self, case_id: int, activity: str, dependency_sets) -> None:
-        alts = self._certain_alts[case_id]
-        spent = alts.get(activity)
-        if spent is None:
-            alts[activity] = set(dependency_sets)
+        """Mark alternatives spent for a case that has an instance."""
+        spent = self._live[case_id].spent
+        if activity in spent:
+            spent[activity].update(dependency_sets)
         else:
-            spent.update(dependency_sets)
+            spent[activity] = set(dependency_sets)
 
     def certain_alternatives(self, case_id: int, activity: str) -> set[frozenset[str]] | frozenset:
         """The stored set itself, not a copy: callers only read it."""
-        return self._certain_alts.get(case_id, _NOTHING).get(activity, frozenset())
+        return self._live.get(case_id, _GONE).spent.get(activity, frozenset())
 
     def export_log(self, threshold: float = 0.0) -> str:
         """Render stored instances at or above the trust threshold as CSV,

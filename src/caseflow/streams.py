@@ -8,7 +8,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -224,7 +224,6 @@ def strip_case_ids(events) -> tuple[tuple[UncorrelatedEvent, ...], GroundTruth]:
 @dataclass
 class ReplayReport:
     delivered: int = 0
-    latencies: list[float] = field(default_factory=list)
     wall_seconds: float = 0.0
 
 
@@ -235,8 +234,7 @@ def replay(events, sink, speedup: float = math.inf) -> ReplayReport:
     the whole schedule. Infinite speedup delivers as fast as possible.
 
     Events are drawn from the iterable one at a time, so a generator is
-    read only as fast as the sink consumes it. The per-event latency
-    recorded is the sink call duration in seconds.
+    read only as fast as the sink consumes it.
     """
     if speedup <= 0:
         raise ValueError("speedup must be positive")
@@ -251,13 +249,11 @@ def replay(events, sink, speedup: float = math.inf) -> ReplayReport:
             delay = target - time.monotonic()
             if delay > 0:
                 time.sleep(delay)
-        before = time.perf_counter()
         try:
             sink(ev)
         except Exception as exc:
             report.wall_seconds = time.monotonic() - start_wall
             raise ReplayError(i, exc) from exc
-        report.latencies.append(time.perf_counter() - before)
         report.delivered += 1
     report.wall_seconds = time.monotonic() - start_wall
     return report

@@ -309,16 +309,60 @@ def test_retirement_keeps_anchors_the_widest_dependent_can_reach():
     assert {(a.case_id, a.duration) for a in corr.candidate_allocations(late_c)} == {(1, 9), (2, 4)}
 
 
-def test_activities_that_enable_nothing_stay_out_of_the_time_index(
+def test_activities_that_enable_nothing_stay_within_the_reach_in_the_time_index(
     clinic_net, clinic_table, clinic_td
 ):
-    # M enables no activity of the clinic net, so no query ever reads it
+    # M enables no activity of the clinic net, so no query ever reads it; the
+    # index still forgets its entries more than R = 12 s (L's 11 s window and
+    # the second past a floor) before the newest
     log = simulate.simulate_log(clinic_net, clinic_table, random.Random(3), 20, weights={"M": 3})
     assert any(event.activity == "M" for event in log)
     stream, _ = strip_case_ids(log)
     corr = Correlator(clinic_td, clinic_table)
-    feed(corr, stream)
-    assert corr.store.occurrences_since("M", datetime.min, datetime.min) == []
+    widest = timedelta(0)
+    for event in stream:
+        corr.ingest(event)
+        entries = corr.store.occurrences_since("M", datetime.min)
+        if entries:
+            widest = max(widest, entries[-1][0] - entries[0][0])
+    assert timedelta(0) < widest <= timedelta(seconds=12)
+
+
+def test_a_self_loop_index_stays_within_the_reach_while_its_case_stays_open():
+    # B follows A or itself; with 1 s windows the reach is 2 s, so B's index
+    # holds the newest B and the two before it at most
+    td = TaskDependencies(
+        deps={"A": frozenset(), "B": frozenset({frozenset({"A"}), frozenset({"B"})})},
+        loop_entries=frozenset({"B"}),
+    )
+    corr = Correlator(td, HeuristicTable({"A": (1, 1), "B": (1, 1)}))
+    t = ev(0, "A").timestamp
+    corr.ingest(UncorrelatedEvent(timestamp=t, activity="A"))
+    for second in range(1, 1001):
+        b = UncorrelatedEvent(timestamp=t + timedelta(seconds=second), activity="B")
+        (inst,) = corr.ingest(b)
+        assert (inst.case_id, inst.trust) == (1, 100.0)
+        assert len(corr.store.occurrences_since("B", datetime.min)) <= 3
+
+
+def test_a_completions_stream_needs_no_window_for_its_start_activity(
+    clinic_td, clinic_table, clinic_events
+):
+    # A opens every clinic case and nothing enables it, so only pairing reads its window
+    without_a = HeuristicTable({a: w for a, w in clinic_table.items() if a != "A"})
+    with_a, windowless = Correlator(clinic_td, clinic_table), Correlator(clinic_td, without_a)
+    feed(with_a, clinic_events)
+    feed(windowless, clinic_events)
+    assert windowless.store.export_log() == with_a.store.export_log()
+
+
+def test_a_paired_stream_needs_the_start_activity_window(clinic_td, clinic_table):
+    without_a = HeuristicTable({a: w for a, w in clinic_table.items() if a != "A"})
+    corr = Correlator(clinic_td, without_a)
+    with pytest.raises(CorrelationError) as err:
+        corr.ingest(ev(1, "A", "started"))
+    assert err.value.code == "MISSING_HEURISTIC"
+    assert str(err.value) == "MISSING_HEURISTIC: no duration window for: A"
 
 
 @pytest.mark.parametrize("start, opening, end", [(0, 10, 10), (0.5, 10.6, 10.9)])
@@ -351,19 +395,17 @@ def test_retired_cases_leave_the_store(clinic_net, clinic_table, clinic_td, n_ca
     stream = strip_case_ids(log)[0]
     corr = Correlator(clinic_td, clinic_table, keep_instances=False)
     store = corr.store
-    # when a case opens, the cases last touched more than 12 s before (L's
-    # 11 s window and the second past a floor) retire, unless a sweep ran
-    # less than 12 s before; so every case kept was touched within 24 s of
-    # the latest opening
+    # a case's first instance retires the cases last touched more than 12 s
+    # before (L's 11 s window and the second past a floor), so every case
+    # kept was touched within 12 s of the latest opening
     reach = timedelta(seconds=12)
     opened, peak = None, 0
     for event in stream:
         corr.ingest(event)
         if event.activity == "A":  # the clinic net's one case-opening activity
             opened = event.timestamp
-        live = store._last_touch
-        assert all(last >= opened - 2 * reach for last in live.values())
-        assert set(store._first_seen) == set(store._certain_alts) == set(live)
+        live = store._live
+        assert all(case.last >= opened - reach for case in live.values())
         peak = max(peak, len(live))
     assert peak <= 10  # the same bound at every log size
     assert len(store) >= len(stream)

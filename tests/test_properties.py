@@ -100,7 +100,7 @@ instance_rows = st.lists(
 
 
 def build_store(rows):
-    store = CaseStore()
+    store = CaseStore(timedelta(minutes=1))
     for _ in range(4):
         store.new_case_id()
     for second, activity, case_id, trust, is_noise in sorted(rows, key=lambda r: r[0]):

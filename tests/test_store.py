@@ -7,6 +7,10 @@ import pytest
 from caseflow.store import CaseStore, CorrelatedEventInstance
 
 
+# wider than any test's span, so nothing is forgotten unless a test asks
+REACH = timedelta(minutes=5)
+
+
 def ts(second, minute=0):
     return datetime(2021, 3, 1, 9, minute, second)
 
@@ -24,7 +28,7 @@ def noise_inst(second, activity, reason="no-allocation"):
 
 
 def test_case_ids_are_dense_and_sorted():
-    store = CaseStore()
+    store = CaseStore(REACH)
     assert store.new_case_id() == 1
     assert store.new_case_id() == 2
     assert store.new_case_id() == 3
@@ -33,7 +37,7 @@ def test_case_ids_are_dense_and_sorted():
 
 
 def test_instances_and_case_views_accumulate():
-    store = CaseStore()
+    store = CaseStore(REACH)
     c1, c2 = store.new_case_id(), store.new_case_id()
     store.add(inst(1, "A", c1))
     store.add(inst(2, "A", c2))
@@ -46,26 +50,26 @@ def test_instances_and_case_views_accumulate():
 
 
 def test_noise_is_kept_apart_from_cases():
-    store = CaseStore()
+    store = CaseStore(REACH)
     store.new_case_id()
     store.add(inst(1, "A", 1))
     store.add(noise_inst(2, "Z", reason="unknown-activity"))
     assert len(store) == 2
     assert store.noise_count() == 1
     assert store.noise()[0].activity == "Z"
-    assert store.occurrences_since("Z", ts(0), ts(0)) == []
+    assert store.occurrences_since("Z", ts(0)) == []
 
 
 def test_occurrence_index_and_window_queries():
-    store = CaseStore()
+    store = CaseStore(REACH)
     c1, c2 = store.new_case_id(), store.new_case_id()
     for second, case_id in ((1, c1), (3, c1), (4, c2), (5, c1), (7, c1)):
         store.add(inst(second, "B", case_id, trust=40.0))
-    assert store.occurrences_since("B", ts(3), ts(0)) == [
+    assert store.occurrences_since("B", ts(3)) == [
         (ts(3), c1), (ts(4), c2), (ts(5), c1), (ts(7), c1)
     ]
-    assert store.occurrences_since("B", ts(8), ts(0)) == []
-    assert [t for t, _ in store.occurrences_since("B", ts(0), ts(0))] == [
+    assert store.occurrences_since("B", ts(8)) == []
+    assert [t for t, _ in store.occurrences_since("B", ts(0))] == [
         ts(1), ts(3), ts(4), ts(5), ts(7)
     ]
     assert store.has_occurrence_at_or_before(c1, "B", ts(1))
@@ -74,17 +78,17 @@ def test_occurrence_index_and_window_queries():
 
 
 def test_non_anchorable_instances_stay_out_of_the_indexes():
-    store = CaseStore()
+    store = CaseStore(REACH)
     c1 = store.new_case_id()
     started = inst(1, "A", c1, lifecycle="started")
-    store.add(started, anchorable=False)
-    assert store.occurrences_since("A", ts(0), ts(0)) == []
+    store.add(started)
+    assert store.occurrences_since("A", ts(0)) == []
     assert not store.has_occurrence_at_or_before(c1, "A", ts(9))
     assert store.case_view(c1) == [started]
 
 
 def test_time_index_keeps_the_window_edge_and_subsecond_occurrences():
-    store = CaseStore()
+    store = CaseStore(REACH)
     c1, c2 = store.new_case_id(), store.new_case_id()
     subsecond = ts(0) + timedelta(microseconds=300_000)
     store.add(inst(0, "B", c1))
@@ -92,24 +96,24 @@ def test_time_index_keeps_the_window_edge_and_subsecond_occurrences():
     # an event at second 5 whose window ends at 4 s looks back to ts - max - 1
     lo = ts(5) - timedelta(seconds=5)
     assert lo == ts(0)
-    assert store.occurrences_since("B", lo, lo) == [(ts(0), c1), (subsecond, c2)]
+    assert store.occurrences_since("B", lo) == [(ts(0), c1), (subsecond, c2)]
 
 
 def test_time_index_retires_occurrences_older_than_the_horizon():
-    store = CaseStore()
+    store = CaseStore(timedelta(seconds=1))
     c1, c2 = store.new_case_id(), store.new_case_id()
     store.add(inst(1, "B", c1))
     store.add(inst(2, "B", c2))
+    assert store.occurrences_since("B", ts(0)) == [(ts(1), c1), (ts(2), c2)]
     store.add(inst(3, "B", c1))
-    assert store.occurrences_since("B", ts(3), ts(2)) == [(ts(3), c1)]
-    # retired for good: a wider window later does not bring them back
-    assert store.occurrences_since("B", ts(0), ts(0)) == [(ts(2), c2), (ts(3), c1)]
+    # retired for good by the add: a wider window later does not bring them back
+    assert store.occurrences_since("B", ts(0)) == [(ts(2), c2), (ts(3), c1)]
     # the per-case member check still sees a case's earliest occurrence
     assert store.has_occurrence_at_or_before(c1, "B", ts(1))
 
 
 def test_open_started_queue_is_first_in_first_out():
-    store = CaseStore()
+    store = CaseStore(REACH)
     c1 = store.new_case_id()
     first = inst(1, "B", c1, lifecycle="started")
     second = inst(2, "B", c1, lifecycle="started")
@@ -124,7 +128,7 @@ def test_open_started_queue_is_first_in_first_out():
 
 
 def test_drained_queues_leave_the_open_started_cases():
-    store = CaseStore()
+    store = CaseStore(REACH)
     c1, c2 = store.new_case_id(), store.new_case_id()
     store.push_open_started(inst(1, "B", c1, lifecycle="started"))
     store.push_open_started(inst(2, "B", c2, lifecycle="started"))
@@ -141,8 +145,9 @@ def test_drained_queues_leave_the_open_started_cases():
 
 
 def test_certain_alternatives_accumulate_per_case_and_activity():
-    store = CaseStore()
+    store = CaseStore(REACH)
     c1 = store.new_case_id()
+    store.add(inst(1, "A", c1))
     store.register_certain(c1, "E", [frozenset({"D"})])
     store.register_certain(c1, "E", [frozenset({"H"})])
     assert store.certain_alternatives(c1, "E") == {frozenset({"D"}), frozenset({"H"})}
@@ -155,7 +160,7 @@ def export_rows(store, threshold=0.0):
 
 
 def test_export_log_orders_and_formats_rows():
-    store = CaseStore()
+    store = CaseStore(REACH)
     c1, c2 = store.new_case_id(), store.new_case_id()
     store.add(inst(1, "A", c2, trust=100.0, resource="Noah"))
     store.add(inst(1, "A", c1, trust=33.339, lifecycle="completed"))
@@ -170,7 +175,7 @@ def test_export_log_orders_and_formats_rows():
 
 
 def test_export_log_threshold_filters_noise_and_low_trust():
-    store = CaseStore()
+    store = CaseStore(REACH)
     c1 = store.new_case_id()
     store.add(inst(1, "A", c1, trust=100.0))
     store.add(noise_inst(2, "Z"))
@@ -184,4 +189,4 @@ def test_export_log_threshold_filters_noise_and_low_trust():
 
 
 def test_export_log_empty_store_is_header_only():
-    assert CaseStore().export_log() == "case_id,timestamp,activity,trust,lifecycle,resource\n"
+    assert CaseStore(REACH).export_log() == "case_id,timestamp,activity,trust,lifecycle,resource\n"

@@ -204,15 +204,12 @@ def test_replay_fast_path_counts_and_times_deliveries():
     report = replay(events, seen.append)
     assert report.delivered == 3
     assert seen == events
-    assert len(report.latencies) == 3
-    assert all(lat >= 0 for lat in report.latencies)
-    assert report.wall_seconds < 1.0
+    assert 0 <= report.wall_seconds < 1.0
 
 
 def test_replay_empty_stream():
     report = replay([], lambda e: None)
     assert report.delivered == 0
-    assert report.latencies == []
 
 
 def test_replay_paces_by_stream_time_over_speedup():
