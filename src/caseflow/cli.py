@@ -97,7 +97,8 @@ _output_options = _options(
 )
 _heuristics_option = click.option("--heuristics", type=str, default=None,
                                   help="Duration windows CSV.")
-_speedup_option = click.option("--speedup", type=float, default=math.inf,
+_speedup_option = click.option("--speedup", type=click.FloatRange(min=0, min_open=True),
+                               default=math.inf,
                                help="Replay speed factor; inf is no pacing.")
 
 

@@ -134,8 +134,7 @@ class Correlator:
             return [self._stash_noise(event, seq, "unknown-activity")]
         self._check_lifecycle(event)
 
-        is_started = event.lifecycle == "started"
-        pairs = self._mode == MODE_PAIRED and not is_started
+        pairs = self._mode == MODE_PAIRED and event.lifecycle != "started"
         by_case: dict[int, list[Allocation]] = {}
         if not pairs and not plan[4]:
             # no alternatives: the event opens a case, its one allocation-free instance
@@ -174,14 +173,6 @@ class Correlator:
             )
             instances.append(inst)
             store.add(inst)
-            if is_started:
-                store.push_open_started(inst)
-            elif pairs:
-                store.pop_open_started(case_id, inst.activity)
-            if inst.trust >= 100.0 - 1e-9:
-                confirmed = {a.dependency_set for a in allocs if a.dependency_set}
-                if confirmed:
-                    store.register_certain(case_id, inst.activity, confirmed)
         return instances
 
     def candidate_allocations(self, event) -> set[Allocation]:
@@ -273,15 +264,15 @@ class Correlator:
         ts0 = floor_to_second(event.timestamp)
         mn, mx, avg, _, _ = plan
         out: set[Allocation] = set()
-        for case_id in self.store.cases_with_open_started(activity):
-            started = self.store.peek_open_started(case_id, activity)
-            duration = _ceil_seconds(ts0 - started.timestamp)
+        for case_id, starts in self.store.open_starts(activity).items():
+            started = starts[0]
+            duration = _ceil_seconds(ts0 - started)
             if mn <= duration <= mx:
                 out.add(
                     Allocation(
                         case_id=case_id,
                         dependency_set=frozenset(),
-                        anchor=started.timestamp,
+                        anchor=started,
                         duration=duration,
                         kind=KIND_AVG if duration == avg else KIND_RANGE,
                     )

@@ -7,6 +7,11 @@ its first occurrence of each activity (member checks) and of the dependency
 alternatives a fully trusted instance confirmed, beside the open started
 events awaiting their completion.
 
+add is the only writer, and it needs no mode. An instance at full trust
+spends the dependency alternatives of its allocations; a started instance
+waits as its case's newest open start of its activity; any other instance
+closes its case's oldest open start of its activity, if there is one.
+
 The store forgets by one distance, its reach R: the widest window plus the
 second an unfloored timestamp can lie past its floor. Nothing older than R
 before an event can reach it: such anchors lie before the search's lower
@@ -93,9 +98,9 @@ class CaseStore:
         self._instances: list[CorrelatedEventInstance] = []
         self._live: dict[int, _Case] = {}
         self._time_index: dict[str, list[tuple[datetime, int]]] = {}
-        # activity -> case id -> its open started events, oldest first; a
-        # case leaves when its queue drains
-        self._open_started: dict[str, dict[int, list[CorrelatedEventInstance]]] = {}
+        # activity -> case id -> the times of its open started events, oldest
+        # first; a case leaves when its queue drains
+        self._open_starts: dict[str, dict[int, list[datetime]]] = {}
         self._next_case = 1
 
     def __len__(self) -> int:
@@ -109,8 +114,11 @@ class CaseStore:
         return case_id
 
     def add(self, instance: CorrelatedEventInstance) -> None:
-        """Store an instance; a started one, which no search reads as an
-        anchor or member, stays out of the time index and first occurrences."""
+        """Store an instance and apply its effects on its case: at trust 100
+        it spends the non-empty dependency sets of its allocations; started,
+        it waits as an open start, and stays out of the time index and first
+        occurrences, as no search reads it as an anchor or member; otherwise
+        it closes its activity's oldest open start in its case, if any."""
         if self._keep:
             self._instances.append(instance)
         else:
@@ -129,9 +137,20 @@ class CaseStore:
             case = self._live[case_id] = _Case(ts)
         else:
             case.last = ts
-        if instance.lifecycle == "started":
-            return
         activity = instance.activity
+        if instance.trust >= 100.0 - 1e-9:
+            confirmed = [a.dependency_set for a in instance.allocations if a.dependency_set]
+            if confirmed:
+                case.spent.setdefault(activity, set()).update(confirmed)
+        if instance.lifecycle == "started":
+            self._open_starts.setdefault(activity, {}).setdefault(case_id, []).append(ts)
+            return
+        starts = self._open_starts.get(activity)
+        queue = starts and starts.get(case_id)
+        if queue:
+            del queue[0]
+            if not queue:
+                del starts[case_id]
         case.first_seen.setdefault(activity, ts)
         entries = self._time_index.setdefault(activity, [])
         entries.append((ts, case_id))
@@ -144,8 +163,8 @@ class CaseStore:
         """Forget the per-case state of each case last touched before cutoff."""
         for case_id in [c for c, case in self._live.items() if case.last < cutoff]:
             del self._live[case_id]
-            for queues in self._open_started.values():
-                queues.pop(case_id, None)
+            for starts in self._open_starts.values():
+                starts.pop(case_id, None)
 
     def case_ids(self) -> list[int]:
         return sorted(self._cases)
@@ -176,35 +195,12 @@ class CaseStore:
 
     # started/completed pairing
 
-    def push_open_started(self, instance: CorrelatedEventInstance) -> None:
-        queues = self._open_started.setdefault(instance.activity, {})
-        queues.setdefault(instance.case_id, []).append(instance)
-
-    def peek_open_started(self, case_id: int, activity: str) -> CorrelatedEventInstance | None:
-        queue = self._open_started.get(activity, {}).get(case_id)
-        return queue[0] if queue else None
-
-    def pop_open_started(self, case_id: int, activity: str) -> CorrelatedEventInstance | None:
-        queues = self._open_started.get(activity, {})
-        queue = queues.get(case_id)
-        if queue is None:
-            return None
-        if len(queue) == 1:
-            del queues[case_id]
-        return queue.pop(0)
-
-    def cases_with_open_started(self, activity: str) -> list[int]:
-        return sorted(self._open_started.get(activity, ()))
+    def open_starts(self, activity: str) -> dict[int, list[datetime]]:
+        """Case id -> the times of its open started events of activity,
+        oldest first. The stored map itself, not a copy: callers only read it."""
+        return self._open_starts.get(activity, {})
 
     # confirmed dependency alternatives, for loop-repeat exclusion
-
-    def register_certain(self, case_id: int, activity: str, dependency_sets) -> None:
-        """Mark alternatives spent for a case that has an instance."""
-        spent = self._live[case_id].spent
-        if activity in spent:
-            spent[activity].update(dependency_sets)
-        else:
-            spent[activity] = set(dependency_sets)
 
     def certain_alternatives(self, case_id: int, activity: str) -> set[frozenset[str]] | frozenset:
         """The stored set itself, not a copy: callers only read it."""

@@ -2,8 +2,9 @@
 
 Deliberately naive: allocations are found by enumerating every combination
 of stored member occurrences per case (a raw product scan over case views),
-and trust is recomputed with exact fractions. Nothing here shares code with
-the package's own anchor enumeration.
+and trust is recomputed with exact fractions. Spent alternatives and open
+starts are derived from the case views too, not read from the store's own
+records. Nothing here shares code with the package's own anchor enumeration.
 """
 
 from fractions import Fraction
@@ -27,7 +28,11 @@ def brute_force_allocations(correlator, event):
     out = set()
     for case_id in store.case_ids():
         occurrences: dict[str, list] = {}
+        # a set is spent once a fully trusted instance of the activity used it
+        spent_sets = set()
         for inst in store.case_view(case_id):
+            if inst.activity == event.activity and inst.trust >= 100 - 1e-9:
+                spent_sets.update(a.dependency_set for a in inst.allocations)
             if correlator.mode == "paired" and inst.lifecycle == "started":
                 continue
             occurrences.setdefault(inst.activity, []).append(inst.timestamp)
@@ -35,7 +40,7 @@ def brute_force_allocations(correlator, event):
             members = sorted(dep_set)
             if any(x not in occurrences for x in members):
                 continue
-            spent = dep_set in store.certain_alternatives(case_id, event.activity)
+            spent = dep_set in spent_sets
             if spent and not all(td.is_loop_entry(x) for x in members):
                 continue
             for choice in product(*(occurrences[x] for x in members)):
@@ -58,15 +63,20 @@ def _brute_force_pairings(correlator, event):
     avg = table.avg(event.activity)
     out = set()
     for case_id in store.case_ids():
-        started = store.peek_open_started(case_id, event.activity)
-        if started is None:
+        # each completion closed one start, oldest first, so the open one is
+        # the start after as many as the case has completions
+        same = [i for i in store.case_view(case_id) if i.activity == event.activity]
+        starts = [i.timestamp for i in same if i.lifecycle == "started"]
+        closed = len(same) - len(starts)
+        if closed >= len(starts):
             continue
-        duration = whole_seconds_between(started.timestamp, event.timestamp)
+        started = starts[closed]
+        duration = whole_seconds_between(started, event.timestamp)
         if mn <= duration <= mx:
             out.add(Allocation(
                 case_id=case_id,
                 dependency_set=frozenset(),
-                anchor=started.timestamp,
+                anchor=started,
                 duration=duration,
                 kind=KIND_AVG if duration == avg else KIND_RANGE,
             ))

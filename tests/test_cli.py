@@ -522,3 +522,19 @@ def test_replay_echoes_in_delivery_order(runner, data_dir, clinic_events):
     assert result.exit_code == 0
     assert result.stdout == events_to_csv(clinic_events)
     assert "delivered 30 events" in result.stderr
+
+
+@pytest.mark.parametrize("command", ["replay", "correlate"])
+@pytest.mark.parametrize("speedup", ["0", "-1"])
+def test_nonpositive_speedup_is_rejected_as_a_usage_error(runner, data_dir, tmp_path,
+                                                          command, speedup):
+    args = correlate_args(data_dir) if command == "correlate" else (
+        "--input", str(data_dir / "stream.csv"))
+    via_flag = invoke(runner, command, *args, "--speedup", speedup)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"speedup = {speedup}\n")
+    via_config = invoke(runner, command, *args, "--config", str(cfg))
+    for result in (via_flag, via_config):
+        assert result.exit_code == 2
+        assert "Invalid value for '--speedup'" in result.stderr
+    assert invoke(runner, command, *args, "--speedup", "inf").exit_code == 0

@@ -82,11 +82,11 @@ def test_start_activity_opens_fresh_cases(clinic_correlator, clinic_td, clinic_t
     (started,) = corr.ingest(ev(1, "A", "started"))
     assert (started.case_id, started.trust, started.raw_trust) == (1, 100.0, 100.0)
     assert started.allocations == ()
-    assert corr.store.peek_open_started(1, "A") is started
+    assert corr.store.open_starts("A") == {1: [started.timestamp]}
     (completed,) = corr.ingest(ev(2, "A", "completed"))
     assert (completed.case_id, completed.trust) == (1, 100.0)
     assert [a.anchor for a in completed.allocations] == [started.timestamp]
-    assert corr.store.peek_open_started(1, "A") is None
+    assert corr.store.open_starts("A") == {}
 
 
 def test_shared_event_is_materialized_once_per_case(clinic_correlator):

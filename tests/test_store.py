@@ -1,10 +1,10 @@
-"""Store behavior: ordering, indexes, pairing queues, log export."""
+"""Store behavior: ordering, indexes, effects of add, log export."""
 
 from datetime import datetime, timedelta
 
 import pytest
 
-from caseflow.store import CaseStore, CorrelatedEventInstance
+from caseflow.store import Allocation, CaseStore, CorrelatedEventInstance
 
 
 # wider than any test's span, so nothing is forgotten unless a test asks
@@ -115,44 +115,62 @@ def test_time_index_retires_occurrences_older_than_the_horizon():
 def test_open_started_queue_is_first_in_first_out():
     store = CaseStore(REACH)
     c1 = store.new_case_id()
-    first = inst(1, "B", c1, lifecycle="started")
-    second = inst(2, "B", c1, lifecycle="started")
-    store.push_open_started(first)
-    store.push_open_started(second)
-    assert store.cases_with_open_started("B") == [c1]
-    assert store.peek_open_started(c1, "B") is first
-    assert store.pop_open_started(c1, "B") is first
-    assert store.pop_open_started(c1, "B") is second
-    assert store.pop_open_started(c1, "B") is None
-    assert store.cases_with_open_started("B") == []
+    store.add(inst(1, "B", c1, lifecycle="started"))
+    store.add(inst(2, "B", c1, lifecycle="started"))
+    assert store.open_starts("B") == {c1: [ts(1), ts(2)]}
+    # a completion closes the oldest open start
+    store.add(inst(3, "B", c1, lifecycle="completed"))
+    assert store.open_starts("B") == {c1: [ts(2)]}
+    store.add(inst(4, "B", c1, lifecycle="completed"))
+    assert store.open_starts("B") == {}
+    # with nothing open, a completion closes nothing
+    store.add(inst(5, "B", c1, lifecycle="completed"))
+    assert store.open_starts("B") == {}
 
 
 def test_drained_queues_leave_the_open_started_cases():
     store = CaseStore(REACH)
     c1, c2 = store.new_case_id(), store.new_case_id()
-    store.push_open_started(inst(1, "B", c1, lifecycle="started"))
-    store.push_open_started(inst(2, "B", c2, lifecycle="started"))
-    store.push_open_started(inst(3, "C", c1, lifecycle="started"))
-    assert store.cases_with_open_started("B") == [c1, c2]
-    store.pop_open_started(c1, "B")
-    assert store.cases_with_open_started("B") == [c2]
-    assert store.cases_with_open_started("C") == [c1]
-    store.pop_open_started(c2, "B")
-    assert store.pop_open_started(c2, "B") is None
-    assert store.cases_with_open_started("B") == []
-    store.push_open_started(inst(4, "B", c1, lifecycle="started"))
-    assert store.cases_with_open_started("B") == [c1]
+    store.add(inst(1, "B", c1, lifecycle="started"))
+    store.add(inst(2, "B", c2, lifecycle="started"))
+    store.add(inst(3, "C", c1, lifecycle="started"))
+    assert store.open_starts("B") == {c1: [ts(1)], c2: [ts(2)]}
+    store.add(inst(4, "B", c1, lifecycle="completed"))
+    assert store.open_starts("B") == {c2: [ts(2)]}
+    assert store.open_starts("C") == {c1: [ts(3)]}
+    store.add(inst(5, "B", c2, lifecycle="completed"))
+    assert store.open_starts("B") == {}
+    store.add(inst(6, "B", c1, lifecycle="started"))
+    assert store.open_starts("B") == {c1: [ts(6)]}
+
+
+def alloc(case_id, *members):
+    return Allocation(
+        case_id=case_id, dependency_set=frozenset(members), anchor=ts(0), duration=1, kind="avg"
+    )
 
 
 def test_certain_alternatives_accumulate_per_case_and_activity():
     store = CaseStore(REACH)
-    c1 = store.new_case_id()
+    c1, c2 = store.new_case_id(), store.new_case_id()
     store.add(inst(1, "A", c1))
-    store.register_certain(c1, "E", [frozenset({"D"})])
-    store.register_certain(c1, "E", [frozenset({"H"})])
+    store.add(inst(1, "A", c2))
+    # a fully trusted instance spends the sets its allocations satisfy
+    store.add(inst(2, "E", c1, allocations=(alloc(c1, "D"),)))
+    store.add(inst(3, "E", c1, allocations=(alloc(c1, "H"),)))
     assert store.certain_alternatives(c1, "E") == {frozenset({"D"}), frozenset({"H"})}
+    # below full trust nothing is spent
+    store.add(inst(4, "L", c1, trust=99.0, allocations=(alloc(c1, "K"),)))
     assert store.certain_alternatives(c1, "L") == set()
-    assert store.certain_alternatives(2, "E") == set()
+    # a pairing allocation's empty set is never spent
+    store.add(inst(5, "B", c2, lifecycle="started"))
+    store.add(inst(6, "B", c2, lifecycle="completed", allocations=(alloc(c2),)))
+    assert store.certain_alternatives(c2, "B") == set()
+    # a started instance at full trust spends too
+    store.add(inst(7, "C", c2, lifecycle="started", allocations=(alloc(c2, "B"),)))
+    assert store.certain_alternatives(c2, "C") == {frozenset({"B"})}
+    assert store.certain_alternatives(c2, "E") == set()
+    assert store.certain_alternatives(3, "E") == set()
 
 
 def export_rows(store, threshold=0.0):
