@@ -34,12 +34,12 @@ import io
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
+from typing import NamedTuple
 
 from .streams import format_timestamp
 
 
-@dataclass(frozen=True, slots=True)
-class Allocation:
+class Allocation(NamedTuple):
     """One way an event can belong to a case: the dependency alternative it
     satisfies there, the anchor instant that enabled it, and the implied
     duration classified as the average or one of the remaining window values.
@@ -52,8 +52,13 @@ class Allocation:
     kind: str
 
 
-@dataclass(frozen=True, slots=True)
-class CorrelatedEventInstance:
+class CorrelatedEventInstance(NamedTuple):
+    """One correlated event in one case, or one noise event (case_id None).
+
+    A named tuple, not a dataclass, as ingest builds one per event: it is
+    built and hashed in C, and stays immutable and compared by value.
+    """
+
     timestamp: datetime
     activity: str
     case_id: int | None

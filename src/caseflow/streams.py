@@ -62,7 +62,8 @@ def format_timestamp(ts: datetime) -> str:
 
 
 def floor_to_second(ts: datetime) -> datetime:
-    return ts.replace(microsecond=0)
+    # a whole second is its own floor; returning it saves a copy per event
+    return ts if ts.microsecond == 0 else ts.replace(microsecond=0)
 
 
 def _ceil_seconds(delta: timedelta) -> int:
@@ -82,7 +83,8 @@ def _coerce_case_id(value) -> int | str | None:
     text = str(value).strip()
     if not text:
         return None
-    return int(text) if text.isdigit() else text
+    # isdecimal, not isdigit: int() rejects digits such as '²'
+    return int(text) if text.isdecimal() else text
 
 
 def _event_from_record(record: dict, position: int) -> UncorrelatedEvent:

@@ -2,7 +2,7 @@
 
 import math
 import random
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +21,7 @@ from caseflow.store import CaseStore, CorrelatedEventInstance
 from caseflow.streams import (
     GroundTruth,
     _ceil_seconds,
+    floor_to_second,
     format_timestamp,
     parse_timestamp,
     whole_seconds_between,
@@ -149,6 +150,23 @@ def test_whole_seconds_ignore_subsecond_parts(a, b):
         a.replace(microsecond=0), b.replace(microsecond=0)
     )
     assert whole_seconds_between(a, b) == -whole_seconds_between(b, a)
+
+
+offsets = st.integers(-23 * 60 + 1, 23 * 60 - 1).map(
+    lambda minutes: timezone(timedelta(minutes=minutes))
+)
+any_timestamps = st.datetimes(
+    min_value=datetime(2000, 1, 1),
+    max_value=datetime(2100, 1, 1),
+    timezones=st.one_of(st.none(), offsets),
+)
+
+
+@given(st.one_of(any_timestamps, any_timestamps.map(lambda ts: ts.replace(microsecond=0))))
+def test_floor_to_second_drops_only_the_subsecond_part(ts):
+    floored = floor_to_second(ts)
+    assert floored == ts.replace(microsecond=0)
+    assert floored.utcoffset() == ts.utcoffset()
 
 
 @given(

@@ -150,6 +150,23 @@ def alloc(case_id, *members):
     )
 
 
+def test_records_compare_by_value_and_are_immutable():
+    a, b = alloc(1, "D", "H"), alloc(1, "H", "D")
+    assert a == b and hash(a) == hash(b)
+    assert {a, b} == {a}
+    assert alloc(2, "D", "H") != a
+    record = inst(1, "A", 1, allocations=(a,))
+    assert record == inst(1, "A", 1, allocations=(b,))
+    for target, name in ((a, "case_id"), (record, "trust")):
+        with pytest.raises(AttributeError):
+            setattr(target, name, 0)
+    assert (record.lifecycle, record.resource, record.raw_trust, record.noise_reason) == (
+        None, None, None, None
+    )
+    assert record.seq == -1 and not record.is_noise()
+    assert noise_inst(2, "Z").is_noise() and inst(1, "A", 1).allocations == ()
+
+
 def test_certain_alternatives_accumulate_per_case_and_activity():
     store = CaseStore(REACH)
     c1, c2 = store.new_case_id(), store.new_case_id()

@@ -84,6 +84,8 @@ def test_read_events_csv_coercions():
         "2019-6-16 11:55:01,A,Started,Noah,3\n"
         "2019-6-16 11:55:02,B,,,order-7\n"
         "2019-6-16 11:55:03,C,,,\n"
+        "2019-6-16 11:55:04,D,,,007\n"
+        "2019-6-16 11:55:05,E,,,²\n"
     )
     events = read_events(io.StringIO(text))
     assert events[0].lifecycle == "started"
@@ -92,6 +94,9 @@ def test_read_events_csv_coercions():
     assert events[1].case_id == "order-7"
     assert events[1].lifecycle is None
     assert events[2].case_id is None
+    assert events[3].case_id == 7
+    # a digit that int() rejects stays a string id
+    assert events[4].case_id == "²"
 
 
 def test_read_events_minimal_columns_and_empty_file():
