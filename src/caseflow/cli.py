@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import sys
 import time
 from contextlib import contextmanager
@@ -33,7 +34,7 @@ from .store import ExportWriter
 from .streams import (
     ReplayError,
     StreamFormatError,
-    events_to_csv,
+    _csv_event_writer,
     iter_events,
     read_events,
     replay,
@@ -46,29 +47,29 @@ def _fail(message: str):
     sys.exit(2)
 
 
-# config keys are parameter names, except these two whose flags name them differently
-_CONFIG_RENAMES = {"input": "input_path", "format": "stream_format"}
-
-
 def _read_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
     """Load a key=value file into the command's defaults, so click converts
-    and validates its values like flags, and explicit flags still win."""
+    and validates its values like flags, and explicit flags still win. A key
+    is a long flag name with '_' for '-'; '#' after whitespace starts a comment."""
     if path is None:
         return
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         _fail(f"cannot read config: {exc}")
+    names = {opt.opts[0].lstrip("-").replace("-", "_"): opt.name for opt in ctx.command.params}
     cfg: dict[str, str] = {}
     for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             _fail(f"{path}:{i}: expected key=value")
         key, value = line.split("=", 1)
         key = key.strip()
-        cfg[_CONFIG_RENAMES.get(key, key)] = value.strip().strip("\"'")
+        if key not in names:
+            _fail(f"{path}:{i}: unknown key {key!r}")
+        cfg[names[key]] = value.strip().strip("\"'")
     ctx.default_map = cfg
 
 
@@ -83,7 +84,6 @@ def _options(*decorators):
 
 _model_options = _options(
     click.option("--model", type=str, default=None, help="Workflow model file."),
-    click.option("--model-format", type=click.Choice(["pnml", "net"]), default=None),
     click.option("--silent-labels", default=None, help="Comma-separated silent transition labels."),
 )
 _stream_options = _options(
@@ -102,7 +102,7 @@ _speedup_option = click.option("--speedup", type=click.FloatRange(min=0, min_ope
                                help="Replay speed factor; inf is no pacing.")
 
 
-def _load_td(model, model_format, silent_labels):
+def _load_td(model, silent_labels):
     """Parse and validate the model, then derive its task dependencies."""
     if model is None:
         _fail("a model file is required (--model or config)")
@@ -114,9 +114,8 @@ def _load_td(model, model_format, silent_labels):
         labels = DEFAULT_SILENT_LABELS
     else:
         labels = frozenset(x.strip() for x in silent_labels.split(",") if x.strip())
-    if model_format is None:
-        model_format = "pnml" if model.endswith(".pnml") or text.lstrip().startswith("<") else "net"
-    parse = parse_pnml if model_format == "pnml" else parse_simple_net
+    pnml = model.endswith(".pnml") or text.lstrip().startswith("<")
+    parse = parse_pnml if pnml else parse_simple_net
     try:
         net = parse(text, silent_labels=labels)
     except NetError as exc:
@@ -190,9 +189,9 @@ def main():
 @main.command()
 @_model_options
 @_output_options
-def analyze(model, model_format, silent_labels, output):
+def analyze(model, silent_labels, output):
     """Derive task dependencies and loop entries from a workflow model."""
-    td = _load_td(model, model_format, silent_labels)
+    td = _load_td(model, silent_labels)
     with _output_stream(output) as out:
         out.write(json.dumps(td.to_json_dict(), indent=2, sort_keys=True) + "\n")
 
@@ -205,14 +204,14 @@ def analyze(model, model_format, silent_labels, output):
               help="Minimum trust to keep.")
 @_speedup_option
 @_output_options
-def correlate(model, model_format, silent_labels, heuristics, input_path, stream_format,
-              threshold, speedup, output):
+def correlate(model, silent_labels, heuristics, input_path, stream_format, threshold, speedup,
+              output):
     """Correlate an unlabeled stream and export the result as CSV.
 
     Rows are written as events resolve; the stream must be in timestamp
     order. --output is replaced only when the whole stream correlated.
     """
-    td = _load_td(model, model_format, silent_labels)
+    td = _load_td(model, silent_labels)
     table = _load_table(heuristics)
     with _open_input(input_path) as source:
         try:
@@ -237,36 +236,34 @@ def correlate(model, model_format, silent_labels, heuristics, input_path, stream
 def replay_command(input_path, stream_format, speedup, output):
     """Replay a stream at speed, echoing events in delivery order."""
     events = _read_stream(input_path, stream_format)
-    delivered = []
-    try:
-        report = replay(events, delivered.append, speedup=speedup)
-    except ReplayError as exc:
-        _fail(str(exc))
     with _output_stream(output) as out:
-        out.write(events_to_csv(delivered))
+        write_row = _csv_event_writer(out)
+
+        def echo(event):
+            write_row(event)
+            if math.isfinite(speedup):
+                out.flush()
+
+        try:
+            report = replay(events, echo, speedup=speedup)
+        except ReplayError as exc:
+            _fail(str(exc))
     click.echo(f"delivered {report.delivered} events in {report.wall_seconds:.3f}s", err=True)
 
 
 @main.command()
 @_model_options
 @_heuristics_option
-@click.option("--truth", type=str, default=None,
-              help="Labeled log; its case ids are the truth. --input is an alias.")
 @_stream_options
-@click.option("--mode", type=click.Choice(["max_trust", "threshold"]), default="max_trust")
 @click.option("--threshold", type=click.FloatRange(0, 100), default=None,
-              help="Minimum trust to select, for threshold mode.")
+              help="Score rows at or above this trust; without it, each event's most trusted row.")
 @_output_options
-def evaluate(model, model_format, silent_labels, heuristics, truth, input_path,
-             stream_format, mode, threshold, output):
+def evaluate(model, silent_labels, heuristics, input_path, stream_format, threshold, output):
     """Strip a labeled log, re-correlate it, and score the result."""
-    td = _load_td(model, model_format, silent_labels)
+    td = _load_td(model, silent_labels)
     table = _load_table(heuristics)
-    labeled = _read_stream(truth or input_path, stream_format)
-    if mode == "threshold" and threshold is None:
-        _fail("threshold mode needs --threshold")
-    stream, _ = strip_case_ids(labeled)
-    truth_labels = [ev.case_id for ev in labeled]
+    stream, truth_labels = strip_case_ids(_read_stream(input_path, stream_format))
+    mode = "max_trust" if threshold is None else "threshold"
     latencies = []
 
     def timed_ingest(event):
@@ -289,11 +286,10 @@ def evaluate(model, model_format, silent_labels, heuristics, truth, input_path,
 @_stream_options
 @_model_options
 @_output_options
-def extract_heuristics_command(input_path, stream_format, model, model_format,
-                               silent_labels, output):
+def extract_heuristics_command(input_path, stream_format, model, silent_labels, output):
     """Measure per-activity duration windows from a labeled log."""
     events = _read_stream(input_path, stream_format)
-    td = None if model is None else _load_td(model, model_format, silent_labels)
+    td = None if model is None else _load_td(model, silent_labels)
     try:
         table = extract_heuristics(events, td=td)
     except HeuristicError as exc:

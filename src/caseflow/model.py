@@ -55,22 +55,18 @@ class WorkflowNet:
     """
 
     def __init__(self, places, transitions, flows):
+        places = sorted(places)
         self.places = frozenset(places)
         self.transitions = tuple(transitions)
         self.flows = frozenset(flows)
 
         self._nodes: dict[str, Transition | None] = {}
-        for p in sorted(self.places):
-            self._nodes[p] = None
-        for t in self.transitions:
-            if t.tid in self._nodes:
-                raise NetError("DUPLICATE_ID", f"node id {t.tid!r} declared twice")
-            if not t.silent and not t.label:
-                raise NetError("UNLABELED", f"observable transition {t.tid!r} has no label")
-            self._nodes[t.tid] = t
-        if len(self.places) + len(self.transitions) != len(self._nodes):
-            dupes = sorted(p for p in self.places if self._nodes[p] is not None) or "place ids"
-            raise NetError("DUPLICATE_ID", f"duplicate node ids: {dupes}")
+        for node, t in [(p, None) for p in places] + [(t.tid, t) for t in self.transitions]:
+            if node in self._nodes:
+                raise NetError("DUPLICATE_ID", f"node id {node!r} declared twice")
+            if t is not None and not t.silent and not t.label:
+                raise NetError("UNLABELED", f"observable transition {node!r} has no label")
+            self._nodes[node] = t
 
         self._pre: dict[str, set[str]] = {n: set() for n in self._nodes}
         self._post: dict[str, set[str]] = {n: set() for n in self._nodes}

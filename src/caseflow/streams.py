@@ -1,4 +1,4 @@
-"""Event-stream plumbing: reading, ground-truth handling, timed replay."""
+"""Event-stream plumbing: reading, stripping case ids, timed replay."""
 
 from __future__ import annotations
 
@@ -166,11 +166,12 @@ def read_events(source, fmt: str = "csv") -> tuple[UncorrelatedEvent, ...]:
     return tuple(events)
 
 
-def events_to_csv(events) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+def _csv_event_writer(out):
+    """Write the event CSV header to out; return a writer of one event's row."""
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["timestamp", "activity", "lifecycle", "resource", "case_id"])
-    for ev in events:
+
+    def write(ev) -> None:
         writer.writerow([
             format_timestamp(ev.timestamp),
             ev.activity,
@@ -178,49 +179,22 @@ def events_to_csv(events) -> str:
             ev.resource or "",
             "" if ev.case_id is None else ev.case_id,
         ])
+    return write
+
+
+def events_to_csv(events) -> str:
+    buffer = io.StringIO()
+    write = _csv_event_writer(buffer)
+    for ev in events:
+        write(ev)
     return buffer.getvalue()
 
 
-@dataclass(frozen=True)
-class GroundTruth:
-    """True case ids keyed by (timestamp, activity, arrival ordinal).
-
-    The ordinal disambiguates repeated occurrences of the same activity at
-    the same instant, counted in arrival order, so stripping and relabeling
-    a stream round-trips exactly.
-    """
-
-    mapping: dict[tuple[datetime, str, int], int | str]
-
-    @classmethod
-    def from_events(cls, events) -> "GroundTruth":
-        mapping: dict[tuple[datetime, str, int], int | str] = {}
-        seen: dict[tuple[datetime, str], int] = {}
-        for ev in events:
-            k = (ev.timestamp, ev.activity)
-            ordinal = seen.get(k, 0)
-            seen[k] = ordinal + 1
-            mapping[(ev.timestamp, ev.activity, ordinal)] = ev.case_id
-        return cls(mapping=mapping)
-
-    def sequence_labels(self, events) -> list[int | str | None]:
-        seen: dict[tuple[datetime, str], int] = {}
-        labels: list[int | str | None] = []
-        for ev in events:
-            k = (ev.timestamp, ev.activity)
-            ordinal = seen.get(k, 0)
-            seen[k] = ordinal + 1
-            labels.append(self.mapping.get((ev.timestamp, ev.activity, ordinal)))
-        return labels
-
-    def relabel(self, events) -> tuple[UncorrelatedEvent, ...]:
-        labels = self.sequence_labels(events)
-        return tuple(replace(ev, case_id=c) for ev, c in zip(events, labels))
-
-
-def strip_case_ids(events) -> tuple[tuple[UncorrelatedEvent, ...], GroundTruth]:
-    truth = GroundTruth.from_events(events)
-    return tuple(replace(ev, case_id=None) for ev in events), truth
+def strip_case_ids(events) -> tuple[tuple[UncorrelatedEvent, ...], list[int | str | None]]:
+    """The events without case ids, and their ids in order: labels[i] is
+    the id of events[i], as score() reads its truth labels."""
+    events = tuple(events)  # read once, so a generator gives both
+    return tuple(replace(ev, case_id=None) for ev in events), [ev.case_id for ev in events]
 
 
 @dataclass

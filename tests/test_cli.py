@@ -22,6 +22,7 @@ from caseflow import (
     strip_case_ids,
 )
 from caseflow.cli import main
+from caseflow.evaluation import build_report, score
 from caseflow.model import parse_simple_net
 from caseflow.streams import events_to_csv
 
@@ -332,7 +333,7 @@ def test_evaluate_recovers_a_well_separated_log(runner, data_dir, tmp_path):
     log.write_text(SELF_EVAL_LOG)
     result = invoke(
         runner, "evaluate", *model_args(data_dir),
-        "--heuristics", str(data_dir / "heuristics.csv"), "--truth", str(log),
+        "--heuristics", str(data_dir / "heuristics.csv"), "--input", str(log),
     )
     assert result.exit_code == 0
     report = json.loads(result.stdout)
@@ -355,7 +356,7 @@ def test_evaluate_report_fields_stay_in_unit_range(runner, data_dir, tmp_path):
     )
     result = invoke(
         runner, "evaluate", *model_args(data_dir),
-        "--heuristics", str(data_dir / "heuristics.csv"), "--truth", str(log),
+        "--heuristics", str(data_dir / "heuristics.csv"), "--input", str(log),
     )
     assert result.exit_code == 0
     report = json.loads(result.stdout)
@@ -367,22 +368,33 @@ def test_evaluate_missing_truth_file(runner, data_dir, tmp_path):
     result = invoke(
         runner, "evaluate", *model_args(data_dir),
         "--heuristics", str(data_dir / "heuristics.csv"),
-        "--truth", str(tmp_path / "nope.csv"),
+        "--input", str(tmp_path / "nope.csv"),
     )
     assert result.exit_code == 2
     assert "cannot read input" in result.stderr
 
 
-def test_evaluate_threshold_mode_needs_a_threshold(runner, data_dir, tmp_path):
+@pytest.mark.parametrize("threshold", [None, 0.0, 60.0])
+def test_evaluate_scores_like_the_library(runner, data_dir, tmp_path, clinic_td, clinic_table,
+                                          clinic_net, threshold):
+    # without --threshold each event's most trusted row counts; with it, every
+    # row that `correlate --threshold` exports, less the noise rows
     log = tmp_path / "labeled.csv"
-    log.write_text(SELF_EVAL_LOG)
-    result = invoke(
-        runner, "evaluate", *model_args(data_dir),
-        "--heuristics", str(data_dir / "heuristics.csv"),
-        "--truth", str(log), "--mode", "threshold",
-    )
-    assert result.exit_code == 2
-    assert "needs --threshold" in result.stderr
+    log.write_text(events_to_csv(simulate.simulate_log(clinic_net, clinic_table,
+                                                       random.Random(11), 40)))
+    stream, labels = strip_case_ids(read_events(log))
+    corr = Correlator(clinic_td, clinic_table)
+    for event in stream:
+        corr.ingest(event)
+    mode = "max_trust" if threshold is None else "threshold"
+    expected = build_report(score(corr.store.instances(), labels, mode=mode, threshold=threshold))
+    flags = () if threshold is None else ("--threshold", str(threshold))
+    result = invoke(runner, "evaluate", *model_args(data_dir),
+                    "--heuristics", str(data_dir / "heuristics.csv"), "--input", str(log), *flags)
+    assert result.exit_code == 0, result.stderr
+    report = json.loads(result.stdout)
+    del report["latency_ms"], expected["latency_ms"]
+    assert report == expected
 
 
 def test_extract_heuristics_from_labeled_log(runner, data_dir, tmp_path):
@@ -492,12 +504,40 @@ def test_config_values_are_type_checked_like_flags(runner, data_dir, tmp_path):
     assert "threshold" in result.stderr
 
 
-def test_config_model_format_must_be_a_known_choice(runner, data_dir, tmp_path):
+@pytest.mark.parametrize("command, key", [
+    ("correlate", "treshold"),
+    ("analyze", "model_format"),
+    ("evaluate", "mode"),
+    ("evaluate", "truth"),
+    ("replay", "threshold"),
+])
+def test_config_rejects_unknown_keys(runner, data_dir, tmp_path, command, key):
+    # such a key would otherwise leave its option at the default, unnoticed
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"model = {data_dir / 'clinic.net'}\nmodel_format = xml\n")
-    result = invoke(runner, "analyze", "--config", str(cfg))
+    cfg.write_text(f"# a misspelt or a removed key\n\n{key} = 60\n")
+    args = {"analyze": model_args(data_dir), "replay": ("--input", str(data_dir / "stream.csv"))}
+    result = invoke(runner, command, *args.get(command, correlate_args(data_dir)),
+                    "--config", str(cfg))
     assert result.exit_code == 2
-    assert "model-format" in result.stderr
+    assert result.stderr == f"error: {cfg}:3: unknown key {key!r}\n"
+
+
+@pytest.mark.parametrize("flag", ["--truth", "--mode", "--model-format"])
+def test_flags_decided_by_the_input_are_not_options(runner, data_dir, flag):
+    result = invoke(runner, "evaluate", *correlate_args(data_dir), flag, "x")
+    assert result.exit_code == 2
+    assert "No such option" in result.stderr and flag in result.stderr
+
+
+def test_config_hash_inside_a_value_is_not_a_comment(runner, data_dir, tmp_path):
+    model = tmp_path / "run#3" / "clinic.net"
+    model.parent.mkdir()
+    model.write_text((data_dir / "clinic.net").read_text())
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# the model of run 3\nmodel = {model}  # copied\n")
+    via_config = invoke(runner, "analyze", "--config", str(cfg))
+    assert via_config.exit_code == 0, via_config.stderr
+    assert via_config.stdout == invoke(runner, "analyze", *model_args(data_dir)).stdout
 
 
 def test_evaluate_takes_the_labeled_log_from_config_input(runner, data_dir, tmp_path):
@@ -507,21 +547,34 @@ def test_evaluate_takes_the_labeled_log_from_config_input(runner, data_dir, tmp_
     cfg.write_text(f"input = {log}\nformat = csv\n")
     common = (*model_args(data_dir), "--heuristics", str(data_dir / "heuristics.csv"))
     via_config = invoke(runner, "evaluate", *common, "--config", str(cfg))
-    via_truth = invoke(runner, "evaluate", *common, "--truth", str(log))
-    assert via_config.exit_code == 0 and via_truth.exit_code == 0
-    reports = [json.loads(r.stdout) for r in (via_config, via_truth)]
+    via_flag = invoke(runner, "evaluate", *common, "--input", str(log))
+    assert via_config.exit_code == 0 and via_flag.exit_code == 0
+    reports = [json.loads(r.stdout) for r in (via_config, via_flag)]
     for report in reports:
         del report["latency_ms"]
     assert reports[0] == reports[1]
 
 
 def test_replay_echoes_in_delivery_order(runner, data_dir, clinic_events):
-    from caseflow.streams import events_to_csv
-
     result = invoke(runner, "replay", "--input", str(data_dir / "stream.csv"))
     assert result.exit_code == 0
     assert result.stdout == events_to_csv(clinic_events)
     assert "delivered 30 events" in result.stderr
+
+
+def test_replay_writes_each_row_before_the_next_pause(runner, data_dir, clinic_events,
+                                                      monkeypatch):
+    # what has reached standard output when each pause begins; so slow a
+    # replay makes every later second a pause, however slow the host
+    seen = []
+    monkeypatch.setattr("caseflow.streams.time.sleep",
+                        lambda seconds: seen.append(sys.stdout.buffer.getvalue().decode()))
+    result = invoke(runner, "replay", "--input", str(data_dir / "stream.csv"),
+                    "--speedup", "0.01")
+    assert result.exit_code == 0
+    first = clinic_events[0].timestamp
+    assert seen == [events_to_csv(clinic_events[:i])
+                    for i, event in enumerate(clinic_events) if event.timestamp > first]
 
 
 @pytest.mark.parametrize("command", ["replay", "correlate"])

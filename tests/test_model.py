@@ -105,6 +105,16 @@ def test_constructor_rejects_duplicate_ids():
     assert err.value.code == "DUPLICATE_ID"
 
 
+def test_parsers_reject_a_place_declared_twice():
+    with pytest.raises(NetError, match="'p0' declared twice") as err:
+        parse_simple_net(SMALL + "place p0\n")
+    assert err.value.code == "DUPLICATE_ID"
+    pnml = "<pnml><net id='n'><place id='p0'/><place id='p1'/><place id='p0'/></net></pnml>"
+    with pytest.raises(NetError, match="'p0' declared twice") as err:
+        parse_pnml(pnml)
+    assert err.value.code == "DUPLICATE_ID"
+
+
 def test_constructor_rejects_unlabeled_observable():
     with pytest.raises(NetError) as err:
         WorkflowNet({"p"}, [Transition("t", None)], [])

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 from hypothesis import given, settings
@@ -19,7 +20,6 @@ from caseflow.dependencies import non_cartesian_product
 from caseflow.model import validate
 from caseflow.store import CaseStore, CorrelatedEventInstance
 from caseflow.streams import (
-    GroundTruth,
     _ceil_seconds,
     floor_to_second,
     format_timestamp,
@@ -204,9 +204,10 @@ events_strategy = st.lists(
 
 @given(events_strategy)
 def test_strip_then_relabel_round_trips(events):
-    stripped, truth = strip_case_ids(events)
-    assert truth.relabel(stripped) == events
-    assert GroundTruth.from_events(events).sequence_labels(events) == [e.case_id for e in events]
+    stripped, labels = strip_case_ids(events)
+    assert all(e.case_id is None for e in stripped)
+    assert labels == [e.case_id for e in events]
+    assert tuple(replace(e, case_id=c) for e, c in zip(stripped, labels)) == events
 
 
 @settings(deadline=None)

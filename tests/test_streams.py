@@ -1,6 +1,7 @@
 """Stream reading, ground truth round trips, timed replay."""
 
 import io
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -14,7 +15,6 @@ from caseflow import (
     strip_case_ids,
 )
 from caseflow.streams import (
-    GroundTruth,
     events_to_csv,
     format_timestamp,
     parse_timestamp,
@@ -191,16 +191,16 @@ def test_events_to_csv_round_trip(clinic_events):
 
 
 def test_strip_then_relabel_is_identity():
-    original = (ev(1, "A", 1), ev(1, "A", 2), ev(2, "B", "x"), ev(3, "B", None))
-    stripped, truth = strip_case_ids(original)
-    assert all(e.case_id is None for e in stripped)
-    assert truth.relabel(stripped) == original
-
-
-def test_ground_truth_distinguishes_same_instant_occurrences():
-    original = (ev(1, "A", 7), ev(1, "A", 8))
-    truth = GroundTruth.from_events(original)
-    assert truth.sequence_labels(original) == [7, 8]
+    for original in (
+        (ev(1, "A", 1), ev(1, "A", 2), ev(2, "B", "x"), ev(3, "B", None)),
+        # two occurrences of one activity at one instant keep their own ids
+        (ev(1, "A", 7), ev(1, "A", 8)),
+    ):
+        stripped, labels = strip_case_ids(original)
+        assert all(e.case_id is None for e in stripped)
+        assert labels == [e.case_id for e in original]
+        assert tuple(replace(e, case_id=c) for e, c in zip(stripped, labels)) == original
+        assert strip_case_ids(iter(original)) == (stripped, labels)
 
 
 def test_replay_fast_path_counts_and_times_deliveries():
