@@ -191,16 +191,20 @@ def test_events_to_csv_round_trip(clinic_events):
 
 
 def test_strip_then_relabel_is_identity():
-    for original in (
-        (ev(1, "A", 1), ev(1, "A", 2), ev(2, "B", "x"), ev(3, "B", None)),
-        # two occurrences of one activity at one instant keep their own ids
-        (ev(1, "A", 7), ev(1, "A", 8)),
-    ):
-        stripped, labels = strip_case_ids(original)
-        assert all(e.case_id is None for e in stripped)
-        assert labels == [e.case_id for e in original]
-        assert tuple(replace(e, case_id=c) for e, c in zip(stripped, labels)) == original
-        assert strip_case_ids(iter(original)) == (stripped, labels)
+    original = (ev(1, "A", 1), ev(1, "A", 2), ev(2, "B", "x"), ev(3, "B", None))
+    stripped, labels = strip_case_ids(original)
+    assert all(e.case_id is None for e in stripped)
+    assert labels == [e.case_id for e in original]
+    assert tuple(replace(e, case_id=c) for e, c in zip(stripped, labels)) == original
+    assert strip_case_ids(iter(original)) == (stripped, labels)
+
+
+def test_ground_truth_distinguishes_same_instant_occurrences():
+    # two occurrences of one activity at one instant keep their own ids
+    original = (ev(1, "A", 7), ev(1, "A", 8))
+    stripped, labels = strip_case_ids(original)
+    assert stripped[0] == stripped[1]
+    assert labels == [7, 8]
 
 
 def test_replay_fast_path_counts_and_times_deliveries():
