@@ -47,10 +47,16 @@ def _fail(message: str):
     sys.exit(2)
 
 
+# a config line up to its comment: '#' at the start of the line or after
+# whitespace starts one, but not inside a quoted span; a lone quote is text
+_UNCOMMENTED = re.compile(r"""(?:[^"'#]|"[^"]*"|'[^']*'|["']|(?<=\S)#)*""")
+
+
 def _read_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
     """Load a key=value file into the command's defaults, so click converts
     and validates its values like flags, and explicit flags still win. A key
-    is a long flag name with '_' for '-'; '#' after whitespace starts a comment."""
+    is a long flag name with '_' for '-'; '#' after whitespace starts a
+    comment, unless it is quoted."""
     if path is None:
         return
     try:
@@ -60,7 +66,7 @@ def _read_config(ctx: click.Context, param: click.Parameter, path: str | None) -
     names = {opt.opts[0].lstrip("-").replace("-", "_"): opt.name for opt in ctx.command.params}
     cfg: dict[str, str] = {}
     for i, raw in enumerate(text.splitlines(), start=1):
-        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
+        line = _UNCOMMENTED.match(raw).group().strip()
         if not line:
             continue
         if "=" not in line:

@@ -24,6 +24,10 @@ MODE_COMPLETED = "completed"
 # the plan of a windowless start activity, whose events only open cases
 _OPENS_ONLY = (0, 0, 0, timedelta(0), ())
 
+# ingest builds its records as _new(record type, fields in declared order),
+# which skips the named tuples' own __new__, written in Python
+_new = tuple.__new__
+
 
 class CorrelationError(Exception):
     def __init__(self, code: str, message: str):
@@ -75,21 +79,30 @@ class Correlator:
         self.td = td
         self.table = table
         self._require_windows(a for a in td.activities() if td.alternatives(a))
-        # activity -> (min, max, average, max as a timedelta, alternatives),
-        # each alternative (members, reusable); an alternative whose members
-        # can all re-occur in a loop may be satisfied again, anything else is
-        # spent once confirmed
+        # activity -> (min, max, average, max as a timedelta, anchorings).
+        # An anchoring is one member of a dependency alternative as the
+        # anchor: (members, spend key, member, the other members). An
+        # alternative whose members can all re-occur in a loop may be
+        # satisfied again and has no spend key; anything else, once
+        # confirmed, is spent for the anchors up to the one that confirmed
+        # it, under the key (activity, members).
         self._plan: dict[str, tuple] = {}
         for activity in td.activities():
             if activity not in table:
                 self._plan[activity] = _OPENS_ONLY
                 continue
             mn, mx = table.window(activity)
-            alternatives = tuple(
-                (dep_set, all(td.is_loop_entry(x) for x in dep_set))
+            anchorings = tuple(
+                (dep_set, None if all(map(td.is_loop_entry, dep_set)) else (activity, dep_set),
+                 member, tuple(dep_set - {member}))
                 for dep_set in td.alternatives(activity)
+                for member in dep_set
             )
-            self._plan[activity] = (mn, mx, table.avg(activity), timedelta(seconds=mx), alternatives)
+            self._plan[activity] = (mn, mx, table.avg(activity), timedelta(seconds=mx), anchorings)
+        # a case's allocations through one anchor are ordered by their sorted
+        # members; ranking every dependency set once spares sorting per event
+        dep_sets = {frozenset()}.union(*(td.alternatives(a) for a in td.activities()))
+        self._rank = {dep_set: i for i, dep_set in enumerate(sorted(dep_sets, key=sorted))}
         # nothing older than the widest window, plus the second an unfloored
         # timestamp can lie past its floor, can reach a later event
         reach = max((plan[1] for plan in self._plan.values()), default=0) + 1
@@ -104,20 +117,18 @@ class Correlator:
 
     def ingest(self, event) -> list[CorrelatedEventInstance]:
         """Process one event, returning its stored instances by case order."""
+        ts = event.timestamp
         last = self._last_ts
         if last is not None:
             try:
-                if event.timestamp < last:
-                    raise CorrelationError(
-                        "OUT_OF_ORDER", f"{event.timestamp} arrived after {last}"
-                    )
+                if ts < last:
+                    raise CorrelationError("OUT_OF_ORDER", f"{ts} arrived after {last}")
             except TypeError:
                 raise CorrelationError(
                     "MIXED_TIMEZONES",
-                    f"{event.timestamp} cannot follow {last}: "
-                    "naive and offset timestamps do not compare",
+                    f"{ts} cannot follow {last}: naive and offset timestamps do not compare",
                 ) from None
-        self._last_ts = event.timestamp
+        self._last_ts = ts
         if self._mode is None:
             if event.lifecycle == "started":
                 # completions pair with their start, so every window is read
@@ -129,48 +140,62 @@ class Correlator:
         seq = self._seq
         self._seq += 1
 
-        plan = self._plan.get(event.activity)
+        activity = event.activity
+        plan = self._plan.get(activity)
         if plan is None:
             return [self._stash_noise(event, seq, "unknown-activity")]
         self._check_lifecycle(event)
 
-        pairs = self._mode == MODE_PAIRED and event.lifecycle != "started"
-        by_case: dict[int, list[Allocation]] = {}
-        if not pairs and not plan[4]:
-            # no alternatives: the event opens a case, its one allocation-free instance
-            by_case[self.store.new_case_id()] = []
-            m = 1
-        else:
-            search = self._pairing_allocations if pairs else self._dependency_allocations
-            allocations = search(event, plan)
-            if not allocations:
-                return [self._stash_noise(event, seq, "no-allocation")]
-            for alloc in allocations:
-                by_case.setdefault(alloc.case_id, []).append(alloc)
-            m = len(allocations)
-
         store = self.store
+        lifecycle = event.lifecycle
+        if self._mode == MODE_PAIRED and lifecycle != "started":
+            allocations = self._pairing_allocations(event, plan)
+        elif plan[4]:
+            allocations = self._dependency_allocations(event, plan)
+        else:
+            # no alternatives: the event opens a case, its one allocation-free instance
+            inst = _new(CorrelatedEventInstance, (
+                ts, activity, store.new_case_id(), 100.0, lifecycle, event.resource, (), 100.0, None, seq,
+            ))
+            store.add(inst)
+            return [inst]
+        m = len(allocations)
+        if not m:
+            return [self._stash_noise(event, seq, "no-allocation")]
+        if m == 1:
+            # a lone allocation is certain
+            (alloc,) = allocations
+            inst = _new(CorrelatedEventInstance, (
+                ts, activity, alloc[0], 100.0, lifecycle, event.resource, (alloc,), 100.0, None, seq,
+            ))
+            store.add(inst)
+            return [inst]
+
+        # instance_probability of each kind, in its own expressions; a
+        # zero-size window has no range allocation, as every duration in it
+        # is the average
+        mn, mx = plan[0], plan[1]
+        probability = {KIND_AVG: (m + 1) / (m * m)}
+        if mx > mn:
+            probability[KIND_RANGE] = (m - 1 / (mx - mn)) / (m * m)
+        by_case: dict[int, list[Allocation]] = {}
+        for alloc in allocations:
+            by_case.setdefault(alloc[0], []).append(alloc)
+        rank = self._rank
         instances = []
         for case_id in sorted(by_case):
             allocs = by_case[case_id]
-            if len(allocs) > 1:
-                allocs.sort(
-                    key=lambda a: (a.anchor, a.duration, a.kind, tuple(sorted(a.dependency_set)))
-                )
-            raw = 100.0 if m == 1 else 100.0 * sum(
-                instance_probability(m, a.kind, event.activity, self.table) for a in allocs
-            )
-            inst = CorrelatedEventInstance(
-                timestamp=event.timestamp,
-                activity=event.activity,
-                case_id=case_id,
-                trust=min(100.0, raw),
-                lifecycle=event.lifecycle,
-                resource=event.resource,
-                allocations=tuple(allocs),
-                raw_trust=raw,
-                seq=seq,
-            )
+            if len(allocs) == 1:
+                raw = 100.0 * probability[allocs[0][4]]
+            else:
+                # by anchor, then members: in one event and case, the anchor
+                # decides the duration and the kind
+                allocs.sort(key=lambda a: (a[2], rank[a[1]]))
+                raw = 100.0 * sum([probability[a[4]] for a in allocs])
+            inst = _new(CorrelatedEventInstance, (
+                ts, activity, case_id, min(100.0, raw), lifecycle,
+                event.resource, tuple(allocs), raw, None, seq,
+            ))
             instances.append(inst)
             store.add(inst)
         return instances
@@ -199,16 +224,10 @@ class Correlator:
             )
 
     def _stash_noise(self, event, seq: int, reason: str) -> CorrelatedEventInstance:
-        inst = CorrelatedEventInstance(
-            timestamp=event.timestamp,
-            activity=event.activity,
-            case_id=None,
-            trust=None,
-            lifecycle=event.lifecycle,
-            resource=event.resource,
-            noise_reason=reason,
-            seq=seq,
-        )
+        inst = _new(CorrelatedEventInstance, (
+            event.timestamp, event.activity, None, None, event.lifecycle, event.resource, (), None,
+            reason, seq,
+        ))
         self.store.add(inst)
         return inst
 
@@ -226,37 +245,37 @@ class Correlator:
             )
 
     def _dependency_allocations(self, event, plan) -> set[Allocation]:
-        activity = event.activity
         ts0 = floor_to_second(event.timestamp)
-        mn, _, avg, max_span, alternatives = plan
+        mn, _, avg, max_span, anchorings = plan
         # anchors from lo on lie at most max whole seconds before the event,
         # earlier ones more; anchors after the event fail the min check
         lo = ts0 - max_span
         store = self.store
+        cases = store.live_cases()
+        # a set: same-instant occurrences of one member in one case index
+        # the same (anchor, case) twice
         out: set[Allocation] = set()
-        for dep_set, reusable in alternatives:
-            # the anchor is an occurrence of some member, the other members
-            # need only have occurred by then
-            for member in dep_set:
-                for anchor, case_id in store.occurrences_since(member, lo):
-                    duration = _ceil_seconds(ts0 - anchor)
-                    if duration < mn:
+        for dep_set, spend_key, member, others in anchorings:
+            for anchor, case_id in store.occurrences_since(member, lo):
+                # ts0 - anchor rounded up to whole seconds; ts0 is whole
+                delta = ts0 - anchor
+                duration = delta.days * 86400 + delta.seconds + (delta.microseconds > 0)
+                if duration < mn:
+                    continue
+                case = cases[case_id]
+                if spend_key is not None:
+                    until = case.spent.get(spend_key)
+                    if until is not None and anchor <= until:
                         continue
-                    if not reusable and dep_set in store.certain_alternatives(case_id, activity):
-                        continue
-                    if len(dep_set) > 1 and not all(
-                        store.has_occurrence_at_or_before(case_id, x, anchor) for x in dep_set
-                    ):
-                        continue
-                    out.add(
-                        Allocation(
-                            case_id=case_id,
-                            dependency_set=dep_set,
-                            anchor=anchor,
-                            duration=duration,
-                            kind=KIND_AVG if duration == avg else KIND_RANGE,
-                        )
-                    )
+                # the other members need only have occurred by the anchor
+                for x in others:
+                    first = case.first_seen.get(x)
+                    if first is None or first > anchor:
+                        break
+                else:
+                    out.add(_new(Allocation, (
+                        case_id, dep_set, anchor, duration, KIND_AVG if duration == avg else KIND_RANGE
+                    )))
         return out
 
     def _pairing_allocations(self, event, plan) -> set[Allocation]:
@@ -268,13 +287,7 @@ class Correlator:
             started = starts[0]
             duration = _ceil_seconds(ts0 - started)
             if mn <= duration <= mx:
-                out.add(
-                    Allocation(
-                        case_id=case_id,
-                        dependency_set=frozenset(),
-                        anchor=started,
-                        duration=duration,
-                        kind=KIND_AVG if duration == avg else KIND_RANGE,
-                    )
-                )
+                out.add(_new(Allocation, (
+                    case_id, frozenset(), started, duration, KIND_AVG if duration == avg else KIND_RANGE
+                )))
         return out

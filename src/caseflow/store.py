@@ -2,15 +2,21 @@
 
 The store keeps the materialized instances, the per-case views, and the
 indexes the correlator queries while weighing candidate cases: a time index
-of recent occurrences per activity (anchor lookups), and per case a record of
-its first occurrence of each activity (member checks) and of the dependency
-alternatives a fully trusted instance confirmed, beside the open started
-events awaiting their completion.
+of recent occurrences per activity, read once per dependency member as
+occurrences_since, and per live case one record, read once per anchor
+through live_cases: the case's first occurrence of each activity (member
+checks) and, for each dependency alternative a fully trusted instance
+confirmed, the latest anchor that confirmed it (spend checks). Beside them
+wait the open started events awaiting their completion. Only this module
+knows the layout of the time index.
 
 add is the only writer, and it needs no mode. An instance at full trust
-spends the dependency alternatives of its allocations; a started instance
-waits as its case's newest open start of its activity; any other instance
-closes its case's oldest open start of its activity, if there is one.
+spends the dependency alternatives of its allocations, each up to its
+allocation's anchor, so the search skips a non-reusable alternative only
+for anchors at or before that one; an instance below full trust spends
+nothing. A started instance waits as its case's newest open start of its
+activity; any other instance closes its case's oldest open start of its
+activity, if there is one.
 
 The store forgets by one distance, its reach R: the widest window plus the
 second an unfloored timestamp can lie past its floor. Nothing older than R
@@ -75,13 +81,16 @@ class CorrelatedEventInstance(NamedTuple):
 
 
 @dataclass(slots=True)
-class _Case:
+class CaseRecord:
+    """The store's record of one live case: the search reads its first
+    occurrences and its spent alternatives."""
+
     last: datetime  # when the case last got an instance
+    # activity -> the case's first occurrence of it
     first_seen: dict[str, datetime] = field(default_factory=dict)
-    spent: dict[str, set[frozenset[str]]] = field(default_factory=dict)  # confirmed alternatives
-
-
-_GONE = _Case(datetime.min)  # the record of a retired or unknown case; never written
+    # (activity, dependency set) -> the latest anchor through which a fully
+    # trusted instance of the activity confirmed the set
+    spent: dict[tuple[str, frozenset[str]], datetime] = field(default_factory=dict)
 
 
 class CaseStore:
@@ -101,7 +110,7 @@ class CaseStore:
         self._noise_count = 0
         self._cases: dict[int, list[CorrelatedEventInstance]] = {}
         self._instances: list[CorrelatedEventInstance] = []
-        self._live: dict[int, _Case] = {}
+        self._live: dict[int, CaseRecord] = {}
         self._time_index: dict[str, list[tuple[datetime, int]]] = {}
         # activity -> case id -> the times of its open started events, oldest
         # first; a case leaves when its queue drains
@@ -120,34 +129,37 @@ class CaseStore:
 
     def add(self, instance: CorrelatedEventInstance) -> None:
         """Store an instance and apply its effects on its case: at trust 100
-        it spends the non-empty dependency sets of its allocations; started,
-        it waits as an open start, and stays out of the time index and first
-        occurrences, as no search reads it as an anchor or member; otherwise
-        it closes its activity's oldest open start in its case, if any."""
+        it spends the non-empty dependency set of each allocation up to the
+        allocation's anchor; started, it waits as an open start, and stays
+        out of the time index and first occurrences, as no search reads it as
+        an anchor or member; otherwise it closes its activity's oldest open
+        start in its case, if any."""
+        ts, activity, case_id, trust, lifecycle, _, allocations, _, noise_reason, _ = instance
         if self._keep:
             self._instances.append(instance)
+            if noise_reason is None:
+                self._cases[case_id].append(instance)
         else:
             self._count += 1
-        if instance.noise_reason is not None:
+        if noise_reason is not None:
             self._noise_count += 1
             return
-        case_id = instance.case_id
-        if self._keep:
-            self._cases[case_id].append(instance)
-        ts = instance.timestamp
         case = self._live.get(case_id)
         if case is None:
             # only a case's first instance adds per-case state
             self._retire_cases_before(ts - self._reach)
-            case = self._live[case_id] = _Case(ts)
+            case = self._live[case_id] = CaseRecord(ts)
         else:
             case.last = ts
-        activity = instance.activity
-        if instance.trust >= 100.0 - 1e-9:
-            confirmed = [a.dependency_set for a in instance.allocations if a.dependency_set]
-            if confirmed:
-                case.spent.setdefault(activity, set()).update(confirmed)
-        if instance.lifecycle == "started":
+        if trust >= 100.0 - 1e-9:
+            spent = case.spent
+            for _, dep_set, anchor, _, _ in allocations:
+                if dep_set:
+                    key = (activity, dep_set)
+                    until = spent.get(key)
+                    if until is None or until < anchor:
+                        spent[key] = anchor
+        if lifecycle == "started":
             self._open_starts.setdefault(activity, {}).setdefault(case_id, []).append(ts)
             return
         starts = self._open_starts.get(activity)
@@ -194,9 +206,12 @@ class CaseStore:
         entries = self._time_index.get(activity, [])
         return entries[bisect_left(entries, (lo,)):]
 
-    def has_occurrence_at_or_before(self, case_id: int, activity: str, ts: datetime) -> bool:
-        first = self._live.get(case_id, _GONE).first_seen.get(activity)
-        return first is not None and first <= ts
+    def live_cases(self) -> dict[int, CaseRecord]:
+        """Case id -> the record of each case not yet retired. Every case of
+        an occurrence the search reads is live: the store retires a case only
+        once it was last touched more than the reach before. The stored map
+        itself, not a copy: callers only read it."""
+        return self._live
 
     # started/completed pairing
 
@@ -204,12 +219,6 @@ class CaseStore:
         """Case id -> the times of its open started events of activity,
         oldest first. The stored map itself, not a copy: callers only read it."""
         return self._open_starts.get(activity, {})
-
-    # confirmed dependency alternatives, for loop-repeat exclusion
-
-    def certain_alternatives(self, case_id: int, activity: str) -> set[frozenset[str]] | frozenset:
-        """The stored set itself, not a copy: callers only read it."""
-        return self._live.get(case_id, _GONE).spent.get(activity, frozenset())
 
     def export_log(self, threshold: float = 0.0) -> str:
         """Render stored instances at or above the trust threshold as CSV,

@@ -28,11 +28,15 @@ def brute_force_allocations(correlator, event):
     out = set()
     for case_id in store.case_ids():
         occurrences: dict[str, list] = {}
-        # a set is spent once a fully trusted instance of the activity used it
-        spent_sets = set()
+        # a fully trusted instance of the activity spends the sets it used,
+        # for every anchor up to the latest anchor that confirmed each
+        spent_until: dict = {}
         for inst in store.case_view(case_id):
             if inst.activity == event.activity and inst.trust >= 100 - 1e-9:
-                spent_sets.update(a.dependency_set for a in inst.allocations)
+                for a in inst.allocations:
+                    spent_until[a.dependency_set] = max(
+                        a.anchor, spent_until.get(a.dependency_set, a.anchor)
+                    )
             if correlator.mode == "paired" and inst.lifecycle == "started":
                 continue
             occurrences.setdefault(inst.activity, []).append(inst.timestamp)
@@ -40,11 +44,12 @@ def brute_force_allocations(correlator, event):
             members = sorted(dep_set)
             if any(x not in occurrences for x in members):
                 continue
-            spent = dep_set in spent_sets
-            if spent and not all(td.is_loop_entry(x) for x in members):
-                continue
+            reusable = all(td.is_loop_entry(x) for x in members)
+            until = None if reusable else spent_until.get(dep_set)
             for choice in product(*(occurrences[x] for x in members)):
                 anchor = max(choice)
+                if until is not None and anchor <= until:
+                    continue
                 duration = whole_seconds_between(anchor, event.timestamp)
                 if mn <= duration <= mx:
                     out.add(Allocation(

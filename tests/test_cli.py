@@ -540,6 +540,17 @@ def test_config_hash_inside_a_value_is_not_a_comment(runner, data_dir, tmp_path)
     assert via_config.stdout == invoke(runner, "analyze", *model_args(data_dir)).stdout
 
 
+def test_config_quoted_value_keeps_a_hash_after_whitespace(runner, data_dir, tmp_path):
+    model = tmp_path / "runs" / "q #3" / "clinic.net"
+    model.parent.mkdir(parents=True)
+    model.write_text((data_dir / "clinic.net").read_text())
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f'model = "{model}"  # quoted, as the path holds " #"\n')
+    via_config = invoke(runner, "analyze", "--config", str(cfg))
+    assert via_config.exit_code == 0, via_config.stderr
+    assert via_config.stdout == invoke(runner, "analyze", *model_args(data_dir)).stdout
+
+
 def test_evaluate_takes_the_labeled_log_from_config_input(runner, data_dir, tmp_path):
     log = tmp_path / "labeled.csv"
     log.write_text(SELF_EVAL_LOG)

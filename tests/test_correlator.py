@@ -228,6 +228,17 @@ def test_loop_entry_alternatives_stay_reusable(clinic_correlator):
     assert not second_l.is_noise()
 
 
+def test_a_case_goes_twice_round_the_loop_without_noise(clinic_correlator):
+    # A, then B D E G L N twice; {B} for D, {E} for G and {L} for N hold no
+    # loop entry, so the first pass spends them, but only for the anchors
+    # up to the one that confirmed them
+    stream = [ev(1, "A"), ev(2, "B"), ev(3, "D"), ev(4, "E"), ev(5, "G"), ev(7, "L"), ev(8, "N"),
+              ev(9, "B"), ev(10, "D"), ev(11, "E"), ev(14, "G"), ev(17, "L"), ev(18, "N")]
+    results = feed(clinic_correlator, stream)
+    assert clinic_correlator.store.noise_count() == 0
+    assert [[(i.case_id, i.trust) for i in r] for r in results] == [[(1, 100.0)]] * len(stream)
+
+
 def test_synchronized_anchors_collapse_duplicate_allocations(clinic_correlator):
     results = feed(
         clinic_correlator,
@@ -449,6 +460,35 @@ def test_allocations_match_brute_force_with_subsecond_timestamps(clinic_net, cli
         key=lambda e: e.timestamp,
     )
     assert_allocations_match_brute_force(clinic_td, clinic_table, stream)
+
+
+@pytest.mark.parametrize("log", ["running example", "simulated"])
+def test_raw_trust_is_exactly_the_sum_of_instance_probabilities(
+    log, clinic_net, clinic_table, clinic_td, clinic_events
+):
+    # ingest takes each kind's probability once per event; the floats must
+    # be those of instance_probability, summed in the allocations' order
+    stream = clinic_events if log == "running example" else long_log(clinic_net, clinic_table)
+    corr = Correlator(clinic_td, clinic_table)
+    shared = 0
+    for event in stream:
+        instances = corr.ingest(event)
+        m = sum(len(inst.allocations) for inst in instances)
+        for inst in instances:
+            if not inst.allocations:
+                # noise, or the allocation-free opening of a case
+                assert inst.raw_trust == (None if inst.is_noise() else 100.0)
+                continue
+            expected = 100.0 * sum(
+                instance_probability(m, a.kind, event.activity, clinic_table)
+                for a in inst.allocations
+            )
+            assert inst.raw_trust == expected, (event, inst)
+            assert inst.trust == min(100.0, expected)
+            shared += m > len(inst.allocations) > 1
+    # the engine's own summation path ran: a case with several of the
+    # event's competing allocations
+    assert shared
 
 
 def test_window_edge_counts_whole_seconds_of_subsecond_instants():

@@ -72,9 +72,9 @@ def test_occurrence_index_and_window_queries():
     assert [t for t, _ in store.occurrences_since("B", ts(0))] == [
         ts(1), ts(3), ts(4), ts(5), ts(7)
     ]
-    assert store.has_occurrence_at_or_before(c1, "B", ts(1))
-    assert not store.has_occurrence_at_or_before(c1, "B", ts(0))
-    assert not store.has_occurrence_at_or_before(c1, "Z", ts(9))
+    # each case records its first occurrence of the activity
+    assert store.live_cases()[c1].first_seen == {"B": ts(1)}
+    assert store.live_cases()[c2].first_seen == {"B": ts(4)}
 
 
 def test_non_anchorable_instances_stay_out_of_the_indexes():
@@ -83,7 +83,7 @@ def test_non_anchorable_instances_stay_out_of_the_indexes():
     started = inst(1, "A", c1, lifecycle="started")
     store.add(started)
     assert store.occurrences_since("A", ts(0)) == []
-    assert not store.has_occurrence_at_or_before(c1, "A", ts(9))
+    assert store.live_cases()[c1].first_seen == {}
     assert store.case_view(c1) == [started]
 
 
@@ -109,7 +109,7 @@ def test_time_index_retires_occurrences_older_than_the_horizon():
     # retired for good by the add: a wider window later does not bring them back
     assert store.occurrences_since("B", ts(0)) == [(ts(2), c2), (ts(3), c1)]
     # the per-case member check still sees a case's earliest occurrence
-    assert store.has_occurrence_at_or_before(c1, "B", ts(1))
+    assert store.live_cases()[c1].first_seen["B"] == ts(1)
 
 
 def test_open_started_queue_is_first_in_first_out():
@@ -144,9 +144,9 @@ def test_drained_queues_leave_the_open_started_cases():
     assert store.open_starts("B") == {c1: [ts(6)]}
 
 
-def alloc(case_id, *members):
+def alloc(case_id, *members, anchor=0):
     return Allocation(
-        case_id=case_id, dependency_set=frozenset(members), anchor=ts(0), duration=1, kind="avg"
+        case_id=case_id, dependency_set=frozenset(members), anchor=ts(anchor), duration=1, kind="avg"
     )
 
 
@@ -167,27 +167,35 @@ def test_records_compare_by_value_and_are_immutable():
     assert noise_inst(2, "Z").is_noise() and inst(1, "A", 1).allocations == ()
 
 
-def test_certain_alternatives_accumulate_per_case_and_activity():
+def test_spent_alternatives_accumulate_per_case_and_activity():
     store = CaseStore(REACH)
     c1, c2 = store.new_case_id(), store.new_case_id()
     store.add(inst(1, "A", c1))
     store.add(inst(1, "A", c2))
-    # a fully trusted instance spends the sets its allocations satisfy
-    store.add(inst(2, "E", c1, allocations=(alloc(c1, "D"),)))
-    store.add(inst(3, "E", c1, allocations=(alloc(c1, "H"),)))
-    assert store.certain_alternatives(c1, "E") == {frozenset({"D"}), frozenset({"H"})}
+
+    def spent(case_id):
+        return store.live_cases()[case_id].spent
+
+    D, H, B = frozenset({"D"}), frozenset({"H"}), frozenset({"B"})
+    # a fully trusted instance spends each set its allocations satisfy, up to
+    # the allocation's anchor
+    store.add(inst(2, "E", c1, allocations=(alloc(c1, "D", anchor=1),)))
+    store.add(inst(3, "E", c1, allocations=(alloc(c1, "H", anchor=2),)))
+    assert spent(c1) == {("E", D): ts(1), ("E", H): ts(2)}
+    # a later confirmation moves the set's anchor on, never back
+    store.add(inst(4, "E", c1, allocations=(alloc(c1, "D", anchor=3), alloc(c1, "D", anchor=2))))
+    assert spent(c1)[("E", D)] == ts(3)
     # below full trust nothing is spent
-    store.add(inst(4, "L", c1, trust=99.0, allocations=(alloc(c1, "K"),)))
-    assert store.certain_alternatives(c1, "L") == set()
+    store.add(inst(5, "L", c1, trust=99.0, allocations=(alloc(c1, "K", anchor=4),)))
+    assert ("L", frozenset({"K"})) not in spent(c1)
     # a pairing allocation's empty set is never spent
     store.add(inst(5, "B", c2, lifecycle="started"))
-    store.add(inst(6, "B", c2, lifecycle="completed", allocations=(alloc(c2),)))
-    assert store.certain_alternatives(c2, "B") == set()
+    store.add(inst(6, "B", c2, lifecycle="completed", allocations=(alloc(c2, anchor=5),)))
+    assert spent(c2) == {}
     # a started instance at full trust spends too
-    store.add(inst(7, "C", c2, lifecycle="started", allocations=(alloc(c2, "B"),)))
-    assert store.certain_alternatives(c2, "C") == {frozenset({"B"})}
-    assert store.certain_alternatives(c2, "E") == set()
-    assert store.certain_alternatives(3, "E") == set()
+    store.add(inst(7, "C", c2, lifecycle="started", allocations=(alloc(c2, "B", anchor=6),)))
+    assert spent(c2) == {("C", B): ts(6)}
+    assert 3 not in store.live_cases()
 
 
 def export_rows(store, threshold=0.0):
