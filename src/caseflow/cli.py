@@ -214,8 +214,10 @@ def correlate(model, silent_labels, heuristics, input_path, stream_format, thres
               output):
     """Correlate an unlabeled stream and export the result as CSV.
 
-    Rows are written as events resolve; the stream must be in timestamp
-    order. --output is replaced only when the whole stream correlated.
+    Each input row is read, correlated and written in one pass: an event's
+    rows go out once its instant is over, flushed then under pacing. The
+    stream must be in timestamp order. --output is replaced only when the
+    whole stream correlated.
     """
     td = _load_td(model, silent_labels)
     table = _load_table(heuristics)
@@ -226,9 +228,15 @@ def correlate(model, silent_labels, heuristics, input_path, stream_format, thres
             _fail(str(exc))
         with _output_stream(output) as out:
             writer = ExportWriter(out, threshold)
+            paced = math.isfinite(speedup)
+
+            def correlate_one(event):
+                writer.write(correlator.ingest(event))
+                if paced:
+                    writer.flush()
+
             try:
-                replay(iter_events(source, stream_format),
-                       lambda event: writer.write(correlator.ingest(event)), speedup=speedup)
+                replay(iter_events(source, stream_format), correlate_one, speedup=speedup)
             except (StreamFormatError, ReplayError) as exc:
                 _fail(str(exc))
             writer.close()

@@ -237,18 +237,20 @@ class ExportWriter:
     no trust, survive only a zero threshold. They are ordered by timestamp,
     noise after proper instances at the same instant, then by case id. Given
     instances in timestamp order, the writer needs to hold back only the
-    current instant's rows, which it sorts once the instant is over.
+    current instant's rows, which it sorts and formats once the instant is
+    over; formatted rows go out in batches, on flush() and on close().
     """
 
     _BATCH = 500  # rows formatted before each write to the stream
 
     def __init__(self, out, threshold: float = 0.0):
+        self._out = out
         self._writer = csv.writer(out, lineterminator="\n")
         self._writer.writerow(["case_id", "timestamp", "activity", "trust", "lifecycle", "resource"])
         self._threshold = threshold
         self._instant: datetime | None = None
         self._held: list[CorrelatedEventInstance] = []
-        self._rows: list[list] = []
+        self._rows: list[tuple] = []
 
     def write(self, instances) -> None:
         """Take instances in timestamp order, the instances of one event in
@@ -256,43 +258,48 @@ class ExportWriter:
         held = self._held
         threshold = self._threshold
         for inst in instances:
-            if inst.timestamp != self._instant:
-                self._release()
-                self._instant = inst.timestamp
-            if inst.noise_reason is not None:
+            ts, _, _, trust, _, _, _, _, noise_reason, _ = inst
+            if ts != self._instant:
+                if held:
+                    self._release()
+                self._instant = ts
+            if noise_reason is not None:
                 if threshold <= 0:
                     held.append(inst)
-            elif inst.trust is not None and inst.trust >= threshold:
+            elif trust is not None and trust >= threshold:
                 held.append(inst)
+
+    def flush(self) -> None:
+        """Write the rows of every instant that is over, then flush the
+        stream. The current instant's rows stay held."""
+        self._writer.writerows(self._rows)
+        self._rows.clear()
+        self._out.flush()
 
     def close(self) -> None:
         """Write every row still held. The stream stays open."""
-        self._release()
-        self._writer.writerows(self._rows)
-        self._rows.clear()
+        if self._held:
+            self._release()
+        self.flush()
 
     def _release(self) -> None:
         held = self._held
-        if not held:
-            return
         if len(held) > 1:
             # a stable sort: equal keys keep their arrival order
             held.sort(key=_tie_order)
+        instant = self._instant
+        text, offset = format_timestamp(instant), instant.utcoffset()
         rows = self._rows
-        text, formatted = None, None
-        for inst in held:
-            # instances of one event share their timestamp object
-            if inst.timestamp is not formatted:
-                formatted = inst.timestamp
-                text = format_timestamp(formatted)
-            rows.append([
-                "" if inst.case_id is None else inst.case_id,
-                text,
-                inst.activity,
-                "" if inst.trust is None else f"{inst.trust:.2f}",
-                inst.lifecycle or "",
-                inst.resource or "",
-            ])
+        for ts, activity, case_id, trust, lifecycle, resource, _, _, _, _ in held:
+            rows.append((
+                "" if case_id is None else case_id,
+                # an equal instant prints alike unless written at another offset
+                text if ts.utcoffset() == offset else format_timestamp(ts),
+                activity,
+                "" if trust is None else f"{trust:.2f}",
+                lifecycle or "",
+                resource or "",
+            ))
         held.clear()
         if len(rows) >= self._BATCH:
             self._writer.writerows(rows)

@@ -1,4 +1,8 @@
-"""Event-stream plumbing: reading, stripping case ids, timed replay."""
+"""Event-stream plumbing: reading, stripping case ids, timed replay.
+
+Reading builds each event straight from its row's values, CSV and JSON lines
+alike, and an error in a row names the line of the file where the row ends.
+"""
 
 from __future__ import annotations
 
@@ -10,6 +14,7 @@ import time
 import warnings
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
+from operator import itemgetter
 from pathlib import Path
 
 
@@ -17,6 +22,7 @@ class StreamFormatError(ValueError):
     def __init__(self, code: str, message: str):
         super().__init__(f"{code}: {message}")
         self.code = code
+        self.message = message
 
 
 class ReplayError(Exception):
@@ -77,45 +83,46 @@ def whole_seconds_between(start: datetime, end: datetime) -> int:
     return _ceil_seconds(floor_to_second(end) - start)
 
 
-def _coerce_case_id(value) -> int | str | None:
-    if value is None:
-        return None
-    text = str(value).strip()
-    if not text:
-        return None
+# the columns of an event row, in the order _event takes their values
+_COLUMNS = ("timestamp", "activity", "lifecycle", "resource", "case_id")
+
+
+def _event(timestamp, activity, lifecycle, resource, case_id) -> UncorrelatedEvent:
+    """One row's event from its _COLUMNS values, each a str or None: the
+    coercions that CSV and JSON lines share. A blank value is None."""
+    if timestamp is None or activity is None or not (activity := activity.strip()):
+        raise StreamFormatError("BAD_ROW", "needs timestamp and activity")
+    case_id = case_id and case_id.strip() or None
     # isdecimal, not isdigit: int() rejects digits such as '²'
-    return int(text) if text.isdecimal() else text
+    return UncorrelatedEvent(parse_timestamp(timestamp), activity,
+                             lifecycle and lifecycle.strip().lower() or None,
+                             resource and resource.strip() or None,
+                             int(case_id) if case_id and case_id.isdecimal() else case_id)
 
 
-def _event_from_record(record: dict, position: int) -> UncorrelatedEvent:
-    ts = record.get("timestamp")
-    activity = record.get("activity")
-    if ts is None or activity is None or not str(activity).strip():
-        raise StreamFormatError("BAD_ROW", f"row {position}: needs timestamp and activity")
-    lifecycle = record.get("lifecycle")
-    lifecycle = str(lifecycle).strip().lower() or None if lifecycle is not None else None
-    resource = record.get("resource")
-    resource = str(resource).strip() or None if resource is not None else None
-    return UncorrelatedEvent(
-        timestamp=ts if isinstance(ts, datetime) else parse_timestamp(str(ts)),
-        activity=str(activity).strip(),
-        lifecycle=lifecycle,
-        resource=resource,
-        case_id=_coerce_case_id(record.get("case_id")),
-    )
-
-
-def _records(handle, fmt: str):
-    """(position, record) per row: CSV rows by line, the header being line
-    1; JSON lines by line, blank ones skipped but counted."""
+def _rows(handle, fmt: str):
+    """(line, values) per row, values in _COLUMNS order. CSV reads as a
+    DictReader: blank rows skipped, absent columns and a short row's missing
+    cells None, a repeated name its last column. A JSON line is an object,
+    its values read as text; blank lines are skipped."""
     if fmt == "csv":
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
             return
-        missing = {"timestamp", "activity"} - set(reader.fieldnames)
+        index = {name: i for i, name in enumerate(header)}
+        missing = {"timestamp", "activity"} - index.keys()
         if missing:
             raise StreamFormatError("MISSING_COLUMN", f"missing column(s) {sorted(missing)}")
-        yield from enumerate(reader, start=2)
+        width = len(header)
+        pad = [None] * width
+        # absent columns read the cell past the header's last, always None
+        pick = itemgetter(*(index.get(name, width) for name in _COLUMNS))
+        for row in filter(None, reader):  # a blank row is []
+            if len(row) != width:
+                row = (row + pad)[:width]
+            row.append(None)
+            yield reader.line_num, pick(row)
     elif fmt == "jsonl":
         for position, line in enumerate(handle, start=1):
             if not line.strip():
@@ -124,27 +131,31 @@ def _records(handle, fmt: str):
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise StreamFormatError("BAD_ROW", f"line {position}: {exc}") from exc
-            yield position, record
+            if not isinstance(record, dict):
+                raise StreamFormatError("BAD_ROW", f"row {position}: a JSON line must be an object")
+            yield position, [None if (v := record.get(k)) is None else str(v) for k in _COLUMNS]
     else:
         raise StreamFormatError("UNKNOWN_FORMAT", f"unknown stream format {fmt!r}")
 
 
 def iter_events(handle, fmt: str = "csv"):
     """Yield the events of an open text stream one row at a time, in file
-    order, reading no further ahead than the row being yielded."""
+    order, reading no further ahead than the row being yielded. An error in
+    a row names its line."""
     naive = None
-    for position, record in _records(handle, fmt):
-        event = _event_from_record(record, position)
-        # naive and offset timestamps do not compare, so a stream must keep to one kind
-        is_naive = event.timestamp.utcoffset() is None
-        if naive is None:
-            naive = is_naive
-        elif is_naive != naive:
-            first, this = ("naive", "offset") if naive else ("offset", "naive")
-            raise StreamFormatError(
-                "MIXED_TIMEZONES",
-                f"row {position}: {this} timestamp in a stream whose first timestamp is {first}",
-            )
+    for position, values in _rows(handle, fmt):
+        try:
+            event = _event(*values)
+            # naive and offset timestamps do not compare, so a stream must keep to one kind
+            is_naive = event.timestamp.utcoffset() is None
+            if naive is None:
+                naive = is_naive
+            elif is_naive is not naive:
+                kinds = ("offset", "naive")
+                raise StreamFormatError("MIXED_TIMEZONES", f"{kinds[is_naive]} timestamp in a "
+                                        f"stream whose first timestamp is {kinds[naive]}")
+        except StreamFormatError as exc:
+            raise StreamFormatError(exc.code, f"row {position}: {exc.message}") from None
         yield event
 
 
@@ -210,15 +221,17 @@ def replay(events, sink, speedup: float = math.inf) -> ReplayReport:
     the whole schedule. Infinite speedup delivers as fast as possible.
 
     Events are drawn from the iterable one at a time, so a generator is
-    read only as fast as the sink consumes it.
+    read only as fast as the sink consumes it. A sink failure is raised as
+    a ReplayError; a failure of the iterable itself passes through as it is.
     """
     if speedup <= 0:
         raise ValueError("speedup must be positive")
-    report = ReplayReport()
+    paced = math.isfinite(speedup)
     start_wall = time.monotonic()
     start_ts = None
-    for i, ev in enumerate(events):
-        if math.isfinite(speedup):
+    delivered = 0
+    for ev in events:
+        if paced:
             if start_ts is None:
                 start_ts = ev.timestamp
             target = start_wall + (ev.timestamp - start_ts).total_seconds() / speedup
@@ -228,8 +241,6 @@ def replay(events, sink, speedup: float = math.inf) -> ReplayReport:
         try:
             sink(ev)
         except Exception as exc:
-            report.wall_seconds = time.monotonic() - start_wall
-            raise ReplayError(i, exc) from exc
-        report.delivered += 1
-    report.wall_seconds = time.monotonic() - start_wall
-    return report
+            raise ReplayError(delivered, exc) from exc
+        delivered += 1
+    return ReplayReport(delivered, time.monotonic() - start_wall)

@@ -182,6 +182,17 @@ def test_correlate_rejects_naive_and_offset_timestamps_in_one_stream(runner, dat
     assert result.stderr.startswith("error: MIXED_TIMEZONES: row 3")
 
 
+def test_correlate_rejects_a_json_line_that_is_not_an_object(runner, data_dir, tmp_path):
+    stream = tmp_path / "stream.jsonl"
+    stream.write_text('{"timestamp": "2019-06-16 11:55:01", "activity": "A"}\n[1, 2]\n')
+    result = invoke(
+        runner, "correlate", *model_args(data_dir), "--format", "jsonl",
+        "--heuristics", str(data_dir / "heuristics.csv"), "--input", str(stream),
+    )
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: BAD_ROW: row 2")
+
+
 def test_correlate_rejects_out_of_range_threshold(runner, data_dir):
     result = invoke(runner, "correlate", *correlate_args(data_dir), "--threshold", "250")
     assert result.exit_code == 2

@@ -1,5 +1,7 @@
 """Invariant checks over generated inputs."""
 
+import csv
+import io
 import math
 import random
 from dataclasses import replace
@@ -13,6 +15,7 @@ from caseflow import (
     HeuristicTable,
     UncorrelatedEvent,
     build_task_dependencies,
+    read_events,
     strip_case_ids,
 )
 from caseflow.correlator import instance_probability
@@ -21,6 +24,7 @@ from caseflow.model import validate
 from caseflow.store import CaseStore, CorrelatedEventInstance
 from caseflow.streams import (
     _ceil_seconds,
+    events_to_csv,
     floor_to_second,
     format_timestamp,
     parse_timestamp,
@@ -129,6 +133,60 @@ def test_noise_rows_survive_only_the_zero_threshold(rows):
     noise_rows = [r for r in store.export_log(0.0).splitlines()[1:] if r.startswith(",")]
     assert len(noise_rows) == store.noise_count()
     assert not [r for r in store.export_log(0.5).splitlines()[1:] if r.startswith(",")]
+
+
+# text that CSV must quote: commas, quotes and line breaks, stripped and non-empty
+odd_text = st.text(alphabet=st.sampled_from('ab z,"\'\né'), min_size=1).map(str.strip).filter(bool)
+whole_seconds = st.datetimes(min_value=datetime(2000, 1, 1), max_value=datetime(2100, 1, 1)).map(
+    lambda ts: ts.replace(microsecond=0)
+)
+
+csv_events_strategy = st.lists(
+    st.tuples(
+        whole_seconds,
+        odd_text,
+        st.one_of(st.none(), st.sampled_from(["started", "completed"]), odd_text.map(str.lower)),
+        st.one_of(st.none(), odd_text),
+        st.one_of(st.none(), st.integers(0, 10**9), odd_text.filter(lambda s: not s.isdecimal())),
+    ),
+    max_size=12,
+).map(lambda rows: tuple(UncorrelatedEvent(*row) for row in sorted(rows, key=lambda r: r[0])))
+
+
+@given(csv_events_strategy)
+def test_events_read_back_from_their_csv(events):
+    assert read_events(io.StringIO(events_to_csv(events))) == events
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 5),                      # second
+            odd_text,                               # activity
+            st.one_of(st.none(), st.integers(1, 3)),  # case id; None is noise
+            st.floats(0, 100),                      # trust
+            st.one_of(st.none(), odd_text),         # lifecycle
+            st.one_of(st.none(), odd_text),         # resource
+        ),
+        max_size=20,
+    )
+)
+def test_export_reads_back_as_each_instance_s_fields(rows):
+    store = CaseStore(timedelta(minutes=1))
+    for _ in range(3):
+        store.new_case_id()
+    for second, activity, case_id, trust, lifecycle, resource in sorted(rows, key=lambda r: r[0]):
+        ts = datetime(2021, 3, 1, 9, 0) + timedelta(seconds=second)
+        noise_reason = "no-allocation" if case_id is None else None
+        store.add(CorrelatedEventInstance(ts, activity, case_id, None if noise_reason else trust,
+                                          lifecycle, resource, noise_reason=noise_reason))
+    ordered = sorted(store.instances(), key=lambda i: (i.timestamp, i.is_noise(), i.case_id or 0))
+    expected = [
+        ["" if i.case_id is None else str(i.case_id), format_timestamp(i.timestamp), i.activity,
+         "" if i.trust is None else f"{i.trust:.2f}", i.lifecycle or "", i.resource or ""]
+        for i in ordered
+    ]
+    assert list(csv.reader(io.StringIO(store.export_log(0.0))))[1:] == expected
 
 
 @given(

@@ -1,10 +1,11 @@
 """Store behavior: ordering, indexes, effects of add, log export."""
 
-from datetime import datetime, timedelta
+import io
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from caseflow.store import Allocation, CaseStore, CorrelatedEventInstance
+from caseflow.store import Allocation, CaseStore, CorrelatedEventInstance, ExportWriter
 
 
 # wider than any test's span, so nothing is forgotten unless a test asks
@@ -233,3 +234,33 @@ def test_export_log_threshold_filters_noise_and_low_trust():
 
 def test_export_log_empty_store_is_header_only():
     assert CaseStore(REACH).export_log() == "case_id,timestamp,activity,trust,lifecycle,resource\n"
+
+
+def test_export_writer_flush_writes_the_instants_that_are_over():
+    out = io.StringIO()
+    writer = ExportWriter(out)
+    header = "case_id,timestamp,activity,trust,lifecycle,resource\n"
+    writer.write([inst(1, "A", 2), inst(1, "A", 1, trust=50.0)])
+    writer.flush()
+    # the instant of second 1 may still get rows, so nothing is written yet
+    assert out.getvalue() == header
+    writer.write([noise_inst(2, "Z")])
+    writer.write([inst(2, "B", 1)])
+    writer.flush()
+    second_1 = "1,2021-03-01 09:00:01,A,50.00,,\n2,2021-03-01 09:00:01,A,100.00,,\n"
+    assert out.getvalue() == header + second_1
+    writer.close()
+    second_2 = "1,2021-03-01 09:00:02,B,100.00,,\n,2021-03-01 09:00:02,Z,,,\n"
+    assert out.getvalue() == header + second_1 + second_2
+
+
+def test_export_prints_an_equal_instant_at_each_row_s_own_offset():
+    store = CaseStore(REACH)
+    c1, c2 = store.new_case_id(), store.new_case_id()
+    at_plus_2 = datetime(2021, 3, 1, 11, 0, 1, tzinfo=timezone(timedelta(hours=2)))
+    store.add(CorrelatedEventInstance(at_plus_2, "A", c2, 100.0))
+    store.add(CorrelatedEventInstance(at_plus_2.astimezone(timezone.utc), "A", c1, 100.0))
+    assert export_rows(store)[1:] == [
+        "1,2021-03-01 09:00:01+00:00,A,100.00,,",
+        "2,2021-03-01 11:00:01+02:00,A,100.00,,",
+    ]

@@ -140,6 +140,53 @@ def test_read_events_jsonl_bad_line():
     assert err.value.code == "BAD_ROW"
 
 
+def test_read_events_jsonl_line_that_is_not_an_object_is_a_bad_row():
+    for line in ("[1, 2]", "null", '"2019-06-16 11:55:01,A"', "7"):
+        text = '{"timestamp": "2019-06-16 11:55:01", "activity": "A"}\n' + line + "\n"
+        with pytest.raises(StreamFormatError) as err:
+            read_events(io.StringIO(text), fmt="jsonl")
+        assert err.value.code == "BAD_ROW"
+        assert "row 2" in str(err.value)
+
+
+def test_read_events_csv_errors_name_the_line_of_the_file():
+    # a blank line and a quoted field over two lines come before line 6
+    text = (
+        "timestamp,activity,resource\n"
+        "2019-06-16 11:55:01,A,\n"
+        "\n"
+        '2019-06-16 11:55:02,B,"Noah\nvan Dijk"\n'
+        "2019-06-16 11:55:03,\n"
+    )
+    with pytest.raises(StreamFormatError) as err:
+        read_events(io.StringIO(text))
+    assert str(err.value) == "BAD_ROW: row 6: needs timestamp and activity"
+    with pytest.raises(StreamFormatError) as err:
+        read_events(io.StringIO(text.replace("2019-06-16 11:55:03,", "bad,C")))
+    assert str(err.value) == "BAD_TIMESTAMP: row 6: cannot parse timestamp 'bad'"
+    jsonl = '{"timestamp": "2019-06-16 11:55:01", "activity": "A"}\n\n{"timestamp": "bad", "activity": "A"}\n'
+    with pytest.raises(StreamFormatError) as err:
+        read_events(io.StringIO(jsonl), fmt="jsonl")
+    assert str(err.value) == "BAD_TIMESTAMP: row 3: cannot parse timestamp 'bad'"
+
+
+def test_read_events_csv_columns_read_as_a_dict_reader_reads_them():
+    text = (
+        "activity,timestamp,activity,case_id\n"
+        "X,2019-06-16 11:55:01,A,4,surplus\n"  # a repeated name reads its last column
+        "\n"
+        "X,2019-06-16 11:55:02,B\n"  # a short row's missing cells are None
+    )
+    events = read_events(io.StringIO(text))
+    assert events == (
+        UncorrelatedEvent(datetime(2019, 6, 16, 11, 55, 1), "A", case_id=4),
+        UncorrelatedEvent(datetime(2019, 6, 16, 11, 55, 2), "B"),
+    )
+    with pytest.raises(StreamFormatError) as err:
+        read_events(io.StringIO("activity,timestamp,activity\nA,2019-06-16 11:55:01\n"))
+    assert str(err.value) == "BAD_ROW: row 2: needs timestamp and activity"
+
+
 def test_read_events_rejects_naive_and_offset_timestamps_in_one_stream():
     mixed = "timestamp,activity\n2019-06-16 11:55:01,A\n2019-06-16T11:55:03+00:00,A\n"
     with pytest.raises(StreamFormatError) as err:
@@ -255,3 +302,20 @@ def test_replay_wraps_sink_failures_with_position():
         replay([ev(1, "A"), ev(2, "B")], sink)
     assert err.value.position == 1
     assert "boom" in str(err.value)
+
+
+def test_paced_replay_reports_sink_and_source_failures_as_the_fast_path_does():
+    def sink(event):
+        if event.activity == "B":
+            raise RuntimeError("boom")
+
+    with pytest.raises(ReplayError) as err:
+        replay([ev(1, "A"), ev(1, "B")], sink, speedup=1e6)
+    assert err.value.position == 1
+
+    def source():
+        yield ev(1, "A")
+        raise RuntimeError("source failed")
+
+    with pytest.raises(RuntimeError, match="source failed"):
+        replay(source(), lambda event: None, speedup=1e6)
