@@ -9,7 +9,6 @@ flags win over the file.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import re
@@ -103,8 +102,17 @@ _output_options = _options(
 )
 _heuristics_option = click.option("--heuristics", type=str, default=None,
                                   help="Duration windows CSV.")
+
+
+def _not_nan(ctx: click.Context, param: click.Parameter, value: float) -> float:
+    # FloatRange lets NaN through, as it compares false with the bound
+    if math.isnan(value):
+        raise click.BadParameter(f"{value} is not in the range x>0.")
+    return value
+
+
 _speedup_option = click.option("--speedup", type=click.FloatRange(min=0, min_open=True),
-                               default=math.inf,
+                               default=math.inf, callback=_not_nan,
                                help="Replay speed factor; inf is no pacing.")
 
 
@@ -197,6 +205,8 @@ def main():
 @_output_options
 def analyze(model, silent_labels, output):
     """Derive task dependencies and loop entries from a workflow model."""
+    import json  # here and in evaluate only, so that correlate does not load it
+
     td = _load_td(model, silent_labels)
     with _output_stream(output) as out:
         out.write(json.dumps(td.to_json_dict(), indent=2, sort_keys=True) + "\n")
@@ -274,6 +284,8 @@ def replay_command(input_path, stream_format, speedup, output):
 @_output_options
 def evaluate(model, silent_labels, heuristics, input_path, stream_format, threshold, output):
     """Strip a labeled log, re-correlate it, and score the result."""
+    import json
+
     td = _load_td(model, silent_labels)
     table = _load_table(heuristics)
     stream, truth_labels = strip_case_ids(_read_stream(input_path, stream_format))

@@ -30,7 +30,9 @@ false; then memory is bounded by the cases still open.
 
 ExportWriter renders instances as export CSV while they arrive, holding back
 only the rows of the current instant; export_log is that writer run over the
-kept instances.
+kept instances. It writes rows as plain text and leaves to csv.writer only
+the rows with a field that CSV may quote, so the bytes are csv.writer's; it
+formats a timestamp once per minute and UTC offset.
 """
 
 from __future__ import annotations
@@ -237,20 +239,33 @@ class ExportWriter:
     no trust, survive only a zero threshold. They are ordered by timestamp,
     noise after proper instances at the same instant, then by case id. Given
     instances in timestamp order, the writer needs to hold back only the
-    current instant's rows, which it sorts and formats once the instant is
-    over; formatted rows go out in batches, on flush() and on close().
+    current instant's rows, which it sorts once the instant is over; rows go
+    out in batches, on flush() and on close().
+
+    A batch is rendered as plain text, each row its six fields joined by
+    commas. A batch with a field that CSV may quote (one holding a comma, a
+    quote, a line break or a NUL) is rendered row by row instead, and each
+    such row goes through csv.writer, so the bytes are csv.writer's on every
+    Python version. A timestamp inside the minute of the last one formatted,
+    at the same UTC offset, reuses that minute's text.
     """
 
-    _BATCH = 500  # rows formatted before each write to the stream
+    _BATCH = 500  # rows held before each write to the stream
 
     def __init__(self, out, threshold: float = 0.0):
         self._out = out
-        self._writer = csv.writer(out, lineterminator="\n")
-        self._writer.writerow(["case_id", "timestamp", "activity", "trust", "lifecycle", "resource"])
+        self._csv = csv.writer(out, lineterminator="\n")
+        out.write("case_id,timestamp,activity,trust,lifecycle,resource\n")
         self._threshold = threshold
         self._instant: datetime | None = None
         self._held: list[CorrelatedEventInstance] = []
         self._rows: list[tuple] = []
+        # the last minute formatted: its UTC offset, the span from the instant
+        # that started it to the minute's end, and its text around the second;
+        # empty until the first instant
+        self._offset: timedelta | None = None
+        self._lo, self._hi = datetime.max, datetime.min
+        self._prefix = self._suffix = ""
 
     def write(self, instances) -> None:
         """Take instances in timestamp order, the instances of one event in
@@ -272,8 +287,7 @@ class ExportWriter:
     def flush(self) -> None:
         """Write the rows of every instant that is over, then flush the
         stream. The current instant's rows stay held."""
-        self._writer.writerows(self._rows)
-        self._rows.clear()
+        self._write_rows()
         self._out.flush()
 
     def close(self) -> None:
@@ -288,7 +302,19 @@ class ExportWriter:
             # a stable sort: equal keys keep their arrival order
             held.sort(key=_tie_order)
         instant = self._instant
-        text, offset = format_timestamp(instant), instant.utcoffset()
+        offset = instant.utcoffset()
+        # the offset first: naive and offset instants do not order
+        if offset == self._offset and self._lo <= instant <= self._hi:
+            text = self._prefix + _SECONDS[instant.second] + self._suffix
+        else:
+            text = format_timestamp(instant)
+            # the span from this instant to its minute's last second: two
+            # replace() calls to the minute's own bounds cost more than a
+            # format_timestamp() call
+            hi = instant + _TO_LAST_SECOND[instant.second]
+            if hi.utcoffset() == offset:  # a zone may change offset within a minute
+                self._lo, self._hi = instant, hi
+                self._offset, self._prefix, self._suffix = offset, text[:17], text[19:]
         rows = self._rows
         for ts, activity, case_id, trust, lifecycle, resource, _, _, _, _ in held:
             rows.append((
@@ -296,14 +322,41 @@ class ExportWriter:
                 # an equal instant prints alike unless written at another offset
                 text if ts.utcoffset() == offset else format_timestamp(ts),
                 activity,
-                "" if trust is None else f"{trust:.2f}",
+                # a lone allocation's trust is the common one
+                "" if trust is None else "100.00" if trust == 100.0 else f"{trust:.2f}",
                 lifecycle or "",
                 resource or "",
             ))
         held.clear()
         if len(rows) >= self._BATCH:
-            self._writer.writerows(rows)
-            rows.clear()
+            self._write_rows()
+
+    def _write_rows(self) -> None:
+        rows = self._rows
+        text = "".join(map(_ROW.__mod__, rows))
+        if _is_plain(text, len(rows)):
+            self._out.write(text)
+        else:
+            for row in rows:
+                line = _ROW % row
+                if _is_plain(line, 1):
+                    self._out.write(line)
+                else:
+                    self._csv.writerow(row)
+        rows.clear()
+
+
+_ROW = "%s,%s,%s,%s,%s,%s\n"
+_SECONDS = [f"{second:02d}" for second in range(60)]
+_TO_LAST_SECOND = [timedelta(seconds=59 - second) for second in range(60)]
+
+
+def _is_plain(text: str, rows: int) -> bool:
+    """Whether text, that many rows rendered by _ROW, is what csv.writer would
+    write: no field holds a comma, a line break or a quote, which it may quote,
+    nor a NUL, which it cannot write before Python 3.11."""
+    return (text.count(",") == 5 * rows and text.count("\n") == rows
+            and '"' not in text and "\r" not in text and "\0" not in text)
 
 
 def _tie_order(inst: CorrelatedEventInstance) -> tuple[bool, int]:

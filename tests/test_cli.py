@@ -339,6 +339,19 @@ def test_correlate_peak_memory_does_not_grow_with_the_log(data_dir, tmp_path, cl
     assert abs(peaks[1] - peaks[0]) <= 512, f"peak RSS {peaks[0]} then {peaks[1]} KiB"
 
 
+def test_importing_the_cli_does_not_load_json():
+    # only analyze, evaluate and the JSON-lines reader need json; if the
+    # interpreter loaded it already, there is nothing to see
+    program = ("import sys; loaded = 'json' in sys.modules; import caseflow.cli; "
+               "print(loaded or 'json' not in sys.modules)")
+    src = str(Path(caseflow.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", program], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n"
+
+
 def test_evaluate_recovers_a_well_separated_log(runner, data_dir, tmp_path):
     log = tmp_path / "labeled.csv"
     log.write_text(SELF_EVAL_LOG)
@@ -600,7 +613,7 @@ def test_replay_writes_each_row_before_the_next_pause(runner, data_dir, clinic_e
 
 
 @pytest.mark.parametrize("command", ["replay", "correlate"])
-@pytest.mark.parametrize("speedup", ["0", "-1"])
+@pytest.mark.parametrize("speedup", ["0", "-1", "nan"])
 def test_nonpositive_speedup_is_rejected_as_a_usage_error(runner, data_dir, tmp_path,
                                                           command, speedup):
     args = correlate_args(data_dir) if command == "correlate" else (

@@ -7,6 +7,7 @@ import random
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +22,7 @@ from caseflow import (
 from caseflow.correlator import instance_probability
 from caseflow.dependencies import non_cartesian_product
 from caseflow.model import validate
-from caseflow.store import CaseStore, CorrelatedEventInstance
+from caseflow.store import CaseStore, CorrelatedEventInstance, ExportWriter
 from caseflow.streams import (
     _ceil_seconds,
     events_to_csv,
@@ -187,6 +188,114 @@ def test_export_reads_back_as_each_instance_s_fields(rows):
         for i in ordered
     ]
     assert list(csv.reader(io.StringIO(store.export_log(0.0))))[1:] == expected
+
+
+def reference_export(out, instances, threshold):
+    """Write the export to out as csv.writer renders it, row by row: each
+    instant's kept rows, noise last, then by case id, with the instant's
+    text unless a row is at another offset."""
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["case_id", "timestamp", "activity", "trust", "lifecycle", "resource"])
+    groups = []
+    for inst in instances:
+        if groups and inst.timestamp == groups[-1][0]:
+            groups[-1][1].append(inst)
+        else:
+            groups.append((inst.timestamp, [inst]))
+    for instant, group in groups:
+        kept = [i for i in group if (threshold <= 0 if i.is_noise() else i.trust >= threshold)]
+        for i in sorted(kept, key=lambda i: (i.is_noise(), i.case_id or 0)):
+            at_instant = i.timestamp.utcoffset() == instant.utcoffset()
+            writer.writerow([
+                "" if i.case_id is None else i.case_id,
+                format_timestamp(instant if at_instant else i.timestamp),
+                i.activity,
+                "" if i.trust is None else f"{i.trust:.2f}",
+                i.lifecycle or "",
+                i.resource or "",
+            ])
+
+
+class SmallBatchWriter(ExportWriter):
+    _BATCH = 2  # so that a few rows make several batches, plain and quoted ones mixed
+
+
+# text fields: CSV quotes ',', '"' and '\n', and '\r' from Python 3.13 on
+export_text = st.text(alphabet=st.sampled_from('ab z,"\r\néß€'), min_size=1)
+export_offsets = [timezone.utc, timezone(timedelta(hours=5, minutes=30)),
+                  timezone(timedelta(hours=-3)), timezone(timedelta(seconds=-30))]
+export_starts = st.one_of(
+    # the last second of a minute, an hour, a day or a year, and any instant
+    st.sampled_from([datetime(2020, 12, 31, 23, 59, 58, 900_000), datetime(2021, 3, 1, 9, 59, 59),
+                     datetime(1999, 12, 31, 23, 58, 1)]),
+    st.datetimes(min_value=datetime(2000, 1, 1), max_value=datetime(2100, 1, 1)),
+)
+export_steps = st.lists(
+    st.tuples(
+        # microseconds after the last instance, mostly within a minute either
+        # way: the writer renders instances given out of order as they come
+        st.one_of(st.just(0), st.integers(-90_000_000, 90_000_000),
+                  st.integers(1, 3 * 86_400_000_000)),
+        st.sampled_from(export_offsets),            # offset, if the stream has offsets
+        st.one_of(st.none(), st.integers(1, 5)),    # case id; None is noise
+        st.one_of(st.just(100.0), st.floats(0, 100)),  # trust
+        st.one_of(st.sampled_from(["A", "Register patient"]), export_text),  # activity
+        st.one_of(st.none(), st.just("completed"), export_text),  # lifecycle
+        st.one_of(st.none(), st.just("nurse-3"), export_text),    # resource
+        st.booleans(),                               # flush after it
+    ),
+    max_size=25,
+)
+
+
+@settings(max_examples=300)
+@given(export_starts, st.booleans(), export_steps, st.sampled_from([0.0, 60.0]),
+       st.sampled_from([ExportWriter, SmallBatchWriter]))
+def test_export_writer_renders_rows_as_csv_writer_does(start, aware, steps, threshold, kind):
+    instant = start.replace(tzinfo=timezone.utc) if aware else start
+    instances, flushes = [], []
+    for micros, offset, case_id, trust, activity, lifecycle, resource, flush in steps:
+        instant += timedelta(microseconds=micros)
+        # an aware stream writes one instant at several offsets
+        ts = instant.astimezone(offset) if aware else instant
+        noise = "no-allocation" if case_id is None else None
+        instances.append(CorrelatedEventInstance(ts, activity, case_id, None if noise else trust,
+                                                 lifecycle, resource, noise_reason=noise))
+        flushes.append(flush)
+
+    out = io.StringIO()
+    writer = kind(out, threshold)
+    for inst, flush in zip(instances, flushes):
+        writer.write([inst])
+        if flush:
+            writer.flush()
+    writer.close()
+    expected = io.StringIO()
+    reference_export(expected, instances, threshold)
+    assert out.getvalue() == expected.getvalue()
+
+
+@pytest.mark.parametrize("kind", [ExportWriter, SmallBatchWriter])
+def test_export_writer_writes_a_nul_as_csv_writer_does(kind):
+    # csv.writer cannot write a NUL before Python 3.11: both then stop at its row
+    ts = datetime(2021, 3, 1, 9, 0)
+    instances = [CorrelatedEventInstance(ts + timedelta(seconds=i), activity, 1, 100.0)
+                 for i, activity in enumerate(["A", "B", "C\0D", "E"])]
+
+    def rendered(write):
+        out = io.StringIO()
+        try:
+            write(out)
+        except csv.Error as exc:
+            return out.getvalue(), str(exc)
+        return out.getvalue(), None
+
+    def export(out):
+        writer = kind(out)
+        writer.write(instances)
+        writer.close()
+
+    assert rendered(export) == rendered(lambda out: reference_export(out, instances, 0.0))
 
 
 @given(

@@ -1,7 +1,7 @@
 """Store behavior: ordering, indexes, effects of add, log export."""
 
 import io
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timedelta, timezone, tzinfo
 
 import pytest
 
@@ -263,4 +263,43 @@ def test_export_prints_an_equal_instant_at_each_row_s_own_offset():
     assert export_rows(store)[1:] == [
         "1,2021-03-01 09:00:01+00:00,A,100.00,,",
         "2,2021-03-01 11:00:01+02:00,A,100.00,,",
+    ]
+
+
+def test_export_formats_each_second_across_minute_ends():
+    stamps = [datetime(2021, 3, 1, 9, 0, 59, 500_000), datetime(2021, 3, 1, 9, 1, 0, 200_000),
+              datetime(2021, 3, 1, 9, 1, 59, 900_000), datetime(2021, 3, 1, 9, 2)]
+    out = io.StringIO()
+    writer = ExportWriter(out)
+    for ts in stamps:
+        writer.write([CorrelatedEventInstance(ts, "A", 1, 100.0)])
+    writer.close()
+    assert [row.split(",")[1] for row in out.getvalue().splitlines()[1:]] == [
+        "2021-03-01 09:00:59", "2021-03-01 09:01:00", "2021-03-01 09:01:59", "2021-03-01 09:02:00"]
+
+
+class HalfMinuteZone(tzinfo):
+    """UTC+2 in the first half of each minute and UTC+1 in the second."""
+
+    def utcoffset(self, dt):
+        return timedelta(hours=2 if dt.second < 30 else 1)
+
+    def dst(self, dt):
+        return None
+
+
+def test_export_formats_anew_where_a_zone_changes_offset_within_a_minute():
+    # the first instant's minute cannot be reused: the zone leaves UTC+2
+    # before the minute ends, and an instant at +02:00 an hour later lies
+    # before that minute's end in UTC
+    first = datetime(2021, 3, 1, 9, 0, 10, tzinfo=HalfMinuteZone())
+    later = datetime(2021, 3, 1, 10, 0, 20, tzinfo=timezone(timedelta(hours=2)))
+    out = io.StringIO()
+    writer = ExportWriter(out)
+    writer.write([CorrelatedEventInstance(first, "A", 1, 100.0)])
+    writer.write([CorrelatedEventInstance(later, "B", 1, 100.0)])
+    writer.close()
+    assert out.getvalue().splitlines()[1:] == [
+        "1,2021-03-01 09:00:10+02:00,A,100.00,,",
+        "1,2021-03-01 10:00:20+02:00,B,100.00,,",
     ]

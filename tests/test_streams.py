@@ -138,6 +138,7 @@ def test_read_events_jsonl_bad_line():
     with pytest.raises(StreamFormatError) as err:
         read_events(io.StringIO("{not json}\n"), fmt="jsonl")
     assert err.value.code == "BAD_ROW"
+    assert "row 1" in str(err.value)
 
 
 def test_read_events_jsonl_line_that_is_not_an_object_is_a_bad_row():
@@ -279,6 +280,13 @@ def test_replay_paces_by_stream_time_over_speedup():
 def test_replay_rejects_nonpositive_speedup():
     with pytest.raises(ValueError):
         replay([ev(1, "A")], lambda e: None, speedup=0)
+
+
+def test_replay_rejects_a_nan_speedup():
+    delivered = []
+    with pytest.raises(ValueError):
+        replay([ev(1, "A")], delivered.append, speedup=float("nan"))
+    assert delivered == []
 
 
 def test_replay_draws_events_only_as_the_sink_takes_them():
