@@ -31,7 +31,7 @@ false; then memory is bounded by the cases still open.
 ExportWriter renders instances as export CSV while they arrive, holding back
 only the rows of the current instant; export_log is that writer run over the
 kept instances. It writes rows as plain text and leaves to csv.writer only
-the rows with a field that CSV may quote, so the bytes are csv.writer's; it
+the batches with a field that CSV may quote, so the bytes are csv.writer's; it
 formats a timestamp once per minute and UTC offset.
 """
 
@@ -244,10 +244,10 @@ class ExportWriter:
 
     A batch is rendered as plain text, each row its six fields joined by
     commas. A batch with a field that CSV may quote (one holding a comma, a
-    quote, a line break or a NUL) is rendered row by row instead, and each
-    such row goes through csv.writer, so the bytes are csv.writer's on every
-    Python version. A timestamp inside the minute of the last one formatted,
-    at the same UTC offset, reuses that minute's text.
+    quote, a line break or a NUL) goes through csv.writer instead, so the
+    bytes are csv.writer's on every Python version. A timestamp inside the
+    minute of the last one formatted, at the same UTC offset, reuses that
+    minute's text.
     """
 
     _BATCH = 500  # rows held before each write to the stream
@@ -322,8 +322,7 @@ class ExportWriter:
                 # an equal instant prints alike unless written at another offset
                 text if ts.utcoffset() == offset else format_timestamp(ts),
                 activity,
-                # a lone allocation's trust is the common one
-                "" if trust is None else "100.00" if trust == 100.0 else f"{trust:.2f}",
+                "" if trust is None else f"{trust:.2f}",
                 lifecycle or "",
                 resource or "",
             ))
@@ -337,12 +336,7 @@ class ExportWriter:
         if _is_plain(text, len(rows)):
             self._out.write(text)
         else:
-            for row in rows:
-                line = _ROW % row
-                if _is_plain(line, 1):
-                    self._out.write(line)
-                else:
-                    self._csv.writerow(row)
+            self._csv.writerows(rows)
         rows.clear()
 
 
