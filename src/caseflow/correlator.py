@@ -13,7 +13,7 @@ from __future__ import annotations
 from datetime import timedelta
 
 from .store import Allocation, CaseStore, CorrelatedEventInstance
-from .streams import _ceil_seconds, floor_to_second
+from .streams import floor_to_second, whole_seconds_between
 
 KIND_AVG = "avg"
 KIND_RANGE = "range"
@@ -279,13 +279,15 @@ class Correlator:
         return out
 
     def _pairing_allocations(self, event, plan) -> set[Allocation]:
-        activity = event.activity
-        ts0 = floor_to_second(event.timestamp)
+        activity, ts = event.activity, event.timestamp
         mn, mx, avg, _, _ = plan
         out: set[Allocation] = set()
-        for case_id, starts in self.store.open_starts(activity).items():
+        for case_id, case in self.store.live_cases().items():
+            starts = case.open.get(activity)
+            if not starts:
+                continue
             started = starts[0]
-            duration = _ceil_seconds(ts0 - started)
+            duration = whole_seconds_between(started, ts)
             if mn <= duration <= mx:
                 out.add(_new(Allocation, (
                     case_id, frozenset(), started, duration, KIND_AVG if duration == avg else KIND_RANGE

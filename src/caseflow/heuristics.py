@@ -56,11 +56,6 @@ class HeuristicTable:
         mn, mx = self.window(activity)
         return (mn + mx + 1) // 2
 
-    def range_of(self, activity: str) -> frozenset[int]:
-        """Window values other than the average."""
-        mn, mx = self.window(activity)
-        return frozenset(range(mn, mx + 1)) - {self.avg(activity)}
-
 
 def load_heuristics(text: str) -> HeuristicTable:
     """Parse `activity,min,max` CSV. Empty input yields an empty table."""

@@ -3,12 +3,12 @@
 The store keeps the materialized instances, the per-case views, and the
 indexes the correlator queries while weighing candidate cases: a time index
 of recent occurrences per activity, read once per dependency member as
-occurrences_since, and per live case one record, read once per anchor
-through live_cases: the case's first occurrence of each activity (member
-checks) and, for each dependency alternative a fully trusted instance
-confirmed, the latest anchor that confirmed it (spend checks). Beside them
-wait the open started events awaiting their completion. Only this module
-knows the layout of the time index.
+occurrences_since, and per live case one record, read through live_cases:
+the case's first occurrence of each activity (member checks), for each
+dependency alternative a fully trusted instance confirmed, the latest anchor
+that confirmed it (spend checks), and the case's open started events
+awaiting their completion (pairing). Only this module knows the layout of
+the time index.
 
 add is the only writer, and it needs no mode. An instance at full trust
 spends the dependency alternatives of its allocations, each up to its
@@ -23,10 +23,11 @@ second an unfloored timestamp can lie past its floor. Nothing older than R
 before an event can reach it: such anchors lie before the search's lower
 edge, and such open started events are past every window. So each add trims
 its activity's index to R before the newest entry, and a case's first
-instance retires the cases last touched more than R before, with their open
-started events. Queries change nothing. The instances themselves are kept
-for instances(), case_view() and export_log() unless keep_instances is
-false; then memory is bounded by the cases still open.
+instance retires the cases last touched more than R before, open started
+events and all, by deleting their records. Queries change nothing. The
+instances themselves are kept for instances(), case_view() and export_log()
+unless keep_instances is false; then memory is bounded by the cases still
+open.
 
 ExportWriter renders instances as export CSV while they arrive, holding back
 only the rows of the current instant; export_log is that writer run over the
@@ -84,8 +85,9 @@ class CorrelatedEventInstance(NamedTuple):
 
 @dataclass(slots=True)
 class CaseRecord:
-    """The store's record of one live case: the search reads its first
-    occurrences and its spent alternatives."""
+    """The store's record of one live case: the dependency search reads its
+    first occurrences and its spent alternatives, the pairing search its
+    open starts."""
 
     last: datetime  # when the case last got an instance
     # activity -> the case's first occurrence of it
@@ -93,6 +95,9 @@ class CaseRecord:
     # (activity, dependency set) -> the latest anchor through which a fully
     # trusted instance of the activity confirmed the set
     spent: dict[tuple[str, frozenset[str]], datetime] = field(default_factory=dict)
+    # activity -> the times of the case's open started events of it, oldest
+    # first; an activity leaves when its queue drains
+    open: dict[str, list[datetime]] = field(default_factory=dict)
 
 
 class CaseStore:
@@ -108,19 +113,16 @@ class CaseStore:
     def __init__(self, reach: timedelta, *, keep_instances: bool = True):
         self._reach = reach
         self._keep = keep_instances
-        self._count = 0  # instances added, when they are not kept
+        self._count = 0  # instances added, kept or not
         self._noise_count = 0
         self._cases: dict[int, list[CorrelatedEventInstance]] = {}
         self._instances: list[CorrelatedEventInstance] = []
         self._live: dict[int, CaseRecord] = {}
         self._time_index: dict[str, list[tuple[datetime, int]]] = {}
-        # activity -> case id -> the times of its open started events, oldest
-        # first; a case leaves when its queue drains
-        self._open_starts: dict[str, dict[int, list[datetime]]] = {}
         self._next_case = 1
 
     def __len__(self) -> int:
-        return len(self._instances) if self._keep else self._count
+        return self._count
 
     def new_case_id(self) -> int:
         case_id = self._next_case
@@ -137,12 +139,11 @@ class CaseStore:
         an anchor or member; otherwise it closes its activity's oldest open
         start in its case, if any."""
         ts, activity, case_id, trust, lifecycle, _, allocations, _, noise_reason, _ = instance
+        self._count += 1
         if self._keep:
             self._instances.append(instance)
             if noise_reason is None:
                 self._cases[case_id].append(instance)
-        else:
-            self._count += 1
         if noise_reason is not None:
             self._noise_count += 1
             return
@@ -162,14 +163,13 @@ class CaseStore:
                     if until is None or until < anchor:
                         spent[key] = anchor
         if lifecycle == "started":
-            self._open_starts.setdefault(activity, {}).setdefault(case_id, []).append(ts)
+            case.open.setdefault(activity, []).append(ts)
             return
-        starts = self._open_starts.get(activity)
-        queue = starts and starts.get(case_id)
+        queue = case.open.get(activity)
         if queue:
             del queue[0]
             if not queue:
-                del starts[case_id]
+                del case.open[activity]
         case.first_seen.setdefault(activity, ts)
         entries = self._time_index.setdefault(activity, [])
         entries.append((ts, case_id))
@@ -179,11 +179,9 @@ class CaseStore:
             del entries[:bisect_left(entries, (edge,))]
 
     def _retire_cases_before(self, cutoff: datetime) -> None:
-        """Forget the per-case state of each case last touched before cutoff."""
+        """Forget the record of each case last touched before cutoff."""
         for case_id in [c for c, case in self._live.items() if case.last < cutoff]:
             del self._live[case_id]
-            for starts in self._open_starts.values():
-                starts.pop(case_id, None)
 
     def case_ids(self) -> list[int]:
         return sorted(self._cases)
@@ -210,17 +208,11 @@ class CaseStore:
 
     def live_cases(self) -> dict[int, CaseRecord]:
         """Case id -> the record of each case not yet retired. Every case of
-        an occurrence the search reads is live: the store retires a case only
-        once it was last touched more than the reach before. The stored map
-        itself, not a copy: callers only read it."""
+        an occurrence the search reads is live, and so is every case whose
+        open start a completion can still pair with: the store retires a case
+        only once it was last touched more than the reach before. The stored
+        map itself, not a copy: callers only read it."""
         return self._live
-
-    # started/completed pairing
-
-    def open_starts(self, activity: str) -> dict[int, list[datetime]]:
-        """Case id -> the times of its open started events of activity,
-        oldest first. The stored map itself, not a copy: callers only read it."""
-        return self._open_starts.get(activity, {})
 
     def export_log(self, threshold: float = 0.0) -> str:
         """Render stored instances at or above the trust threshold as CSV,

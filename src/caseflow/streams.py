@@ -12,7 +12,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, replace
-from datetime import datetime, timedelta
+from datetime import datetime
 from operator import itemgetter
 from pathlib import Path
 
@@ -71,15 +71,11 @@ def floor_to_second(ts: datetime) -> datetime:
     return ts if ts.microsecond == 0 else ts.replace(microsecond=0)
 
 
-def _ceil_seconds(delta: timedelta) -> int:
-    """A timedelta rounded up to whole seconds, in integer arithmetic."""
-    return delta.days * 86400 + delta.seconds + (delta.microseconds > 0)
-
-
 def whole_seconds_between(start: datetime, end: datetime) -> int:
     """Signed difference in whole seconds, both ends floored to the second:
     floor(end) - start rounded up, as floor(end) is whole."""
-    return _ceil_seconds(floor_to_second(end) - start)
+    delta = floor_to_second(end) - start
+    return delta.days * 86400 + delta.seconds + (delta.microseconds > 0)
 
 
 # the columns of an event row, in the order _event takes their values

@@ -93,7 +93,10 @@ def probability_fraction(m: int, kind: str, activity: str, table) -> Fraction:
         return Fraction(1)
     if kind == KIND_AVG:
         return Fraction(m + 1, m * m)
-    r = len(table.range_of(activity))
+    mn, mx = table.window(activity)
+    # the window's values besides the average, counted from the window
+    # itself rather than taken as the engine's mx - mn
+    r = len(set(range(mn, mx + 1)) - {table.avg(activity)})
     return Fraction(m * r - 1, r * m * m)
 
 

@@ -16,11 +16,15 @@ from caseflow.streams import UncorrelatedEvent
 BASE_TS = datetime(2021, 3, 1, 9, 0, 0)
 
 
-def simulate_case(net, table, rng, case_id, start_ts, max_firings=200, weights=None):
+def simulate_case(net, table, rng, case_id, start_ts, max_firings=200, weights=None,
+                  paired=False):
     """One run of the token game; returns this case's observable events.
 
     weights biases the choice between simultaneously enabled transitions by
     label (default 1 each), e.g. to make loop exits likelier than repeats.
+    A completions-only case emits one event per observable firing, at
+    ready + U[min, max]. A paired case emits a started event there and its
+    completion at start + U[min, max]; the completion releases the tokens.
     """
     weights = weights or {}
     marking = {p: [] for p in net.places}
@@ -45,18 +49,26 @@ def simulate_case(net, table, rng, case_id, start_ts, max_firings=200, weights=N
         else:
             mn, mx = table.window(t.label)
             done = ready + timedelta(seconds=rng.randint(mn, mx))
-            events.append(UncorrelatedEvent(timestamp=done, activity=t.label, case_id=case_id))
+            if paired:
+                events.append(UncorrelatedEvent(
+                    timestamp=done, activity=t.label, lifecycle="started", case_id=case_id))
+                done += timedelta(seconds=rng.randint(mn, mx))
+            events.append(UncorrelatedEvent(
+                timestamp=done, activity=t.label, lifecycle="completed" if paired else None,
+                case_id=case_id))
         for p in net.postset(t.tid):
             marking[p].append(done)
     return events
 
 
-def simulate_log(net, table, rng, n_cases, gap_range=(10, 30), start=BASE_TS, weights=None):
-    """Interleaved labeled log of n_cases staggered by random gaps."""
+def simulate_log(net, table, rng, n_cases, gap_range=(10, 30), start=BASE_TS, weights=None,
+                 paired=False):
+    """Interleaved labeled log of n_cases staggered by random gaps; paired
+    cases emit started/completed pairs, as simulate_case says."""
     events = []
     t = start
     for case_id in range(1, n_cases + 1):
-        events.extend(simulate_case(net, table, rng, case_id, t, weights=weights))
+        events.extend(simulate_case(net, table, rng, case_id, t, weights=weights, paired=paired))
         t += timedelta(seconds=rng.randint(*gap_range))
     events.sort(key=lambda e: e.timestamp)
     return tuple(events)

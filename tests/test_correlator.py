@@ -82,11 +82,11 @@ def test_start_activity_opens_fresh_cases(clinic_correlator, clinic_td, clinic_t
     (started,) = corr.ingest(ev(1, "A", "started"))
     assert (started.case_id, started.trust, started.raw_trust) == (1, 100.0, 100.0)
     assert started.allocations == ()
-    assert corr.store.open_starts("A") == {1: [started.timestamp]}
+    assert corr.store.live_cases()[1].open == {"A": [started.timestamp]}
     (completed,) = corr.ingest(ev(2, "A", "completed"))
     assert (completed.case_id, completed.trust) == (1, 100.0)
     assert [a.anchor for a in completed.allocations] == [started.timestamp]
-    assert corr.store.open_starts("A") == {}
+    assert corr.store.live_cases()[1].open == {}
 
 
 def test_shared_event_is_materialized_once_per_case(clinic_correlator):
@@ -398,39 +398,49 @@ def test_retirement_keeps_open_started_events_a_start_window_can_reach(start, op
     assert completed.allocations[0].duration == 10
 
 
-@pytest.mark.parametrize("n_cases", [300, 1200])
-def test_retired_cases_leave_the_store(clinic_net, clinic_table, clinic_td, n_cases):
+@pytest.mark.parametrize("n_cases, paired", [
+    pytest.param(300, False, id="300"),
+    pytest.param(1200, False, id="1200"),
+    pytest.param(300, True, id="paired-300"),
+    pytest.param(1200, True, id="paired-1200"),
+])
+def test_retired_cases_leave_the_store(clinic_net, clinic_table, clinic_td, n_cases, paired):
     log = simulate.simulate_log(
-        clinic_net, clinic_table, random.Random(4), n_cases, weights={"M": 3, "G": 3}
+        clinic_net, clinic_table, random.Random(4), n_cases, weights={"M": 3, "G": 3},
+        paired=paired,
     )
     stream = strip_case_ids(log)[0]
     corr = Correlator(clinic_td, clinic_table, keep_instances=False)
     store = corr.store
     # a case's first instance retires the cases last touched more than 12 s
-    # before (L's 11 s window and the second past a floor), so every case
-    # kept was touched within 12 s of the latest opening
+    # before (L's 11 s window and the second past a floor), open starts and
+    # all, so every case kept was touched within 12 s of the latest opening
     reach = timedelta(seconds=12)
     opened, peak = None, 0
     for event in stream:
         corr.ingest(event)
-        if event.activity == "A":  # the clinic net's one case-opening activity
+        # the clinic net's one case-opening activity; a completed A pairs
+        if event.activity == "A" and event.lifecycle != "completed":
             opened = event.timestamp
         live = store._live
         assert all(case.last >= opened - reach for case in live.values())
         peak = max(peak, len(live))
-    assert peak <= 10  # the same bound at every log size
+    # the same bound at every log size; a paired case takes about twice as
+    # long, so twice as many overlap
+    assert peak <= (20 if paired else 10)
     assert len(store) >= len(stream)
     assert store.instances() == [] and store.case_ids() == []
 
 
-def long_log(clinic_net, table, scale=1):
+def long_log(clinic_net, table, scale=1, paired=False):
     # the log spans some 50 times the widest window (11 s), so the index
     # retires occurrences all along; cases start 5-15 s apart and overlap, so
     # one case's short-window query (N after L) runs while another case still
-    # needs the same member for a wider window (M after L)
+    # needs the same member for a wider window (M after L). Paired, the store
+    # retires cases with their open starts all along too
     log = simulate.simulate_log(
         clinic_net, table, random.Random(2), 60,
-        gap_range=(5 * scale, 15 * scale), weights={"M": 3, "G": 3},
+        gap_range=(5 * scale, 15 * scale), weights={"M": 3, "G": 3}, paired=paired,
     )
     return strip_case_ids(log)[0]
 
@@ -442,10 +452,18 @@ def assert_allocations_match_brute_force(td, table, stream):
         corr.ingest(event)
 
 
-@pytest.mark.parametrize("scale", [1, 3600])
-def test_allocations_match_brute_force_over_a_long_log(clinic_net, clinic_table, clinic_td, scale):
+@pytest.mark.parametrize("scale, paired", [
+    pytest.param(1, False, id="1"),
+    pytest.param(3600, False, id="3600"),
+    pytest.param(1, True, id="paired-1"),
+    pytest.param(3600, True, id="paired-3600"),
+])
+def test_allocations_match_brute_force_over_a_long_log(
+    clinic_net, clinic_table, clinic_td, scale, paired
+):
     table = HeuristicTable({a: (mn * scale, mx * scale) for a, (mn, mx) in clinic_table.items()})
-    assert_allocations_match_brute_force(clinic_td, table, long_log(clinic_net, table, scale))
+    stream = long_log(clinic_net, table, scale, paired)
+    assert_allocations_match_brute_force(clinic_td, table, stream)
 
 
 def test_allocations_match_brute_force_with_subsecond_timestamps(clinic_net, clinic_table, clinic_td):

@@ -118,15 +118,16 @@ def test_open_started_queue_is_first_in_first_out():
     c1 = store.new_case_id()
     store.add(inst(1, "B", c1, lifecycle="started"))
     store.add(inst(2, "B", c1, lifecycle="started"))
-    assert store.open_starts("B") == {c1: [ts(1), ts(2)]}
+    case = store.live_cases()[c1]
+    assert case.open == {"B": [ts(1), ts(2)]}
     # a completion closes the oldest open start
     store.add(inst(3, "B", c1, lifecycle="completed"))
-    assert store.open_starts("B") == {c1: [ts(2)]}
+    assert case.open == {"B": [ts(2)]}
     store.add(inst(4, "B", c1, lifecycle="completed"))
-    assert store.open_starts("B") == {}
+    assert case.open == {}
     # with nothing open, a completion closes nothing
     store.add(inst(5, "B", c1, lifecycle="completed"))
-    assert store.open_starts("B") == {}
+    assert case.open == {}
 
 
 def test_drained_queues_leave_the_open_started_cases():
@@ -135,14 +136,25 @@ def test_drained_queues_leave_the_open_started_cases():
     store.add(inst(1, "B", c1, lifecycle="started"))
     store.add(inst(2, "B", c2, lifecycle="started"))
     store.add(inst(3, "C", c1, lifecycle="started"))
-    assert store.open_starts("B") == {c1: [ts(1)], c2: [ts(2)]}
+    one, two = store.live_cases()[c1], store.live_cases()[c2]
+    assert (one.open, two.open) == ({"B": [ts(1)], "C": [ts(3)]}, {"B": [ts(2)]})
+    # a drained queue leaves its case's record; other queues stay
     store.add(inst(4, "B", c1, lifecycle="completed"))
-    assert store.open_starts("B") == {c2: [ts(2)]}
-    assert store.open_starts("C") == {c1: [ts(3)]}
+    assert (one.open, two.open) == ({"C": [ts(3)]}, {"B": [ts(2)]})
     store.add(inst(5, "B", c2, lifecycle="completed"))
-    assert store.open_starts("B") == {}
+    assert two.open == {}
     store.add(inst(6, "B", c1, lifecycle="started"))
-    assert store.open_starts("B") == {c1: [ts(6)]}
+    assert one.open == {"C": [ts(3)], "B": [ts(6)]}
+
+
+def test_a_retired_case_takes_its_open_starts_along():
+    store = CaseStore(timedelta(seconds=2))
+    c1, c2 = store.new_case_id(), store.new_case_id()
+    store.add(inst(1, "B", c1, lifecycle="started"))
+    assert store.live_cases()[c1].open == {"B": [ts(1)]}
+    # c2's first instance, more than the reach after c1 was last touched
+    store.add(inst(4, "A", c2))
+    assert list(store.live_cases()) == [c2]
 
 
 def alloc(case_id, *members, anchor=0):

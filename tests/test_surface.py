@@ -1,11 +1,14 @@
-"""The package's public names: `__all__`, what `__init__` binds, the README."""
+"""The package's public names: `__all__`, what `__init__` binds, the README,
+and the methods of the store and the heuristic table."""
 
 import re
 import types
 from pathlib import Path
 
 import caseflow
+from caseflow import HeuristicTable
 from caseflow.cli import main
+from caseflow.store import CaseStore
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -39,3 +42,17 @@ def test_readme_cli_examples_use_only_real_flags():
         flags = {opt for param in command.params for opt in param.opts}
         unknown = [arg for arg in args if arg.startswith("--") and arg not in flags]
         assert not unknown, f"caseflow {name}: {unknown}"
+
+
+def public_names(cls) -> set[str]:
+    return {name for name in vars(cls) if not name.startswith("_")}
+
+
+def test_store_and_table_expose_only_their_reads():
+    # the searches read cases through occurrences_since and live_cases alone,
+    # and scoring reads a window's size from window, not a set of its values
+    assert public_names(CaseStore) == {
+        "new_case_id", "add", "case_ids", "case_view", "instances", "noise", "noise_count",
+        "occurrences_since", "live_cases", "export_log",
+    }
+    assert public_names(HeuristicTable) == {"activities", "items", "window", "avg"}
