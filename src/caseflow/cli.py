@@ -14,7 +14,7 @@ import os
 import re
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import click
@@ -46,6 +46,13 @@ def _fail(message: str):
     sys.exit(2)
 
 
+def _read_text(path: str, what: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        _fail(f"cannot read {what}: {exc}")
+
+
 # a config line up to its comment: '#' at the start of the line or after
 # whitespace starts one, but not inside a quoted span; a lone quote is text
 _UNCOMMENTED = re.compile(r"""(?:[^"'#]|"[^"]*"|'[^']*'|["']|(?<=\S)#)*""")
@@ -58,10 +65,7 @@ def _read_config(ctx: click.Context, param: click.Parameter, path: str | None) -
     comment, unless it is quoted."""
     if path is None:
         return
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        _fail(f"cannot read config: {exc}")
+    text = _read_text(path, "config")
     names = {opt.opts[0].lstrip("-").replace("-", "_"): opt.name for opt in ctx.command.params}
     cfg: dict[str, str] = {}
     for i, raw in enumerate(text.splitlines(), start=1):
@@ -120,41 +124,27 @@ def _load_td(model, silent_labels):
     """Parse and validate the model, then derive its task dependencies."""
     if model is None:
         _fail("a model file is required (--model or config)")
-    try:
-        text = Path(model).read_text(encoding="utf-8")
-    except OSError as exc:
-        _fail(f"cannot read model: {exc}")
+    text = _read_text(model, "model")
     if silent_labels is None:
         labels = DEFAULT_SILENT_LABELS
     else:
         labels = frozenset(x.strip() for x in silent_labels.split(",") if x.strip())
     pnml = model.endswith(".pnml") or text.lstrip().startswith("<")
     parse = parse_pnml if pnml else parse_simple_net
-    try:
-        net = parse(text, silent_labels=labels)
-    except NetError as exc:
-        _fail(str(exc))
+    net = parse(text, silent_labels=labels)
     diagnostics = validate(net)
     if not diagnostics.ok():
         for error in diagnostics.errors:
             where = f" ({error.node})" if error.node else ""
             click.echo(f"error: {error.code}: {error.message}{where}", err=True)
         sys.exit(2)
-    try:
-        return build_task_dependencies(net)
-    except DependencyError as exc:
-        _fail(str(exc))
+    return build_task_dependencies(net)
 
 
 def _load_table(path):
     if path is None:
         _fail("a heuristics file is required (--heuristics or config)")
-    try:
-        return load_heuristics(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        _fail(f"cannot read heuristics: {exc}")
-    except HeuristicError as exc:
-        _fail(str(exc))
+    return load_heuristics(_read_text(path, "heuristics"))
 
 
 def _open_input(path):
@@ -168,10 +158,7 @@ def _open_input(path):
 
 def _read_stream(path, fmt):
     with _open_input(path) as handle:
-        try:
-            return read_events(handle, fmt=fmt)
-        except StreamFormatError as exc:
-            _fail(str(exc))
+        return read_events(handle, fmt=fmt)
 
 
 @contextmanager
@@ -195,7 +182,18 @@ def _output_stream(output: str | None):
         temporary.unlink(missing_ok=True)
 
 
-@click.group(context_settings={"show_default": True})
+class _Main(click.Group):
+    """Reports a package error from any subcommand as `error: CODE: message`, exit 2."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (NetError, DependencyError, HeuristicError, StreamFormatError, CorrelationError,
+                ReplayError) as exc:
+            _fail(str(exc))
+
+
+@click.group(cls=_Main, context_settings={"show_default": True})
 def main():
     """Correlate unlabeled event streams to cases using a workflow model."""
 
@@ -232,10 +230,7 @@ def correlate(model, silent_labels, heuristics, input_path, stream_format, thres
     td = _load_td(model, silent_labels)
     table = _load_table(heuristics)
     with _open_input(input_path) as source:
-        try:
-            correlator = Correlator(td, table, keep_instances=False)
-        except CorrelationError as exc:
-            _fail(str(exc))
+        correlator = Correlator(td, table, keep_instances=False)
         with _output_stream(output) as out:
             writer = ExportWriter(out, threshold)
             paced = math.isfinite(speedup)
@@ -247,8 +242,10 @@ def correlate(model, silent_labels, heuristics, input_path, stream_format, thres
 
             try:
                 replay(iter_events(source, stream_format), correlate_one, speedup=speedup)
-            except (StreamFormatError, ReplayError) as exc:
-                _fail(str(exc))
+            except (StreamFormatError, ReplayError):  # the rows resolved so far go out first
+                with suppress(OSError):  # a failing stdout must not mask the error
+                    writer.flush()
+                raise
             writer.close()
     click.echo(f"noise events: {correlator.store.noise_count()}", err=True)
 
@@ -268,10 +265,7 @@ def replay_command(input_path, stream_format, speedup, output):
             if math.isfinite(speedup):
                 out.flush()
 
-        try:
-            report = replay(events, echo, speedup=speedup)
-        except ReplayError as exc:
-            _fail(str(exc))
+        report = replay(events, echo, speedup=speedup)
     click.echo(f"delivered {report.delivered} events in {report.wall_seconds:.3f}s", err=True)
 
 
@@ -297,12 +291,9 @@ def evaluate(model, silent_labels, heuristics, input_path, stream_format, thresh
         correlator.ingest(event)
         latencies.append(time.perf_counter() - before)
 
-    try:
-        correlator = Correlator(td, table)
-        replay(stream, timed_ingest)
-        counts = score(correlator.store.instances(), truth_labels, mode=mode, threshold=threshold)
-    except (CorrelationError, ReplayError, ValueError) as exc:
-        _fail(str(exc))
+    correlator = Correlator(td, table)
+    replay(stream, timed_ingest)
+    counts = score(correlator.store.instances(), truth_labels, mode=mode, threshold=threshold)
     payload = build_report(counts, latencies)
     with _output_stream(output) as out:
         out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -316,10 +307,7 @@ def extract_heuristics_command(input_path, stream_format, model, silent_labels, 
     """Measure per-activity duration windows from a labeled log."""
     events = _read_stream(input_path, stream_format)
     td = None if model is None else _load_td(model, silent_labels)
-    try:
-        table = extract_heuristics(events, td=td)
-    except HeuristicError as exc:
-        _fail(str(exc))
+    table = extract_heuristics(events, td=td)
     with _output_stream(output) as out:
         out.write(save_heuristics(table))
 

@@ -66,15 +66,15 @@ def load_heuristics(text: str) -> HeuristicTable:
     if missing:
         raise HeuristicError("MISSING_COLUMN", f"missing column(s) {sorted(missing)}")
     entries: dict[str, tuple[int, int]] = {}
-    for i, row in enumerate(reader):
+    for row in reader:
         activity = (row.get("activity") or "").strip()
         try:
             mn = int((row.get("min") or "").strip())
             mx = int((row.get("max") or "").strip())
         except ValueError:
-            raise HeuristicError("MALFORMED_ROW", f"row {i + 2}: min/max must be integers") from None
+            raise HeuristicError("MALFORMED_ROW", f"row {reader.line_num}: min/max must be integers") from None
         if not activity:
-            raise HeuristicError("MALFORMED_ROW", f"row {i + 2}: empty activity")
+            raise HeuristicError("MALFORMED_ROW", f"row {reader.line_num}: empty activity")
         if activity in entries:
             raise HeuristicError("DUPLICATE_ACTIVITY", f"{activity} appears twice")
         entries[activity] = (mn, mx)
@@ -98,8 +98,8 @@ def extract_heuristics(events, td=None) -> HeuristicTable:
     completed minus started, matched first-in-first-out per case. A
     completions-only log needs the task dependencies instead: each occurrence
     is timed from the latest moment its dependencies were satisfied in that
-    case. Durations that are not positive are dropped with a warning, as are
-    events without a case id.
+    case. Durations that are not positive are dropped with a warning; events
+    without a case id are skipped silently.
     """
     events = sorted(events, key=lambda e: e.timestamp)
     if not events:

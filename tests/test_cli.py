@@ -277,6 +277,113 @@ def test_correlate_rejects_a_disordered_stream_and_keeps_the_output(runner, tmp_
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", "out.csv", "toy.csv", "toy.net"]
 
 
+@pytest.mark.parametrize("broken_pipe", [False, True])
+def test_correlate_writes_the_resolved_rows_before_a_mid_stream_error(
+    runner, data_dir, tmp_path, clinic_td, clinic_table, clinic_events, monkeypatch, broken_pipe
+):
+    # event 12 goes back in time; event 11's instant is not over, the ten before are
+    lines = (data_dir / "stream.csv").read_text().splitlines(keepends=True)
+    lines[12] = "2019-6-16 11:55:00,E\n"
+    (tmp_path / "in.csv").write_text("".join(lines))
+    corr = Correlator(clinic_td, clinic_table)
+    for event in clinic_events[:10]:
+        corr.ingest(event)
+    expected = corr.store.export_log(0.0)
+    if broken_pipe:  # a stdout that fails takes the rows, but not the error's place
+        def broken(self):
+            raise BrokenPipeError(32, "Broken pipe")
+        monkeypatch.setattr("caseflow.cli.ExportWriter.flush", broken)
+        expected = expected.splitlines(keepends=True)[0]
+    result = invoke(runner, "correlate", *model_args(data_dir),
+                    "--heuristics", str(data_dir / "heuristics.csv"),
+                    "--input", str(tmp_path / "in.csv"))
+    assert result.exit_code == 2
+    assert result.stderr == ("error: sink failed at event 11: OUT_OF_ORDER: "
+                             "2019-06-16 11:55:00 arrived after 2019-06-16 11:55:11\n")
+    assert result.stdout == expected
+
+
+BAD_TIMESTAMP = "error: BAD_TIMESTAMP: row 2: cannot parse timestamp 'noon'\n"
+
+# name: (files written beside the toy model and windows, arguments, exact
+# standard error); {tmp} stands for the directory that holds the files
+ERROR_EXITS = {
+    "unreadable-model": (
+        {}, "analyze --model {tmp}/no.net",
+        "error: cannot read model: [Errno 2] No such file or directory: '{tmp}/no.net'\n",
+    ),
+    "net-error": ({"bad.net": "place p0\nfrobnicate p0\n"}, "analyze --model {tmp}/bad.net",
+                  "error: UNKNOWN_DIRECTIVE: line 2: unknown directive 'frobnicate'\n"),
+    "invalid-net": (
+        {"bad.net": TWO_SOURCE_NET + "transition tc A\narc p1 tc\narc tc p2\n"},
+        "analyze --model {tmp}/bad.net",
+        "error: UNIQUE_SOURCE: expected one source place, found 2: ['extra', 'p0']\n"
+        "error: DUPLICATE_LABEL: label 'A' also used by transition 'ta' (tc)\n",
+    ),
+    "dependency-error": (
+        {"bad.net": "place p0\nplace p1\nplace p2\ntransition ta A\ntransition tb B\n"
+                    "arc p0 ta\narc ta p1\narc p0 tb\narc p1 tb\narc tb p2\n"},
+        "analyze --model {tmp}/bad.net",
+        "error: EMPTY_PRODUCER: a synchronizing place has no producer\n",
+    ),
+    "missing-heuristics": ({"in.csv": "timestamp,activity\n"},
+                           "correlate --model {tmp}/toy.net --input {tmp}/in.csv",
+                           "error: a heuristics file is required (--heuristics or config)\n"),
+    "unreadable-heuristics": (
+        {"in.csv": "timestamp,activity\n"},
+        "correlate --model {tmp}/toy.net --heuristics {tmp}/no.csv --input {tmp}/in.csv",
+        "error: cannot read heuristics: [Errno 2] No such file or directory: '{tmp}/no.csv'\n",
+    ),
+    "min-gt-max": ({"bad.csv": "activity,min,max\nA,1,1\nB,3,1\n", "in.csv": "timestamp,activity\n"},
+                   "correlate --model {tmp}/toy.net --heuristics {tmp}/bad.csv --input {tmp}/in.csv",
+                   "error: MIN_GT_MAX: B: min 3 exceeds max 1\n"),
+    "missing-input": ({}, "correlate --model {tmp}/toy.net --heuristics {tmp}/toy.csv",
+                      "error: an input stream is required (--input or config)\n"),
+    "correlate-missing-heuristic": (
+        {"sparse.csv": "activity,min,max\nA,1,1\n", "in.csv": "timestamp,activity\n"},
+        "correlate --model {tmp}/toy.net --heuristics {tmp}/sparse.csv --input {tmp}/in.csv",
+        "error: MISSING_HEURISTIC: no duration window for: B\n",
+    ),
+    "evaluate-missing-heuristic": (
+        {"sparse.csv": "activity,min,max\nA,1,1\n", "in.csv": SELF_EVAL_LOG},
+        "evaluate --model {tmp}/toy.net --heuristics {tmp}/sparse.csv --input {tmp}/in.csv",
+        "error: MISSING_HEURISTIC: no duration window for: B\n",
+    ),
+    "replay-bad-timestamp": ({"in.csv": "timestamp,activity\nnoon,A\n"},
+                             "replay --input {tmp}/in.csv", BAD_TIMESTAMP),
+    "evaluate-bad-timestamp": (
+        {"in.csv": "timestamp,activity,case_id\nnoon,A,1\n"},
+        "evaluate --model {tmp}/toy.net --heuristics {tmp}/toy.csv --input {tmp}/in.csv",
+        BAD_TIMESTAMP,
+    ),
+    "extract-bad-timestamp": ({"in.csv": "timestamp,activity,case_id\nnoon,A,1\n"},
+                              "extract-heuristics --input {tmp}/in.csv", BAD_TIMESTAMP),
+    "evaluate-mixed-lifecycle": (
+        {"in.csv": "timestamp,activity,lifecycle,case_id\n"
+                   "2021-03-01 09:00:00,A,completed,1\n2021-03-01 09:00:01,B,started,1\n"},
+        "evaluate --model {tmp}/toy.net --heuristics {tmp}/toy.csv --input {tmp}/in.csv",
+        "error: sink failed at event 1: MIXED_LIFECYCLE: stream opened without lifecycle pairing;"
+        " started events not allowed\n",
+    ),
+    "extract-missing-td": (
+        {"in.csv": SELF_EVAL_LOG}, "extract-heuristics --input {tmp}/in.csv",
+        "error: MISSING_TD: a completions-only stream needs task dependencies to measure durations\n",
+    ),
+    "unreadable-config": (
+        {}, "analyze --config {tmp}/no.cfg",
+        "error: cannot read config: [Errno 2] No such file or directory: '{tmp}/no.cfg'\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("files, args, stderr", ERROR_EXITS.values(), ids=ERROR_EXITS)
+def test_error_exits_print_their_exact_message(runner, tmp_path, files, args, stderr):
+    for name, text in {"toy.net": TOY_NET, "toy.csv": TOY_WINDOWS, **files}.items():
+        (tmp_path / name).write_text(text)
+    result = invoke(runner, *[arg.format(tmp=tmp_path) for arg in args.split()])
+    assert (result.exit_code, result.stderr) == (2, stderr.format(tmp=tmp_path))
+
+
 def test_correlate_exports_offset_timestamps_with_their_offsets(runner, tmp_path):
     offsets = (
         "timestamp,activity\n"

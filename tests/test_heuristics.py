@@ -75,8 +75,11 @@ def test_load_rejects_bad_csv(text, code):
 
 
 def test_malformed_row_reports_its_position():
-    with pytest.raises(HeuristicError, match="row 3"):
+    with pytest.raises(HeuristicError, match="row 3:"):
         load_heuristics("activity,min,max\nA,1,3\nB,oops,4\n")
+    # the line of the file, counting a blank one
+    with pytest.raises(HeuristicError, match="row 4:"):
+        load_heuristics("activity,min,max\nA,1,5\n\nB,x,5\n")
 
 
 def test_save_load_round_trip(clinic_table):
