@@ -49,7 +49,7 @@ def _fail(message: str):
 def _read_text(path: str, what: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         _fail(f"cannot read {what}: {exc}")
 
 

@@ -35,30 +35,19 @@ class CorrelationError(Exception):
         self.code = code
 
 
-def instance_probability(m: int, kind: str, activity: str, table) -> float:
-    """Probability that one allocation out of m is the true assignment.
+def kind_probabilities(m: int, mn: int, mx: int) -> dict[str, float]:
+    """Probability that one of m > 1 competing allocations is the true
+    assignment, by kind, for an activity whose window is mn..mx.
 
-    A lone allocation is certain. With competition, a duration equal to the
-    activity's average is favored: it gets the whole average share plus an
-    equal split of the residue, while each remaining window value shares its
-    own slice among the competitors.
+    A duration equal to the activity's average is favored: it gets the whole
+    average share plus an equal split of the residue, while each remaining
+    window value shares its own slice among the competitors. A zero-size
+    window has no range kind, as every duration in it is the average.
     """
-    if m < 1:
-        raise ValueError(f"m must be at least 1, got {m}")
-    if m == 1:
-        return 1.0
-    if kind == KIND_AVG:
-        return (m + 1) / (m * m)
-    if kind == KIND_RANGE:
-        mn, mx = table.window(activity)
-        size = mx - mn  # the window's values besides the average, which lies in it
-        if size == 0:
-            raise CorrelationError(
-                "DEGENERATE_RANGE",
-                f"{activity}: window has no values besides the average",
-            )
-        return (m - 1 / size) / (m * m)
-    raise ValueError(f"unknown allocation kind {kind!r}")
+    probability = {KIND_AVG: (m + 1) / (m * m)}
+    if mx > mn:  # mx - mn values besides the average, which lies in the window
+        probability[KIND_RANGE] = (m - 1 / (mx - mn)) / (m * m)
+    return probability
 
 
 class Correlator:
@@ -171,13 +160,7 @@ class Correlator:
             store.add(inst)
             return [inst]
 
-        # instance_probability of each kind, in its own expressions; a
-        # zero-size window has no range allocation, as every duration in it
-        # is the average
-        mn, mx = plan[0], plan[1]
-        probability = {KIND_AVG: (m + 1) / (m * m)}
-        if mx > mn:
-            probability[KIND_RANGE] = (m - 1 / (mx - mn)) / (m * m)
+        probability = kind_probabilities(m, plan[0], plan[1])
         by_case: dict[int, list[Allocation]] = {}
         for alloc in allocations:
             by_case.setdefault(alloc[0], []).append(alloc)
@@ -203,9 +186,10 @@ class Correlator:
     def candidate_allocations(self, event) -> set[Allocation]:
         """Every allocation the event would produce against the current store.
 
-        Pure query: the store is not changed. Events of activities without
-        dependencies open fresh cases instead of allocating, so they yield
-        nothing here.
+        Pure query: the store is not changed. An event of an activity without
+        dependencies opens a fresh case instead of allocating, so it yields
+        nothing here, unless it is a completion in a paired stream: that
+        pairs with its case's open start like any other completion.
         """
         plan = self._plan.get(event.activity)
         if plan is None:

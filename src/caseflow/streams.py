@@ -11,6 +11,7 @@ import io
 import math
 import time
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from datetime import datetime
 from operator import itemgetter
@@ -147,22 +148,31 @@ def _rows(handle, fmt: str):
 def iter_events(handle, fmt: str = "csv"):
     """Yield the events of an open text stream one row at a time, in file
     order, reading no further ahead than the row being yielded. An error in
-    a row names its line."""
+    a row names its line; bytes the stream cannot decode are a BAD_ENCODING."""
     naive = None
-    for position, values in _rows(handle, fmt):
-        try:
-            event = _event(*values)
-            # naive and offset timestamps do not compare, so a stream must keep to one kind
-            is_naive = event.timestamp.utcoffset() is None
-            if naive is None:
-                naive = is_naive
-            elif is_naive is not naive:
-                kinds = ("offset", "naive")
-                raise StreamFormatError("MIXED_TIMEZONES", f"{kinds[is_naive]} timestamp in a "
-                                        f"stream whose first timestamp is {kinds[naive]}")
-        except StreamFormatError as exc:
-            raise StreamFormatError(exc.code, f"row {position}: {exc.message}") from None
-        yield event
+    try:
+        for position, values in _rows(handle, fmt):
+            try:
+                event = _event(*values)
+                # naive and offset timestamps do not compare, so a stream must keep to one kind
+                is_naive = event.timestamp.utcoffset() is None
+                if naive is None:
+                    naive = is_naive
+                elif is_naive is not naive:
+                    kinds = ("offset", "naive")
+                    raise StreamFormatError("MIXED_TIMEZONES", f"{kinds[is_naive]} timestamp in a "
+                                            f"stream whose first timestamp is {kinds[naive]}")
+            except StreamFormatError as exc:
+                raise StreamFormatError(exc.code, f"row {position}: {exc.message}") from None
+            yield event
+    except UnicodeDecodeError as exc:
+        # exc.start counts from the start of the chunk the text layer was
+        # decoding, which ends where its binary buffer now stands
+        where = ""
+        with suppress(AttributeError, OSError):  # no buffer, or one that cannot tell
+            where = f" at offset {handle.buffer.tell() - len(exc.object) + exc.start}"
+        raise StreamFormatError("BAD_ENCODING", f"byte {exc.object[exc.start]:#04x}{where} is "
+                                                f"not valid {exc.encoding} ({exc.reason})") from None
 
 
 def read_events(source, fmt: str = "csv") -> tuple[UncorrelatedEvent, ...]:

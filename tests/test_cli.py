@@ -305,8 +305,9 @@ def test_correlate_writes_the_resolved_rows_before_a_mid_stream_error(
 
 BAD_TIMESTAMP = "error: BAD_TIMESTAMP: row 2: cannot parse timestamp 'noon'\n"
 
-# name: (files written beside the toy model and windows, arguments, exact
-# standard error); {tmp} stands for the directory that holds the files
+# name: (files written beside the toy model and windows, as text or as raw
+# bytes, arguments, exact standard error); {tmp} stands for the directory that
+# holds the files
 ERROR_EXITS = {
     "unreadable-model": (
         {}, "analyze --model {tmp}/no.net",
@@ -373,13 +374,29 @@ ERROR_EXITS = {
         {}, "analyze --config {tmp}/no.cfg",
         "error: cannot read config: [Errno 2] No such file or directory: '{tmp}/no.cfg'\n",
     ),
+    "undecodable-model": (
+        {"bad.net": b"place p0\n\xff"}, "analyze --model {tmp}/bad.net",
+        "error: cannot read model: 'utf-8' codec can't decode byte 0xff in position 9: "
+        "invalid start byte\n",
+    ),
+    "undecodable-heuristics": (
+        {"bad.csv": b"activity,min,max\nA,1,\xff", "in.csv": "timestamp,activity\n"},
+        "correlate --model {tmp}/toy.net --heuristics {tmp}/bad.csv --input {tmp}/in.csv",
+        "error: cannot read heuristics: 'utf-8' codec can't decode byte 0xff in position 21: "
+        "invalid start byte\n",
+    ),
+    "undecodable-input": (
+        {"in.csv": b"timestamp,activity\n2021-03-01 09:00:00,A\n\xff\n"},
+        "correlate --model {tmp}/toy.net --heuristics {tmp}/toy.csv --input {tmp}/in.csv",
+        "error: BAD_ENCODING: byte 0xff at offset 41 is not valid utf-8 (invalid start byte)\n",
+    ),
 }
 
 
 @pytest.mark.parametrize("files, args, stderr", ERROR_EXITS.values(), ids=ERROR_EXITS)
 def test_error_exits_print_their_exact_message(runner, tmp_path, files, args, stderr):
     for name, text in {"toy.net": TOY_NET, "toy.csv": TOY_WINDOWS, **files}.items():
-        (tmp_path / name).write_text(text)
+        (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
     result = invoke(runner, *[arg.format(tmp=tmp_path) for arg in args.split()])
     assert (result.exit_code, result.stderr) == (2, stderr.format(tmp=tmp_path))
 

@@ -16,7 +16,7 @@ from caseflow import (
     build_task_dependencies,
     strip_case_ids,
 )
-from caseflow.correlator import instance_probability
+from caseflow.correlator import kind_probabilities
 from caseflow.dependencies import TaskDependencies
 from caseflow.model import parse_simple_net
 
@@ -44,26 +44,17 @@ def test_missing_heuristics_are_rejected_up_front(clinic_td):
     assert "C" in str(err.value)
 
 
-def test_instance_probability_values(clinic_table):
-    assert instance_probability(1, "range", "B", clinic_table) == 1.0
-    assert instance_probability(2, "avg", "B", clinic_table) == pytest.approx(3 / 4)
+def test_kind_probabilities_values(clinic_table):
     # B has window 1..4, so three values besides the average
-    assert instance_probability(2, "range", "B", clinic_table) == pytest.approx(5 / 12)
+    b = kind_probabilities(2, *clinic_table.window("B"))
+    assert b == pytest.approx({"avg": 3 / 4, "range": 5 / 12})
     # E has window 1..7, six values besides the average
-    assert instance_probability(3, "range", "E", clinic_table) == pytest.approx(17 / 54)
-    assert instance_probability(3, "avg", "E", clinic_table) == pytest.approx(4 / 9)
-
-
-def test_instance_probability_rejects_bad_arguments(clinic_table):
-    with pytest.raises(ValueError):
-        instance_probability(0, "avg", "B", clinic_table)
-    with pytest.raises(ValueError):
-        instance_probability(2, "mode", "B", clinic_table)
-    with pytest.raises(CorrelationError) as err:
-        instance_probability(2, "range", "F", clinic_table)
-    assert err.value.code == "DEGENERATE_RANGE"
-    # a single allocation never consults the window
-    assert instance_probability(1, "range", "F", clinic_table) == 1.0
+    e = kind_probabilities(3, *clinic_table.window("E"))
+    assert e == pytest.approx({"avg": 4 / 9, "range": 17 / 54})
+    # F's window is one value, the average, so no allocation is of kind range
+    mn, mx = clinic_table.window("F")
+    assert mn == mx
+    assert kind_probabilities(2, mn, mx).keys() == {"avg"}
 
 
 def test_start_activity_opens_fresh_cases(clinic_correlator, clinic_td, clinic_table):
@@ -484,8 +475,9 @@ def test_allocations_match_brute_force_with_subsecond_timestamps(clinic_net, cli
 def test_raw_trust_is_exactly_the_sum_of_instance_probabilities(
     log, clinic_net, clinic_table, clinic_td, clinic_events
 ):
-    # ingest takes each kind's probability once per event; the floats must
-    # be those of instance_probability, summed in the allocations' order
+    # the paper's two expressions, written out here rather than taken from
+    # the engine; ingest must give these floats, summed in the allocations'
+    # order, and certainty for a lone allocation
     stream = clinic_events if log == "running example" else long_log(clinic_net, clinic_table)
     corr = Correlator(clinic_td, clinic_table)
     shared = 0
@@ -497,10 +489,14 @@ def test_raw_trust_is_exactly_the_sum_of_instance_probabilities(
                 # noise, or the allocation-free opening of a case
                 assert inst.raw_trust == (None if inst.is_noise() else 100.0)
                 continue
-            expected = 100.0 * sum(
-                instance_probability(m, a.kind, event.activity, clinic_table)
-                for a in inst.allocations
-            )
+            if m == 1:
+                expected = 100.0
+            else:
+                mn, mx = clinic_table.window(event.activity)
+                expected = 100.0 * sum(
+                    (m + 1) / (m * m) if a.kind == "avg" else (m - 1 / (mx - mn)) / (m * m)
+                    for a in inst.allocations
+                )
             assert inst.raw_trust == expected, (event, inst)
             assert inst.trust == min(100.0, expected)
             shared += m > len(inst.allocations) > 1

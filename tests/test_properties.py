@@ -19,7 +19,7 @@ from caseflow import (
     read_events,
     strip_case_ids,
 )
-from caseflow.correlator import instance_probability
+from caseflow.correlator import kind_probabilities
 from caseflow.dependencies import non_cartesian_product
 from caseflow.model import validate
 from caseflow.store import CaseStore, CorrelatedEventInstance, ExportWriter
@@ -75,19 +75,15 @@ def test_average_and_range_partition_the_window(window):
     assert len(set(range(mn, mx + 1)) - {avg}) == mx - mn
 
 
-@given(st.integers(1, 12), window_strategy)
-def test_instance_probability_is_a_probability(m, window):
+@given(st.integers(2, 12), window_strategy)
+def test_kind_probabilities_are_probabilities(m, window):
     mn, mx = window
-    table = HeuristicTable({"X": (mn, mx)})
-    p_avg = instance_probability(m, "avg", "X", table)
-    assert 0 < p_avg <= 1
-    if m == 1:
-        assert p_avg == 1.0
-    if mx > mn:  # range is empty otherwise
-        p_range = instance_probability(m, "range", "X", table)
-        assert 0 < p_range <= 1
-        if m > 1:
-            assert p_avg > p_range
+    probability = kind_probabilities(m, mn, mx)
+    # range is empty unless the window holds values besides the average
+    assert probability.keys() == ({"avg", "range"} if mx > mn else {"avg"})
+    assert 0 < probability["avg"] <= 1
+    if mx > mn:
+        assert 0 < probability["range"] < probability["avg"]
 
 
 instance_rows = st.lists(

@@ -171,6 +171,22 @@ def test_read_events_csv_errors_name_the_line_of_the_file():
     assert str(err.value) == "BAD_TIMESTAMP: row 3: cannot parse timestamp 'bad'"
 
 
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_read_events_reports_an_undecodable_byte_by_its_offset_in_the_file(tmp_path, fmt):
+    # past the first chunk the text layer decodes, so the decoder's own
+    # position would count from that chunk's start, not the file's
+    row = ('{"timestamp": "2019-06-16 11:55:01", "activity": "A"}\n' if fmt == "jsonl"
+           else "2019-06-16 11:55:01,A\n")
+    head = ("" if fmt == "jsonl" else "timestamp,activity\n") + row * 1000
+    path = tmp_path / "stream"
+    path.write_bytes(head.encode() + b"\xff\n")
+    with pytest.raises(StreamFormatError) as err:
+        read_events(path, fmt=fmt)
+    assert err.value.code == "BAD_ENCODING"
+    assert str(err.value) == (f"BAD_ENCODING: byte 0xff at offset {len(head)} is not valid utf-8 "
+                              "(invalid start byte)")
+
+
 def test_read_events_csv_columns_read_as_a_dict_reader_reads_them():
     text = (
         "activity,timestamp,activity,case_id\n"

@@ -1,12 +1,13 @@
 """The package's public names: `__all__`, what `__init__` binds, the README,
-and the methods of the store and the heuristic table."""
+the names the correlator module defines, and the methods of the store and
+the heuristic table."""
 
 import re
 import types
 from pathlib import Path
 
 import caseflow
-from caseflow import HeuristicTable
+from caseflow import HeuristicTable, correlator
 from caseflow.cli import main
 from caseflow.store import CaseStore
 
@@ -56,3 +57,18 @@ def test_store_and_table_expose_only_their_reads():
         "occurrences_since", "live_cases", "export_log",
     }
     assert public_names(HeuristicTable) == {"activities", "items", "window", "avg"}
+
+
+def test_correlator_defines_one_scoring_function():
+    # kind_probabilities is the one place the trust formula lives; the names
+    # the module imports carry their own module, its constants none
+    defined = {
+        name
+        for name, value in vars(correlator).items()
+        if not name.startswith("_")
+        and getattr(value, "__module__", correlator.__name__) == correlator.__name__
+    }
+    assert defined == {
+        "KIND_AVG", "KIND_RANGE", "MODE_PAIRED", "MODE_COMPLETED", "CorrelationError",
+        "Correlator", "kind_probabilities",
+    }
