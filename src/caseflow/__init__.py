@@ -5,12 +5,12 @@ case ids to events that arrive without one, scores how trustworthy each
 assignment is, and evaluates the result against labeled logs.
 
 The names below are the library surface; everything else imports from its
-submodule (`caseflow.model`, `caseflow.store`, ...).
+submodule (`caseflow.model`, `caseflow.store`, ...). The scoring names load
+`caseflow.evaluation` on first use, so `caseflow correlate` does not.
 """
 
 from .correlator import CorrelationError, Correlator
 from .dependencies import DependencyError, build_task_dependencies
-from .evaluation import f_score, latency_report, score
 from .heuristics import HeuristicError, HeuristicTable, load_heuristics
 from .model import NetError, parse_pnml
 from .streams import (
@@ -45,3 +45,11 @@ __all__ = [
     "strip_case_ids",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    if name in ("f_score", "latency_report", "score"):
+        from . import evaluation
+
+        return getattr(evaluation, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

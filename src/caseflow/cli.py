@@ -9,6 +9,7 @@ flags win over the file.
 
 from __future__ import annotations
 
+import gc
 import math
 import os
 import re
@@ -21,7 +22,6 @@ import click
 
 from .correlator import CorrelationError, Correlator
 from .dependencies import DependencyError, build_task_dependencies
-from .evaluation import build_report, score
 from .heuristics import (
     HeuristicError,
     extract_heuristics,
@@ -203,7 +203,7 @@ def main():
 @_output_options
 def analyze(model, silent_labels, output):
     """Derive task dependencies and loop entries from a workflow model."""
-    import json  # here and in evaluate only, so that correlate does not load it
+    import json  # here and, with evaluation, in evaluate only, so correlate loads neither
 
     td = _load_td(model, silent_labels)
     with _output_stream(output) as out:
@@ -280,6 +280,8 @@ def evaluate(model, silent_labels, heuristics, input_path, stream_format, thresh
     """Strip a labeled log, re-correlate it, and score the result."""
     import json
 
+    from .evaluation import build_report, score
+
     td = _load_td(model, silent_labels)
     table = _load_table(heuristics)
     stream, truth_labels = strip_case_ids(_read_stream(input_path, stream_format))
@@ -312,5 +314,13 @@ def extract_heuristics_command(input_path, stream_format, model, silent_labels, 
         out.write(save_heuristics(table))
 
 
-if __name__ == "__main__":
+def run():
+    """The console entry: freezes what the imports built, which lives until
+    exit, so that no collection walks it, not even at exit; then runs main.
+    main itself freezes nothing, so a process that calls it is not frozen."""
+    gc.freeze()
     main()
+
+
+if __name__ == "__main__":
+    run()

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import warnings
+from bisect import bisect_left
 
 from .streams import whole_seconds_between
 
@@ -154,10 +155,12 @@ def extract_heuristics(events, td=None) -> HeuristicTable:
             for alternative in td.alternatives(ev.activity):
                 latest = []
                 for member in alternative:
-                    prior = [t for t in history.get(member, ()) if t < ev.timestamp]
-                    if not prior:
+                    # each member's times are in order, as the events are
+                    times = history.get(member, ())
+                    i = bisect_left(times, ev.timestamp)  # times[:i] are strictly before
+                    if not i:
                         break
-                    latest.append(prior[-1])
+                    latest.append(times[i - 1])
                 else:
                     anchors.append(max(latest))
             if anchors:

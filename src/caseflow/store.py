@@ -41,7 +41,6 @@ from __future__ import annotations
 import csv
 import io
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from typing import NamedTuple
 
@@ -83,21 +82,24 @@ class CorrelatedEventInstance(NamedTuple):
         return self.noise_reason is not None
 
 
-@dataclass(slots=True)
 class CaseRecord:
     """The store's record of one live case: the dependency search reads its
     first occurrences and its spent alternatives, the pairing search its
-    open starts."""
+    open starts. A plain slotted class, as a dataclass costs its code
+    generation at every import of the CLI."""
 
-    last: datetime  # when the case last got an instance
-    # activity -> the case's first occurrence of it
-    first_seen: dict[str, datetime] = field(default_factory=dict)
-    # (activity, dependency set) -> the latest anchor through which a fully
-    # trusted instance of the activity confirmed the set
-    spent: dict[tuple[str, frozenset[str]], datetime] = field(default_factory=dict)
-    # activity -> the times of the case's open started events of it, oldest
-    # first; an activity leaves when its queue drains
-    open: dict[str, list[datetime]] = field(default_factory=dict)
+    __slots__ = ("last", "first_seen", "spent", "open")
+
+    def __init__(self, last: datetime):
+        self.last = last  # when the case last got an instance
+        # activity -> the case's first occurrence of it
+        self.first_seen: dict[str, datetime] = {}
+        # (activity, dependency set) -> the latest anchor through which a
+        # fully trusted instance of the activity confirmed the set
+        self.spent: dict[tuple[str, frozenset[str]], datetime] = {}
+        # activity -> the times of the case's open started events of it,
+        # oldest first; an activity leaves when its queue drains
+        self.open: dict[str, list[datetime]] = {}
 
 
 class CaseStore:

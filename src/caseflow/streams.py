@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 from datetime import datetime
 from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 
 class StreamFormatError(ValueError):
@@ -224,8 +225,7 @@ def strip_case_ids(events) -> tuple[tuple[UncorrelatedEvent, ...], list[int | st
     return tuple(replace(ev, case_id=None) for ev in events), [ev.case_id for ev in events]
 
 
-@dataclass
-class ReplayReport:
+class ReplayReport(NamedTuple):
     delivered: int = 0
     wall_seconds: float = 0.0
 

@@ -1,5 +1,6 @@
 """End-to-end command behavior through the click runner."""
 
+import gc
 import io
 import json
 import os
@@ -463,17 +464,52 @@ def test_correlate_peak_memory_does_not_grow_with_the_log(data_dir, tmp_path, cl
     assert abs(peaks[1] - peaks[0]) <= 512, f"peak RSS {peaks[0]} then {peaks[1]} KiB"
 
 
+def run_python(program: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that runs program on the package this test imported."""
+    src = str(Path(caseflow.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", program], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60)
+
+
 def test_importing_the_cli_does_not_load_json():
     # only analyze, evaluate and the JSON-lines reader need json; if the
     # interpreter loaded it already, there is nothing to see
     program = ("import sys; loaded = 'json' in sys.modules; import caseflow.cli; "
                "print(loaded or 'json' not in sys.modules)")
-    src = str(Path(caseflow.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", program], env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, timeout=60)
+    proc = run_python(program)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "True\n"
+
+
+def test_importing_the_cli_does_not_load_evaluation():
+    # scoring code loads in evaluate only, and through caseflow's lazy names
+    proc = run_python("import sys, caseflow.cli; print('caseflow.evaluation' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_the_console_entry_freezes_its_start_up_heap():
+    proc = run_python("""\
+import gc, sys
+from caseflow.cli import run
+sys.argv = ["caseflow", "--help"]
+try:
+    run()
+finally:
+    print(gc.get_freeze_count() > 0, file=sys.stderr)
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("Usage: caseflow")
+    assert proc.stderr == "True\n"
+
+
+def test_the_cli_group_leaves_the_callers_heap_unfrozen(runner, data_dir):
+    # only the console entry freezes; a process that invokes main keeps its heap
+    before = gc.get_freeze_count()
+    result = invoke(runner, "correlate", *correlate_args(data_dir))
+    assert result.exit_code == 0
+    assert gc.get_freeze_count() == before
 
 
 def test_evaluate_recovers_a_well_separated_log(runner, data_dir, tmp_path):

@@ -1,11 +1,16 @@
 """Duration windows: table validation, CSV round trip, extraction from logs."""
 
-from datetime import datetime
+import random
+import warnings
+from dataclasses import replace
+from datetime import datetime, timedelta
 
 import pytest
 
+import simulate
 from caseflow import HeuristicError, HeuristicTable, UncorrelatedEvent, load_heuristics
 from caseflow.heuristics import extract_heuristics, save_heuristics
+from caseflow.streams import whole_seconds_between
 
 
 def ev(second, activity, case_id=None, lifecycle=None, minute=55):
@@ -193,3 +198,45 @@ def test_events_without_case_ids_are_ignored(clinic_td):
 
 def test_extract_empty_stream(clinic_td):
     assert len(extract_heuristics([], clinic_td)) == 0
+
+
+def scanned_windows(events, td):
+    """The completions-only windows, each member's latest earlier occurrence
+    found by scanning its whole history in the case."""
+    seen, durations = {}, {}
+    for ev in sorted(events, key=lambda e: e.timestamp):
+        history = seen.setdefault(ev.case_id, {})
+        anchors = []
+        for alternative in td.alternatives(ev.activity):
+            latest = []
+            for member in alternative:
+                prior = [t for t in history.get(member, ()) if t < ev.timestamp]
+                if not prior:
+                    break
+                latest.append(prior[-1])
+            else:
+                anchors.append(max(latest))
+        if anchors:
+            seconds = whole_seconds_between(max(anchors), ev.timestamp)
+            if seconds > 0:
+                durations.setdefault(ev.activity, []).append(seconds)
+        history.setdefault(ev.activity, []).append(ev.timestamp)
+    return {a: (min(ds), max(ds)) for a, ds in durations.items()}
+
+
+@pytest.mark.parametrize("seed, grain", [(1, 1), (2, 1), (3, 5), (4, 30)])
+def test_completions_only_windows_equal_a_scan_of_each_history(clinic_net, clinic_table,
+                                                               clinic_td, seed, grain):
+    # F and N repeat the loops E-F-H and L-N-B; a coarser grain floors many
+    # occurrences in one case onto one timestamp, where only a strictly
+    # earlier member may anchor
+    log = simulate.simulate_log(clinic_net, clinic_table, random.Random(seed), 40,
+                                weights={"F": 6, "N": 3})
+    step = timedelta(seconds=grain)
+    log = [replace(e, timestamp=datetime.min + (e.timestamp - datetime.min) // step * step)
+           for e in log]
+    assert max(sum(e.case_id == c for e in log) for c in range(1, 41)) >= 100
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # floored durations of 0 are dropped
+        table = extract_heuristics(log, clinic_td)
+    assert dict(table.items()) == scanned_windows(log, clinic_td)

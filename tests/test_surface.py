@@ -1,6 +1,6 @@
-"""The package's public names: `__all__`, what `__init__` binds, the README,
-the names the correlator module defines, and the methods of the store and
-the heuristic table."""
+"""The package's public names: `__all__`, what `__init__` binds or loads on
+demand, the README, the names the correlator module defines, and the methods
+of the store and the heuristic table."""
 
 import re
 import types
@@ -29,6 +29,17 @@ def test_all_matches_the_package_namespace_and_the_readme_example():
     assert snippet is not None, "README has no `from caseflow import (...)` example"
     names = {n.strip() for n in snippet.group(1).split(",") if n.strip()}
     assert names and names <= exported, sorted(names - exported)
+
+
+def test_scoring_names_load_from_the_evaluation_module():
+    from caseflow import score
+
+    import caseflow.evaluation as evaluation
+
+    assert score is evaluation.score
+    for name in ("f_score", "latency_report", "score"):
+        assert getattr(caseflow, name) is getattr(evaluation, name)
+    assert not hasattr(caseflow, "build_report")  # only the names in __all__
 
 
 def test_readme_cli_examples_use_only_real_flags():
