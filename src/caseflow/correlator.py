@@ -13,7 +13,7 @@ from __future__ import annotations
 from datetime import timedelta
 
 from .store import Allocation, CaseStore, CorrelatedEventInstance
-from .streams import floor_to_second, whole_seconds_between
+from .streams import floor_to_second
 
 KIND_AVG = "avg"
 KIND_RANGE = "range"
@@ -23,6 +23,8 @@ MODE_COMPLETED = "completed"
 
 # the plan of a windowless start activity, whose events only open cases
 _OPENS_ONLY = (0, 0, 0, timedelta(0), ())
+# the dependency set of every pairing allocation, one object for them all
+_NO_MEMBERS = frozenset()
 
 # ingest builds its records as _new(record type, fields in declared order),
 # which skips the named tuples' own __new__, written in Python
@@ -88,10 +90,13 @@ class Correlator:
                 for member in dep_set
             )
             self._plan[activity] = (mn, mx, table.avg(activity), timedelta(seconds=mx), anchorings)
-        # a case's allocations through one anchor are ordered by their sorted
-        # members; ranking every dependency set once spares sorting per event
-        dep_sets = {frozenset()}.union(*(td.alternatives(a) for a in td.activities()))
-        self._rank = {dep_set: i for i, dep_set in enumerate(sorted(dep_sets, key=sorted))}
+        # an event's allocations go by case, anchor, then sorted members;
+        # ranking every dependency set once spares sorting members per event
+        dep_sets = {_NO_MEMBERS}.union(*(td.alternatives(a) for a in td.activities()))
+        rank = {dep_set: i for i, dep_set in enumerate(sorted(dep_sets, key=sorted))}
+        self._order = lambda a: (a[0], a[2], rank[a[1]])
+        # (activity, m) -> kind_probabilities of the activity's window
+        self._probability: dict[tuple[str, int], dict[str, float]] = {}
         # nothing older than the widest window, plus the second an unfloored
         # timestamp can lie past its floor, can reach a later event
         reach = max((plan[1] for plan in self._plan.values()), default=0) + 1
@@ -133,12 +138,17 @@ class Correlator:
         plan = self._plan.get(activity)
         if plan is None:
             return [self._stash_noise(event, seq, "unknown-activity")]
-        self._check_lifecycle(event)
 
         store = self.store
         lifecycle = event.lifecycle
         if self._mode == MODE_PAIRED and lifecycle != "started":
+            if lifecycle != "completed":
+                raise CorrelationError(
+                    "MIXED_LIFECYCLE", f"paired stream needs started/completed lifecycles, got {lifecycle!r}")
             allocations = self._pairing_allocations(event, plan)
+        elif lifecycle == "started" and self._mode == MODE_COMPLETED:
+            raise CorrelationError(
+                "MIXED_LIFECYCLE", "stream opened without lifecycle pairing; started events not allowed")
         elif plan[4]:
             allocations = self._dependency_allocations(event, plan)
         else:
@@ -160,27 +170,33 @@ class Correlator:
             store.add(inst)
             return [inst]
 
-        probability = kind_probabilities(m, plan[0], plan[1])
-        by_case: dict[int, list[Allocation]] = {}
-        for alloc in allocations:
-            by_case.setdefault(alloc[0], []).append(alloc)
-        rank = self._rank
+        probability = self._probability.get((activity, m))
+        if probability is None:
+            probability = self._probability[activity, m] = kind_probabilities(m, plan[0], plan[1])
+        # one run per case, in case order; within a case by anchor, then
+        # members: in one event and case, the anchor decides the duration and
+        # the kind
+        ordered = sorted(allocations, key=self._order)
         instances = []
-        for case_id in sorted(by_case):
-            allocs = by_case[case_id]
-            if len(allocs) == 1:
-                raw = 100.0 * probability[allocs[0][4]]
+        i = 0
+        while i < m:
+            case_id = ordered[i][0]
+            j = i + 1
+            while j < m and ordered[j][0] == case_id:
+                j += 1
+            allocs = tuple(ordered[i:j])
+            if j == i + 1:
+                # one of m > 1 allocations scores at most 75
+                trust = raw = 100.0 * probability[allocs[0][4]]
             else:
-                # by anchor, then members: in one event and case, the anchor
-                # decides the duration and the kind
-                allocs.sort(key=lambda a: (a[2], rank[a[1]]))
                 raw = 100.0 * sum([probability[a[4]] for a in allocs])
+                trust = min(100.0, raw)
             inst = _new(CorrelatedEventInstance, (
-                ts, activity, case_id, min(100.0, raw), lifecycle,
-                event.resource, tuple(allocs), raw, None, seq,
+                ts, activity, case_id, trust, lifecycle, event.resource, allocs, raw, None, seq,
             ))
             instances.append(inst)
             store.add(inst)
+            i = j
         return instances
 
     def candidate_allocations(self, event) -> set[Allocation]:
@@ -214,19 +230,6 @@ class Correlator:
         ))
         self.store.add(inst)
         return inst
-
-    def _check_lifecycle(self, event) -> None:
-        if self._mode == MODE_COMPLETED:
-            if event.lifecycle == "started":
-                raise CorrelationError(
-                    "MIXED_LIFECYCLE",
-                    "stream opened without lifecycle pairing; started events not allowed",
-                )
-        elif event.lifecycle not in ("started", "completed"):
-            raise CorrelationError(
-                "MIXED_LIFECYCLE",
-                f"paired stream needs started/completed lifecycles, got {event.lifecycle!r}",
-            )
 
     def _dependency_allocations(self, event, plan) -> set[Allocation]:
         ts0 = floor_to_second(event.timestamp)
@@ -263,7 +266,8 @@ class Correlator:
         return out
 
     def _pairing_allocations(self, event, plan) -> set[Allocation]:
-        activity, ts = event.activity, event.timestamp
+        activity = event.activity
+        ts0 = floor_to_second(event.timestamp)
         mn, mx, avg, _, _ = plan
         out: set[Allocation] = set()
         for case_id, case in self.store.live_cases().items():
@@ -271,9 +275,11 @@ class Correlator:
             if not starts:
                 continue
             started = starts[0]
-            duration = whole_seconds_between(started, ts)
+            # ts0 - started rounded up to whole seconds; ts0 is whole
+            delta = ts0 - started
+            duration = delta.days * 86400 + delta.seconds + (delta.microseconds > 0)
             if mn <= duration <= mx:
                 out.add(_new(Allocation, (
-                    case_id, frozenset(), started, duration, KIND_AVG if duration == avg else KIND_RANGE
+                    case_id, _NO_MEMBERS, started, duration, KIND_AVG if duration == avg else KIND_RANGE
                 )))
         return out

@@ -41,6 +41,7 @@ from __future__ import annotations
 import csv
 import io
 from bisect import bisect_left
+from collections import defaultdict
 from datetime import datetime, timedelta
 from typing import NamedTuple
 
@@ -99,7 +100,7 @@ class CaseRecord:
         self.spent: dict[tuple[str, frozenset[str]], datetime] = {}
         # activity -> the times of the case's open started events of it,
         # oldest first; an activity leaves when its queue drains
-        self.open: dict[str, list[datetime]] = {}
+        self.open: defaultdict[str, list[datetime]] = defaultdict(list)
 
 
 class CaseStore:
@@ -120,7 +121,7 @@ class CaseStore:
         self._cases: dict[int, list[CorrelatedEventInstance]] = {}
         self._instances: list[CorrelatedEventInstance] = []
         self._live: dict[int, CaseRecord] = {}
-        self._time_index: dict[str, list[tuple[datetime, int]]] = {}
+        self._time_index: defaultdict[str, list[tuple[datetime, int]]] = defaultdict(list)
         self._next_case = 1
 
     def __len__(self) -> int:
@@ -164,16 +165,18 @@ class CaseStore:
                     until = spent.get(key)
                     if until is None or until < anchor:
                         spent[key] = anchor
+        open_starts = case.open
         if lifecycle == "started":
-            case.open.setdefault(activity, []).append(ts)
+            open_starts[activity].append(ts)
             return
-        queue = case.open.get(activity)
-        if queue:
-            del queue[0]
-            if not queue:
-                del case.open[activity]
+        if open_starts:  # skip the lookup in the many cases without one
+            queue = open_starts.get(activity)
+            if queue:
+                del queue[0]
+                if not queue:
+                    del open_starts[activity]
         case.first_seen.setdefault(activity, ts)
-        entries = self._time_index.setdefault(activity, [])
+        entries = self._time_index[activity]
         entries.append((ts, case_id))
         edge = ts - self._reach
         if entries[0][0] < edge:

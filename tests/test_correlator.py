@@ -137,6 +137,8 @@ def test_started_event_after_completions_only_opening(clinic_correlator):
     with pytest.raises(CorrelationError) as err:
         clinic_correlator.ingest(ev(2, "B", lifecycle="started"))
     assert err.value.code == "MIXED_LIFECYCLE"
+    assert str(err.value) == (
+        "MIXED_LIFECYCLE: stream opened without lifecycle pairing; started events not allowed")
 
 
 def test_paired_stream_rejects_missing_lifecycle(clinic_correlator):
@@ -145,6 +147,11 @@ def test_paired_stream_rejects_missing_lifecycle(clinic_correlator):
     with pytest.raises(CorrelationError) as err:
         clinic_correlator.ingest(ev(2, "B"))
     assert err.value.code == "MIXED_LIFECYCLE"
+    assert str(err.value) == "MIXED_LIFECYCLE: paired stream needs started/completed lifecycles, got None"
+    with pytest.raises(CorrelationError) as err:
+        clinic_correlator.ingest(ev(3, "B", lifecycle="suspended"))
+    assert str(err.value) == (
+        "MIXED_LIFECYCLE: paired stream needs started/completed lifecycles, got 'suspended'")
 
 
 def test_paired_stream_pairs_completions_with_earliest_start(clinic_td, clinic_table):
@@ -503,6 +510,61 @@ def test_raw_trust_is_exactly_the_sum_of_instance_probabilities(
     # the engine's own summation path ran: a case with several of the
     # event's competing allocations
     assert shared
+
+
+def test_an_events_instances_and_allocations_keep_their_order():
+    # L follows {G}, {H} or {I, J}, each of which follows A; A opens case 1
+    # at 0 s, case 2 at 8 s and case 3 at 20 s, and every other event before
+    # L fits one case alone
+    after_a = frozenset({frozenset({"A"})})
+    g, h, ij = frozenset({"G"}), frozenset({"H"}), frozenset({"I", "J"})
+    td = TaskDependencies(
+        deps={"A": frozenset(), "G": after_a, "H": after_a, "I": after_a, "J": after_a,
+              "L": frozenset({g, h, ij})},
+        loop_entries=frozenset(),
+    )
+    window = (1, 4)
+    corr = Correlator(td, HeuristicTable({"G": window, "H": window, "I": window, "J": window, "L": (1, 45)}))
+    stream = [ev(0, "A"), ev(1, "I"), ev(2, "J"), ev(3, "G"), ev(4, "H"), ev(8, "A"), ev(10, "G"),
+              ev(20, "A"), ev(21, "I"), ev(21, "J"), ev(21, "G")]
+    assert [[(i.case_id, i.trust) for i in r] for r in feed(corr, stream)] == [
+        [(case_id, 100.0)] for case_id in (1, 1, 1, 1, 1, 2, 2, 3, 3, 3, 3)
+    ]
+
+    instances = corr.ingest(ev(27, "L"))
+
+    def at(second):
+        return ev(second, "L").timestamp
+
+    # instances by case id; a case's allocations by anchor, then by sorted
+    # members: case 1 goes against the members' order, case 3 shares one anchor
+    assert [
+        (i.case_id, [(a.dependency_set, a.anchor, a.duration, a.kind) for a in i.allocations])
+        for i in instances
+    ] == [
+        (1, [(ij, at(2), 25, "range"), (g, at(3), 24, "range"), (h, at(4), 23, "avg")]),
+        (2, [(g, at(10), 17, "range")]),
+        (3, [(g, at(21), 6, "range"), (ij, at(21), 6, "range")]),
+    ]
+    # six competing allocations in L's window 1..45, whose average is 23
+    avg, range_ = 7 / 36, (6 - 1 / 44) / 36
+    # summed in the allocations' order: up to Python 3.11, whose sum adds
+    # floats plainly, case 1 summed by members comes out slightly higher
+    assert [i.raw_trust for i in instances] == [
+        100.0 * sum([range_, range_, avg]), 100.0 * range_, 100.0 * sum([range_, range_]),
+    ]
+    assert [i.trust for i in instances] == [i.raw_trust for i in instances]
+
+
+def test_pairing_allocations_share_one_empty_dependency_set(clinic_net, clinic_table, clinic_td):
+    corr = Correlator(clinic_td, clinic_table)
+    feed(corr, long_log(clinic_net, clinic_table, paired=True))
+    # every completion's allocations are pairings with no members; a set of
+    # its own for each would cost a stored object per completed instance
+    assert len({
+        id(a.dependency_set) for inst in corr.store.instances() for a in inst.allocations
+        if not a.dependency_set
+    }) == 1
 
 
 def test_window_edge_counts_whole_seconds_of_subsecond_instants():
