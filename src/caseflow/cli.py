@@ -20,19 +20,14 @@ from pathlib import Path
 
 import click
 
-from .correlator import CorrelationError, Correlator
-from .dependencies import DependencyError, build_task_dependencies
-from .heuristics import (
-    HeuristicError,
-    extract_heuristics,
-    load_heuristics,
-    save_heuristics,
-)
-from .model import DEFAULT_SILENT_LABELS, NetError, parse_pnml, parse_simple_net, validate
+from .correlator import Correlator
+from .dependencies import build_task_dependencies
+from .errors import CaseflowError
+from .heuristics import extract_heuristics, load_heuristics, save_heuristics
+from .model import DEFAULT_SILENT_LABELS, parse_pnml, parse_simple_net, validate
 from .store import ExportWriter
 from .streams import (
     ReplayError,
-    StreamFormatError,
     _csv_event_writer,
     iter_events,
     read_events,
@@ -93,7 +88,8 @@ def _options(*decorators):
 
 _model_options = _options(
     click.option("--model", type=str, default=None, help="Workflow model file."),
-    click.option("--silent-labels", default=None, help="Comma-separated silent transition labels."),
+    click.option("--silent-labels", default=",".join(sorted(DEFAULT_SILENT_LABELS)),
+                 help="Comma-separated silent transition labels."),
 )
 _stream_options = _options(
     click.option("--input", "input_path", type=str, default=None, help="Event stream."),
@@ -125,10 +121,7 @@ def _load_td(model, silent_labels):
     if model is None:
         _fail("a model file is required (--model or config)")
     text = _read_text(model, "model")
-    if silent_labels is None:
-        labels = DEFAULT_SILENT_LABELS
-    else:
-        labels = frozenset(x.strip() for x in silent_labels.split(",") if x.strip())
+    labels = frozenset(x.strip() for x in silent_labels.split(",") if x.strip())
     pnml = model.endswith(".pnml") or text.lstrip().startswith("<")
     parse = parse_pnml if pnml else parse_simple_net
     net = parse(text, silent_labels=labels)
@@ -183,13 +176,15 @@ def _output_stream(output: str | None):
 
 
 class _Main(click.Group):
-    """Reports a package error from any subcommand as `error: CODE: message`, exit 2."""
+    """Reports a package error from any subcommand as `error: CODE: message`, exit 2,
+    and so a sink failure caused by one or by an OSError; any other cause is a bug."""
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
-        except (NetError, DependencyError, HeuristicError, StreamFormatError, CorrelationError,
-                ReplayError) as exc:
+        except (CaseflowError, ReplayError) as exc:
+            if isinstance(exc, ReplayError) and not isinstance(exc.cause, (CaseflowError, OSError)):
+                raise
             _fail(str(exc))
 
 
@@ -242,7 +237,7 @@ def correlate(model, silent_labels, heuristics, input_path, stream_format, thres
 
             try:
                 replay(iter_events(source, stream_format), correlate_one, speedup=speedup)
-            except (StreamFormatError, ReplayError):  # the rows resolved so far go out first
+            except (CaseflowError, ReplayError):  # the rows resolved so far go out first
                 with suppress(OSError):  # a failing stdout must not mask the error
                     writer.flush()
                 raise

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from datetime import timedelta
 
+from .errors import CaseflowError
 from .store import Allocation, CaseStore, CorrelatedEventInstance
 from .streams import floor_to_second
 
@@ -31,10 +32,8 @@ _NO_MEMBERS = frozenset()
 _new = tuple.__new__
 
 
-class CorrelationError(Exception):
-    def __init__(self, code: str, message: str):
-        super().__init__(f"{code}: {message}")
-        self.code = code
+class CorrelationError(CaseflowError):
+    """An event the correlator cannot take, or windows that miss a modeled activity."""
 
 
 def kind_probabilities(m: int, mn: int, mx: int) -> dict[str, float]:
@@ -189,7 +188,10 @@ class Correlator:
                 # one of m > 1 allocations scores at most 75
                 trust = raw = 100.0 * probability[allocs[0][4]]
             else:
-                raw = 100.0 * sum([probability[a[4]] for a in allocs])
+                raw = 0.0
+                for a in allocs:  # left to right: from Python 3.12, sum() rounds otherwise
+                    raw += probability[a[4]]
+                raw *= 100.0
                 trust = min(100.0, raw)
             inst = _new(CorrelatedEventInstance, (
                 ts, activity, case_id, trust, lifecycle, event.resource, allocs, raw, None, seq,

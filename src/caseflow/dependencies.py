@@ -11,13 +11,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .errors import CaseflowError
 from .model import _reachable
 
 
-class DependencyError(ValueError):
-    def __init__(self, code: str, message: str):
-        super().__init__(f"{code}: {message}")
-        self.code = code
+class DependencyError(CaseflowError, ValueError):
+    """A net whose task dependencies cannot be derived, or an unknown activity."""
 
 
 @dataclass(frozen=True)

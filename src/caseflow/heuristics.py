@@ -12,13 +12,12 @@ import io
 import warnings
 from bisect import bisect_left
 
+from .errors import CaseflowError
 from .streams import whole_seconds_between
 
 
-class HeuristicError(ValueError):
-    def __init__(self, code: str, message: str):
-        super().__init__(f"{code}: {message}")
-        self.code = code
+class HeuristicError(CaseflowError, ValueError):
+    """A duration window that cannot be accepted, loaded or measured."""
 
 
 class HeuristicTable:

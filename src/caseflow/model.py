@@ -11,15 +11,13 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 
+from .errors import CaseflowError
+
 DEFAULT_SILENT_LABELS = frozenset({"tau"})
 
 
-class NetError(ValueError):
+class NetError(CaseflowError, ValueError):
     """A model file or net structure that cannot be accepted."""
-
-    def __init__(self, code: str, message: str):
-        super().__init__(f"{code}: {message}")
-        self.code = code
 
 
 @dataclass(frozen=True)
@@ -131,14 +129,10 @@ def validate(net: WorkflowNet) -> NetDiagnostics:
 
     sources = net.source_places()
     sinks = net.sink_places()
-    if len(sources) != 1:
-        diags.errors.append(
-            Diagnostic("UNIQUE_SOURCE", None, f"expected one source place, found {len(sources)}: {sources}")
-        )
-    if len(sinks) != 1:
-        diags.errors.append(
-            Diagnostic("UNIQUE_SINK", None, f"expected one sink place, found {len(sinks)}: {sinks}")
-        )
+    for end, places in (("source", sources), ("sink", sinks)):
+        if len(places) != 1:
+            diags.errors.append(Diagnostic(
+                f"UNIQUE_{end.upper()}", None, f"expected one {end} place, found {len(places)}: {places}"))
 
     forward = _reachable(sources, net.postset)
     backward = _reachable(sinks, net.preset)

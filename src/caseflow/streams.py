@@ -18,12 +18,11 @@ from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
+from .errors import CaseflowError
 
-class StreamFormatError(ValueError):
-    def __init__(self, code: str, message: str):
-        super().__init__(f"{code}: {message}")
-        self.code = code
-        self.message = message
+
+class StreamFormatError(CaseflowError, ValueError):
+    """An event stream, or a row of one, that cannot be read."""
 
 
 class ReplayError(Exception):

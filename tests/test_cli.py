@@ -25,7 +25,7 @@ from caseflow import (
 from caseflow.cli import main
 from caseflow.evaluation import build_report, score
 from caseflow.model import parse_simple_net
-from caseflow.streams import events_to_csv
+from caseflow.streams import ReplayError, events_to_csv
 
 TOY_NET = """
 place p0
@@ -90,6 +90,26 @@ def test_analyze_acyclic_net_has_no_loop_entries(runner, tmp_path):
     doc = json.loads(result.stdout)
     assert doc["loop_entries"] == []
     assert doc["deps"] == {"A": [], "B": [["A"]]}
+
+
+# A, then a transition labelled skip, then B
+SKIP_NET = TOY_NET.replace("arc p1 tb\n", "place p3\ntransition ts skip\narc p1 ts\narc ts p3\narc p3 tb\n")
+
+
+def test_analyze_takes_silent_labels_from_the_flag_or_the_config(runner, tmp_path):
+    model = tmp_path / "skip.net"
+    model.write_text(SKIP_NET)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("silent_labels = skip\n")
+
+    def deps(*args):
+        result = invoke(runner, "analyze", "--model", str(model), *args)
+        assert result.exit_code == 0, result.stderr
+        return json.loads(result.stdout)["deps"]
+
+    assert deps() == {"A": [], "B": [["skip"]], "skip": [["A"]]}
+    assert deps("--silent-labels", "skip, tau") == {"A": [], "B": [["A"]]}
+    assert deps("--config", str(cfg)) == {"A": [], "B": [["A"]]}
 
 
 def test_analyze_rejects_invalid_net(runner, tmp_path):
@@ -302,6 +322,28 @@ def test_correlate_writes_the_resolved_rows_before_a_mid_stream_error(
     assert result.stderr == ("error: sink failed at event 11: OUT_OF_ORDER: "
                              "2019-06-16 11:55:00 arrived after 2019-06-16 11:55:11\n")
     assert result.stdout == expected
+
+
+def correlate_with_a_failing_writer(runner, tmp_path, monkeypatch, cause):
+    def broken(self, instances):
+        raise cause
+    monkeypatch.setattr("caseflow.cli.ExportWriter.write", broken)
+    return invoke(runner, "correlate",
+                  *toy_args(tmp_path, "timestamp,activity\n2021-03-01 09:00:00,A\n"))
+
+
+def test_a_sink_failure_from_an_os_error_is_an_error_exit(runner, tmp_path, monkeypatch):
+    result = correlate_with_a_failing_writer(runner, tmp_path, monkeypatch,
+                                             OSError(28, "No space left on device"))
+    assert (result.exit_code, result.stderr) == (
+        2, "error: sink failed at event 0: [Errno 28] No space left on device\n")
+
+
+def test_a_sink_failure_from_a_bug_is_not_an_error_exit(runner, tmp_path, monkeypatch):
+    # only a package error or an OSError is the input's or the system's fault
+    with pytest.raises(ReplayError) as err:
+        correlate_with_a_failing_writer(runner, tmp_path, monkeypatch, KeyError("internal"))
+    assert isinstance(err.value.cause, KeyError)
 
 
 BAD_TIMESTAMP = "error: BAD_TIMESTAMP: row 2: cannot parse timestamp 'noon'\n"

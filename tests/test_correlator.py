@@ -500,10 +500,10 @@ def test_raw_trust_is_exactly_the_sum_of_instance_probabilities(
                 expected = 100.0
             else:
                 mn, mx = clinic_table.window(event.activity)
-                expected = 100.0 * sum(
-                    (m + 1) / (m * m) if a.kind == "avg" else (m - 1 / (mx - mn)) / (m * m)
-                    for a in inst.allocations
-                )
+                expected = 0.0
+                for a in inst.allocations:  # left to right, as sum() may not from Python 3.12
+                    expected += (m + 1) / (m * m) if a.kind == "avg" else (m - 1 / (mx - mn)) / (m * m)
+                expected *= 100.0
             assert inst.raw_trust == expected, (event, inst)
             assert inst.trust == min(100.0, expected)
             shared += m > len(inst.allocations) > 1
@@ -548,11 +548,14 @@ def test_an_events_instances_and_allocations_keep_their_order():
     ]
     # six competing allocations in L's window 1..45, whose average is 23
     avg, range_ = 7 / 36, (6 - 1 / 44) / 36
-    # summed in the allocations' order: up to Python 3.11, whose sum adds
-    # floats plainly, case 1 summed by members comes out slightly higher
+    # added left to right in the allocations' order
     assert [i.raw_trust for i in instances] == [
-        100.0 * sum([range_, range_, avg]), 100.0 * range_, 100.0 * sum([range_, range_]),
+        100.0 * (range_ + range_ + avg), 100.0 * range_, 100.0 * (range_ + range_),
     ]
+    # case 1 added in its members' order comes out one step higher, so the
+    # float pins the order
+    assert instances[0].raw_trust == 52.65151515151515
+    assert 100.0 * (range_ + avg + range_) == 52.65151515151516
     assert [i.trust for i in instances] == [i.raw_trust for i in instances]
 
 

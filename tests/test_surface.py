@@ -1,14 +1,25 @@
 """The package's public names: `__all__`, what `__init__` binds or loads on
-demand, the README, the names the correlator module defines, and the methods
-of the store and the heuristic table."""
+demand, the README, the names the correlator module defines, the methods
+of the store and the heuristic table, and the error types' one base."""
 
 import re
 import types
 from pathlib import Path
 
+import pytest
+
 import caseflow
-from caseflow import HeuristicTable, correlator
+from caseflow import (
+    CorrelationError,
+    DependencyError,
+    HeuristicError,
+    HeuristicTable,
+    NetError,
+    StreamFormatError,
+    correlator,
+)
 from caseflow.cli import main
+from caseflow.errors import CaseflowError
 from caseflow.store import CaseStore
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -83,3 +94,18 @@ def test_correlator_defines_one_scoring_function():
         "KIND_AVG", "KIND_RANGE", "MODE_PAIRED", "MODE_COMPLETED", "CorrelationError",
         "Correlator", "kind_probabilities",
     }
+
+
+@pytest.mark.parametrize("cls, value_error", [
+    (NetError, True), (DependencyError, True), (HeuristicError, True), (StreamFormatError, True),
+    (CorrelationError, False),
+])
+def test_each_error_type_is_a_bodiless_caseflow_error(cls, value_error):
+    # CaseflowError alone builds the `CODE: message` text; each type keeps
+    # the ValueError base it had, so `except ValueError` catches what it did
+    err = cls("SOME_CODE", "what went wrong")
+    assert isinstance(err, CaseflowError)
+    assert isinstance(err, ValueError) is value_error
+    assert (str(err), err.code, err.message) == ("SOME_CODE: what went wrong", "SOME_CODE",
+                                                 "what went wrong")
+    assert "__init__" not in vars(cls)
