@@ -140,13 +140,17 @@ def _load_table(path):
     return load_heuristics(_read_text(path, "heuristics"))
 
 
+def _open(path, mode: str, what: str):
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as exc:
+        _fail(f"cannot {what}: {exc}")
+
+
 def _open_input(path):
     if path is None:
         _fail("an input stream is required (--input or config)")
-    try:
-        return open(path, encoding="utf-8")
-    except OSError as exc:
-        _fail(f"cannot read input: {exc}")
+    return _open(path, "r", "read input")
 
 
 def _read_stream(path, fmt):
@@ -156,17 +160,19 @@ def _read_stream(path, fmt):
 
 @contextmanager
 def _output_stream(output: str | None):
-    """Standard output, or a temporary file beside --output that replaces it
-    only if the block exits normally, so a failed run leaves it untouched."""
+    """Standard output, or --output: a FIFO, a device or any other non-regular file in place,
+    else a temporary file beside it (beside a symlink's file) that replaces it only if the
+    block exits normally, so a failed run leaves the file untouched."""
     if output is None:
         yield sys.stdout
         return
-    target = Path(output)
+    if os.path.exists(output) and not os.path.isfile(output):
+        with _open(output, "w", "write output") as handle:
+            yield handle
+        return
+    target = Path(os.path.realpath(output))
     temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-    try:
-        handle = open(temporary, "x", encoding="utf-8")
-    except OSError as exc:
-        _fail(f"cannot write output: {exc}")
+    handle = _open(temporary, "x", "write output")
     try:
         with handle:
             yield handle
@@ -178,11 +184,18 @@ def _output_stream(output: str | None):
 class _Main(click.Group):
     """Reports a package error from any subcommand as `error: CODE: message`, exit 2,
     and so a failed read or write, and a sink failure caused by either; any other
-    cause is a bug. A broken pipe, in the sink or not, passes through to click."""
+    cause is a bug. A broken pipe, in the sink or not, passes through to click. Parsing
+    is guarded too, as the group's own help is written while its arguments are parsed."""
+
+    def parse_args(self, ctx: click.Context, args: list[str]) -> list[str]:
+        return self._guarded(super().parse_args, ctx, args)
 
     def invoke(self, ctx: click.Context):
+        return self._guarded(super().invoke, ctx)
+
+    def _guarded(self, call, *args):
         try:
-            result = super().invoke(ctx)
+            result = call(*args)
             sys.stdout.flush()  # so that a buffered write fails here, not at exit
             return result
         except (CaseflowError, ReplayError, OSError) as exc:
@@ -230,8 +243,8 @@ def correlate(model, silent_labels, heuristics, input_path, stream_format, thres
 
     Each input row is read, correlated and written in one pass: an event's
     rows go out once its instant is over, flushed then under pacing. The
-    stream must be in timestamp order. --output is replaced only when the
-    whole stream correlated.
+    stream must be in timestamp order. A regular --output file is replaced
+    only when the whole stream correlated.
     """
     td = _load_td(model, silent_labels)
     table = _load_table(heuristics)

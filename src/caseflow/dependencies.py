@@ -114,7 +114,7 @@ def eliminate_silent(raw: dict[str, set[frozenset[str]]], is_silent) -> dict[str
         # an alternative's observable members joined with each pick of its silents' alternatives
         out = set()
         for s in alternatives:
-            silents = sorted(x for x in s if is_silent(x))
+            silents = sorted(filter(is_silent, s))
             if not silents:
                 out.add(frozenset(s))
                 continue
@@ -134,7 +134,7 @@ def find_loop_entries(td: TaskDependencies) -> frozenset[str]:
     on a cycle. Since the edge exists, that is exactly when t reaches x
     again along dependency edges (x == t counts).
     """
-    enables: dict[str, set[str]] = {}
+    enables: dict[str, set[str]] = {t: set() for t in td.deps}
     for t, alts in td.deps.items():
         for s in alts:
             for x in s:
@@ -144,7 +144,7 @@ def find_loop_entries(td: TaskDependencies) -> frozenset[str]:
     for t, alts in td.deps.items():
         if len(alts) < 2:
             continue
-        reached = _reachable([t], lambda node: enables.get(node, ()))
+        reached = _reachable([t], enables.__getitem__)  # each node reached is a key of deps
         entries.update(x for s in alts for x in s if x in reached)
     return frozenset(entries)
 
@@ -157,9 +157,11 @@ def build_task_dependencies(net) -> TaskDependencies:
     every occurrence of a start activity legitimately opens a fresh case.
     """
     raw = build_raw_dependencies(net)
-    observable = eliminate_silent(raw, net.is_silent)
+    labels = {t.tid: t.label for t in net.transitions}
+    silent = {t.tid for t in net.transitions if t.silent}
+    observable = eliminate_silent(raw, silent.__contains__)
     deps = {
-        net.label_of(tid): frozenset(frozenset(net.label_of(x) for x in s) for s in alts)
+        labels[tid]: frozenset(frozenset(map(labels.__getitem__, s)) for s in alts)
         for tid, alts in observable.items()
     }
     td = TaskDependencies(deps=deps, loop_entries=frozenset())

@@ -11,6 +11,7 @@ import csv
 import io
 import warnings
 from bisect import bisect_left
+from operator import itemgetter
 
 from .errors import CaseflowError
 from .streams import whole_seconds_between
@@ -61,16 +62,18 @@ def load_heuristics(text: str) -> HeuristicTable:
     """Parse `activity,min,max` CSV. Empty input yields an empty table."""
     if not text.strip():
         return HeuristicTable({})
-    reader = csv.DictReader(io.StringIO(text))
-    missing = {"activity", "min", "max"} - set(reader.fieldnames or ())
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader)
+    index = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
+    missing = {"activity", "min", "max"} - index.keys()
     if missing:
         raise HeuristicError("MISSING_COLUMN", f"missing column(s) {sorted(missing)}")
+    pick, pad = itemgetter(index["activity"], index["min"], index["max"]), [""] * len(header)
     entries: dict[str, tuple[int, int]] = {}
-    for row in reader:
-        activity = (row.get("activity") or "").strip()
+    for row in filter(None, reader):  # a blank row is []
+        activity, mn, mx = map(str.strip, pick(row + pad))  # a short row's cells read ""
         try:
-            mn = int((row.get("min") or "").strip())
-            mx = int((row.get("max") or "").strip())
+            mn, mx = int(mn), int(mx)
         except ValueError:
             raise HeuristicError("MALFORMED_ROW", f"row {reader.line_num}: min/max must be integers") from None
         if not activity:

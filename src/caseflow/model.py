@@ -66,23 +66,19 @@ class WorkflowNet:
                 raise NetError("UNLABELED", f"observable transition {node!r} has no label")
             self._nodes[node] = t
 
-        self._pre: dict[str, set[str]] = {n: set() for n in self._nodes}
-        self._post: dict[str, set[str]] = {n: set() for n in self._nodes}
+        pre: dict[str, set[str]] = {n: set() for n in self._nodes}
+        post: dict[str, set[str]] = {n: set() for n in self._nodes}
         for src, dst in self.flows:
             for end in (src, dst):
                 if end not in self._nodes:
-                    raise NetError(
-                        "UNKNOWN_NODE",
-                        f"arc {src!r} -> {dst!r} references undeclared node {end!r}",
-                    )
-            if self.is_place(src) == self.is_place(dst):
-                kind = "places" if self.is_place(src) else "transitions"
+                    raise NetError("UNKNOWN_NODE", f"arc {src!r} -> {dst!r} references undeclared node {end!r}")
+            if (src in self.places) == (dst in self.places):
+                kind = "places" if src in self.places else "transitions"
                 raise NetError("BIPARTITE", f"arc {src!r} -> {dst!r} connects two {kind}")
-            self._post[src].add(dst)
-            self._pre[dst].add(src)
-
-    def is_place(self, node: str) -> bool:
-        return node in self.places
+            post[src].add(dst)
+            pre[dst].add(src)
+        self._pre = {n: frozenset(s) for n, s in pre.items()}
+        self._post = {n: frozenset(s) for n, s in post.items()}
 
     def transition(self, tid: str) -> Transition:
         t = self._nodes.get(tid)
@@ -93,12 +89,12 @@ class WorkflowNet:
     def preset(self, node: str) -> frozenset[str]:
         if node not in self._nodes:
             raise NetError("UNKNOWN_NODE", f"no node with id {node!r}")
-        return frozenset(self._pre[node])
+        return self._pre[node]
 
     def postset(self, node: str) -> frozenset[str]:
         if node not in self._nodes:
             raise NetError("UNKNOWN_NODE", f"no node with id {node!r}")
-        return frozenset(self._post[node])
+        return self._post[node]
 
     def label_of(self, tid: str) -> str | None:
         return self.transition(tid).label
@@ -134,8 +130,8 @@ def validate(net: WorkflowNet) -> NetDiagnostics:
             diags.errors.append(Diagnostic(
                 f"UNIQUE_{end.upper()}", None, f"expected one {end} place, found {len(places)}: {places}"))
 
-    forward = _reachable(sources, net.postset)
-    backward = _reachable(sinks, net.preset)
+    forward = _reachable(sources, net._post.__getitem__)
+    backward = _reachable(sinks, net._pre.__getitem__)
     for node in sorted(net._nodes):
         if node not in forward or node not in backward:
             diags.errors.append(
@@ -180,38 +176,38 @@ def parse_pnml(text: str, silent_labels=DEFAULT_SILENT_LABELS) -> WorkflowNet:
     except ET.ParseError as exc:
         raise NetError("MALFORMED_XML", str(exc)) from exc
 
-    nets = [el for el in root.iter() if _local(el.tag) == "net"]
-    if _local(root.tag) == "net":
-        nets = [root]
+    local = _LocalNames()
+    nets = [root] if local[root.tag] == "net" else [el for el in root.iter() if local[el.tag] == "net"]
     if not nets:
         raise NetError("NO_NET", "document contains no <net> element")
     if len(nets) > 1:
         raise NetError("MULTIPLE_NETS", f"expected one <net>, found {len(nets)}")
     net_el = nets[0]
 
-    places = []
-    transitions = []
-    flows = []
+    places, transitions, flows = [], [], []
     for el in net_el.iter():
-        tag = _local(el.tag)
+        tag = local[el.tag]
         if tag == "place":
             places.append(_require_id(el, "place"))
         elif tag == "transition":
             tid = _require_id(el, "transition")
-            label = _pnml_label(el)
-            silent = not label or label in silent_labels or _pnml_invisible(el)
+            label, invisible = _pnml_transition(el, local)
+            silent = not label or label in silent_labels or invisible
             transitions.append(Transition(tid, label or None, silent))
         elif tag == "arc":
-            src = el.get("source")
-            dst = el.get("target")
+            src, dst = el.get("source"), el.get("target")
             if not src or not dst:
                 raise NetError("MALFORMED_XML", "arc without source/target attributes")
             flows.append((src, dst))
     return WorkflowNet(places, transitions, flows)
 
 
-def _local(tag):
-    return tag.rsplit("}", 1)[-1]
+class _LocalNames(dict):
+    """Tag -> its name without the namespace, each distinct tag split once."""
+
+    def __missing__(self, tag):
+        self[tag] = name = tag.rsplit("}", 1)[-1]
+        return name
 
 
 def _require_id(el, kind):
@@ -221,23 +217,20 @@ def _require_id(el, kind):
     return node_id
 
 
-def _pnml_label(el):
+def _pnml_transition(el, local):
+    """In one walk of a transition's subtree: the first <text> of its first <name> child
+    that holds one ("" if none does), and whether a toolspecific element marks it invisible."""
+    label, invisible = None, False
     for child in el:
-        if _local(child.tag) == "name":
-            for text_el in child.iter():
-                if _local(text_el.tag) == "text":
-                    return (text_el.text or "").strip()
-    return ""
-
-
-def _pnml_invisible(el):
-    for child in el.iter():
-        tag = _local(child.tag)
-        if tag == "toolspecific" and child.get("activity") == "$invisible$":
-            return True
-        if tag == "invisible" and (child.text or "").strip().lower() == "true":
-            return True
-    return False
+        named = local[child.tag] == "name"
+        for sub in child.iter():
+            tag = local[sub.tag]
+            if named and label is None and tag == "text":
+                label = (sub.text or "").strip()
+            elif (tag == "toolspecific" and sub.get("activity") == "$invisible$"
+                  or tag == "invisible" and (sub.text or "").strip().lower() == "true"):
+                invisible = True
+    return label or "", invisible
 
 
 def parse_simple_net(text: str, silent_labels=DEFAULT_SILENT_LABELS) -> WorkflowNet:
@@ -252,9 +245,7 @@ def parse_simple_net(text: str, silent_labels=DEFAULT_SILENT_LABELS) -> Workflow
     trailing keyword "silent", a missing label, or a label in silent_labels
     all mark the transition silent.
     """
-    places = []
-    transitions = []
-    flows = []
+    places, transitions, flows = [], [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -4,7 +4,8 @@ simulate_log plays the token game on a workflow net, drawing each observable
 duration inside its heuristic window, to produce labeled streams whose true
 case ids are known. random_net builds small block-structured workflow nets
 so the allocation engine can be compared against the brute-force oracle on
-shapes nobody hand-picked. events_to_csv writes events back as a stream file.
+shapes nobody hand-picked. events_to_csv writes events back as a stream file,
+and net_to_pnml writes a net as a PNML document.
 """
 
 import io
@@ -15,6 +16,8 @@ from caseflow.model import Transition, WorkflowNet
 from caseflow.streams import UncorrelatedEvent, _csv_event_writer
 
 BASE_TS = datetime(2021, 3, 1, 9, 0, 0)
+PNML_NS = "http://www.pnml.org/version-2009/grammar/pnml"
+PNML_FORMS = ("plain", "default", "prefixed", "page")
 
 
 def events_to_csv(events) -> str:
@@ -24,6 +27,28 @@ def events_to_csv(events) -> str:
     for ev in events:
         write(ev)
     return buffer.getvalue()
+
+
+def net_to_pnml(net, form="plain") -> str:
+    """The net as a PNML document in one of PNML_FORMS: no namespace, a
+    default xmlns, every tag in a prefixed namespace, or the nodes and arcs
+    nested in a <page> under a default xmlns. A transition's label is its
+    <name><text>; the net carries a name of its own."""
+    p = "pn:" if form == "prefixed" else ""
+    xmlns = {"plain": "", "prefixed": f' xmlns:pn="{PNML_NS}"'}.get(form, f' xmlns="{PNML_NS}"')
+
+    def named(text):
+        return f"<{p}name><{p}text>{text}</{p}text></{p}name>"
+
+    body = [f'<{p}place id="{pid}"/>' for pid in sorted(net.places)]
+    body += [f'<{p}transition id="{t.tid}">{named(t.label)}</{p}transition>'
+             for t in net.transitions]
+    body += [f'<{p}arc id="a{i}" source="{src}" target="{dst}"/>'
+             for i, (src, dst) in enumerate(sorted(net.flows))]
+    if form == "page":
+        body = [f'<{p}page id="page0">', *body, f"</{p}page>"]
+    return (f'<{p}pnml{xmlns}><{p}net id="net0">{named("generated")}'
+            + "\n".join(body) + f"</{p}net></{p}pnml>")
 
 
 def simulate_case(net, table, rng, case_id, start_ts, max_firings=200, weights=None,

@@ -5,8 +5,10 @@ import io
 import json
 import os
 import random
+import stat
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -140,6 +142,38 @@ def test_analyze_reports_an_unwritable_output(runner, data_dir, tmp_path):
                     "--output", str(tmp_path / "missing" / "x.json"))
     assert result.exit_code == 2
     assert result.stderr.startswith("error: cannot write output")
+
+
+def test_output_through_a_symlink_replaces_the_file_it_points_to(runner, data_dir, tmp_path):
+    plain = invoke(runner, "analyze", *model_args(data_dir))
+    (tmp_path / "files").mkdir()
+    (tmp_path / "links").mkdir()
+    target = tmp_path / "files" / "td.json"
+    target.write_text("old\n")
+    link = tmp_path / "links" / "td.json"
+    link.symlink_to(Path("..", "files", "td.json"))
+    result = invoke(runner, "analyze", *model_args(data_dir), "--output", str(link))
+    assert result.exit_code == 0, result.stderr
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert target.read_text() == plain.stdout
+    # the temporary file was made beside the file, and is gone
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+        "files", "files/td.json", "links", "links/td.json"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="makes a FIFO")
+def test_output_to_a_fifo_is_written_in_place(runner, data_dir, tmp_path):
+    plain = invoke(runner, "correlate", *correlate_args(data_dir))
+    fifo = tmp_path / "rows.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()  # opening either end of a FIFO waits for the other end
+    result = invoke(runner, "correlate", *correlate_args(data_dir), "--output", str(fifo))
+    reader.join(timeout=20)
+    assert result.exit_code == 0, result.stderr
+    assert received == [plain.stdout]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
 
 
 def test_correlate_running_example(runner, data_dir):
@@ -564,6 +598,23 @@ def test_the_cli_group_leaves_the_callers_heap_unfrozen(runner, data_dir):
     assert gc.get_freeze_count() == before
 
 
+def run_into_full(entry: list[str], unbuffered: bool) -> subprocess.CompletedProcess:
+    """A fresh interpreter running entry with stdout on /dev/full."""
+    env = package_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        return subprocess.run([sys.executable, *entry], env=env, stdout=full,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+
+
+def assert_one_error_line(proc: subprocess.CompletedProcess) -> None:
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stderr.endswith("\n")
+
+
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="writes to /dev/full")
 @pytest.mark.parametrize("unbuffered", [False, True])
 @pytest.mark.parametrize("command", ["analyze", "correlate"])
@@ -571,16 +622,30 @@ def test_a_failed_write_to_stdout_is_an_error_exit(data_dir, command, unbuffered
     # buffered, the write fails when stdout is flushed, which must not be left
     # to the interpreter's exit; unbuffered, it fails at the first write
     args = model_args(data_dir) if command == "analyze" else correlate_args(data_dir)
-    env = package_env()
-    env.pop("PYTHONUNBUFFERED", None)
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    with open("/dev/full", "w") as full:
-        proc = subprocess.run([sys.executable, "-m", "caseflow", command, *args], env=env,
-                              stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
-    assert proc.stderr.endswith("\n")
+    assert_one_error_line(run_into_full(["-m", "caseflow", command, *args], unbuffered))
+
+
+CONSOLE_ENTRY = ["-c", "from caseflow.cli import run; run()"]
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="writes to /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("entry", [["-m", "caseflow"], CONSOLE_ENTRY], ids=["module", "console"])
+def test_a_failed_write_of_the_group_help_is_an_error_exit(entry, unbuffered):
+    # click writes the group's own help while it parses, before any subcommand runs
+    assert_one_error_line(run_into_full([*entry, "--help"], unbuffered))
+
+
+@pytest.mark.parametrize("entry", [["-m", "caseflow"], CONSOLE_ENTRY], ids=["module", "console"])
+def test_the_group_help_into_a_closed_pipe_exits_quietly(entry):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, *entry, "--help"], env=package_env(),
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 def test_evaluate_recovers_a_well_separated_log(runner, data_dir, tmp_path):

@@ -87,6 +87,35 @@ def test_malformed_row_reports_its_position():
         load_heuristics("activity,min,max\nA,1,5\n\nB,x,5\n")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "activity,min,max\n\nA,1,3\n\n\nB,2,4\n\n",  # blank lines
+        "max,note,activity,min\n3,x,A,1\n4,,B,2\n",  # reordered and extra columns
+        "activity,min,max,extra\nA,1,3,7,8\nB,2,4\n",  # cells past the header, a short extra
+        "activity,min,max,max\nA,1,9,3\nB,2,0,4\n",  # a repeated name: its last column
+        "activity,min,max\n  A , 1,3 \n\tB\t,\t2\t, 4\n",  # spaces around values
+    ],
+)
+def test_load_reads_rows_by_column_name(text):
+    assert dict(load_heuristics(text).items()) == {"A": (1, 3), "B": (2, 4)}
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("activity,min,max\nA,1,3\nB,2\n", "row 3: min/max must be integers"),
+        ("activity,min,max\nA,1,3\n\nB\n", "row 4: min/max must be integers"),
+        ("min,max,activity\n1,3,A\n2,4\n", "row 3: empty activity"),
+    ],
+)
+def test_load_names_the_line_of_a_short_row(text, message):
+    with pytest.raises(HeuristicError) as err:
+        load_heuristics(text)
+    assert err.value.code == "MALFORMED_ROW"
+    assert err.value.message == message
+
+
 def test_save_load_round_trip(clinic_table):
     text = save_heuristics(clinic_table)
     again = load_heuristics(text)

@@ -23,7 +23,7 @@ from caseflow import (
 from caseflow.correlator import kind_probabilities
 from caseflow.dependencies import non_cartesian_product
 from caseflow.evaluation import f_score, score
-from caseflow.model import validate
+from caseflow.model import parse_pnml, validate
 from caseflow.store import CaseStore, CorrelatedEventInstance, ExportWriter
 from caseflow.streams import (
     floor_to_second,
@@ -387,6 +387,24 @@ def test_generated_nets_yield_observable_dependencies(seed):
             assert dep_set <= td.activities()
     assert td.loop_entries <= td.activities()
     assert td.to_json_dict() == build_task_dependencies(net).to_json_dict()
+
+
+@settings(deadline=None)
+@given(st.integers(0, 10_000))
+def test_generated_nets_read_back_from_each_pnml_form(seed):
+    net = simulate.random_net(random.Random(seed))
+    td = build_task_dependencies(net)
+    for form in simulate.PNML_FORMS:
+        parsed = parse_pnml(simulate.net_to_pnml(net, form))
+        assert parsed.places == net.places, form
+        assert parsed.transitions == net.transitions, form  # ids, labels, silent flags
+        assert parsed.flows == net.flows, form
+        assert build_task_dependencies(parsed) == td, form
+        for node in parsed.places | {t.tid for t in parsed.transitions}:
+            pre, post = parsed.preset(node), parsed.postset(node)
+            assert type(pre) is frozenset and type(post) is frozenset
+            assert pre == {src for src, dst in net.flows if dst == node}, (form, node)
+            assert post == {dst for src, dst in net.flows if src == node}, (form, node)
 
 
 def correlate_spaced_cases(seed, paired, n_cases):
