@@ -42,8 +42,8 @@ def _fail(message: str):
 
 
 def _read_text(path: str, what: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
+    try:  # utf-8-sig drops the byte-order mark that spreadsheet exports begin with
+        return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         _fail(f"cannot read {what}: {exc}")
 
@@ -140,9 +140,9 @@ def _load_table(path):
     return load_heuristics(_read_text(path, "heuristics"))
 
 
-def _open(path, mode: str, what: str):
+def _open(path, mode: str, what: str, encoding: str = "utf-8"):
     try:
-        return open(path, mode, encoding="utf-8")
+        return open(path, mode, encoding=encoding)
     except OSError as exc:
         _fail(f"cannot {what}: {exc}")
 
@@ -150,7 +150,7 @@ def _open(path, mode: str, what: str):
 def _open_input(path):
     if path is None:
         _fail("an input stream is required (--input or config)")
-    return _open(path, "r", "read input")
+    return _open(path, "r", "read input", "utf-8-sig")
 
 
 def _read_stream(path, fmt):
@@ -164,6 +164,8 @@ def _output_stream(output: str | None):
     else a temporary file beside it (beside a symlink's file) that replaces it only if the
     block exits normally, so a failed run leaves the file untouched."""
     if output is None:
+        if sys.stdout is None:  # descriptor 1 was closed at start-up
+            _fail("cannot write output: standard output is closed")
         yield sys.stdout
         return
     if os.path.exists(output) and not os.path.isfile(output):
@@ -196,7 +198,8 @@ class _Main(click.Group):
     def _guarded(self, call, *args):
         try:
             result = call(*args)
-            sys.stdout.flush()  # so that a buffered write fails here, not at exit
+            if sys.stdout is not None:  # so that a buffered write fails here, not at exit
+                sys.stdout.flush()
             return result
         except (CaseflowError, ReplayError, OSError) as exc:
             cause = exc.cause if isinstance(exc, ReplayError) else exc
@@ -205,7 +208,8 @@ class _Main(click.Group):
             if not isinstance(cause, (CaseflowError, OSError)):
                 raise
             try:
-                sys.stdout.flush()
+                if sys.stdout is not None:
+                    sys.stdout.flush()
             except OSError:  # drop what cannot be written, so that exit does not fail on it again
                 with suppress(OSError):
                     sys.stdout.close()

@@ -2,10 +2,12 @@
 
 Every way an event can extend a stored case is an allocation: the case, the
 dependency alternative it satisfies there, the anchor occurrence that enabled
-it, and the implied duration. The event is materialized once per candidate
-case, and each instance carries a trust score aggregating the probabilities
-of its allocations given how many allocations the event produced in total.
-An event with no allocation at all is kept as noise.
+it, and the implied duration. The store's two searches find them over its
+own records; this module compiles the model into what they take, checks each
+event's order, mode and lifecycle, and scores. The event is materialized once
+per candidate case, and each instance carries a trust score aggregating the
+probabilities of its allocations given how many allocations the event
+produced in total. An event with no allocation at all is kept as noise.
 """
 
 from __future__ import annotations
@@ -13,19 +15,13 @@ from __future__ import annotations
 from datetime import timedelta
 
 from .errors import CaseflowError
-from .store import Allocation, CaseStore, CorrelatedEventInstance
-from .streams import floor_to_second
-
-KIND_AVG = "avg"
-KIND_RANGE = "range"
+from .store import KIND_AVG, KIND_RANGE, Allocation, CaseStore, CorrelatedEventInstance
 
 MODE_PAIRED = "paired"
 MODE_COMPLETED = "completed"
 
 # the plan of a windowless start activity, whose events only open cases
 _OPENS_ONLY = (0, 0, 0, timedelta(0), ())
-# the dependency set of every pairing allocation, one object for them all
-_NO_MEMBERS = frozenset()
 
 # ingest builds its records as _new(record type, fields in declared order),
 # which skips the named tuples' own __new__, written in Python
@@ -91,7 +87,7 @@ class Correlator:
             self._plan[activity] = (mn, mx, table.avg(activity), timedelta(seconds=mx), anchorings)
         # an event's allocations go by case, anchor, then sorted members;
         # ranking every dependency set once spares sorting members per event
-        dep_sets = {_NO_MEMBERS}.union(*(td.alternatives(a) for a in td.activities()))
+        dep_sets = {frozenset()}.union(*(td.alternatives(a) for a in td.activities()))
         rank = {dep_set: i for i, dep_set in enumerate(sorted(dep_sets, key=sorted))}
         self._order = lambda a: (a[0], a[2], rank[a[1]])
         # (activity, m) -> kind_probabilities of the activity's window
@@ -140,16 +136,17 @@ class Correlator:
 
         store = self.store
         lifecycle = event.lifecycle
+        mn, mx, avg, max_span, anchorings = plan
         if self._mode == MODE_PAIRED and lifecycle != "started":
             if lifecycle != "completed":
                 raise CorrelationError(
                     "MIXED_LIFECYCLE", f"paired stream needs started/completed lifecycles, got {lifecycle!r}")
-            allocations = self._pairing_allocations(event, plan)
+            allocations = store.pairing_allocations(ts, activity, mn, mx, avg)
         elif lifecycle == "started" and self._mode == MODE_COMPLETED:
             raise CorrelationError(
                 "MIXED_LIFECYCLE", "stream opened without lifecycle pairing; started events not allowed")
-        elif plan[4]:
-            allocations = self._dependency_allocations(event, plan)
+        elif anchorings:
+            allocations = store.dependency_allocations(ts, mn, avg, max_span, anchorings)
         else:
             # no alternatives: the event opens a case, its one allocation-free instance
             inst = _new(CorrelatedEventInstance, (
@@ -171,7 +168,7 @@ class Correlator:
 
         probability = self._probability.get((activity, m))
         if probability is None:
-            probability = self._probability[activity, m] = kind_probabilities(m, plan[0], plan[1])
+            probability = self._probability[activity, m] = kind_probabilities(m, mn, mx)
         # one run per case, in case order; within a case by anchor, then
         # members: in one event and case, the anchor decides the duration and
         # the kind
@@ -212,9 +209,10 @@ class Correlator:
         plan = self._plan.get(event.activity)
         if plan is None:
             return set()
+        mn, mx, avg, max_span, anchorings = plan
         if self._mode == MODE_PAIRED and event.lifecycle != "started":
-            return self._pairing_allocations(event, plan)
-        return self._dependency_allocations(event, plan)
+            return self.store.pairing_allocations(event.timestamp, event.activity, mn, mx, avg)
+        return self.store.dependency_allocations(event.timestamp, mn, avg, max_span, anchorings)
 
     # internals
 
@@ -232,56 +230,3 @@ class Correlator:
         ))
         self.store.add(inst)
         return inst
-
-    def _dependency_allocations(self, event, plan) -> set[Allocation]:
-        ts0 = floor_to_second(event.timestamp)
-        mn, _, avg, max_span, anchorings = plan
-        # anchors from lo on lie at most max whole seconds before the event,
-        # earlier ones more; anchors after the event fail the min check
-        lo = ts0 - max_span
-        store = self.store
-        cases = store.live_cases()
-        # a set: same-instant occurrences of one member in one case index
-        # the same (anchor, case) twice
-        out: set[Allocation] = set()
-        for dep_set, spend_key, member, others in anchorings:
-            for anchor, case_id in store.occurrences_since(member, lo):
-                # ts0 - anchor rounded up to whole seconds; ts0 is whole
-                delta = ts0 - anchor
-                duration = delta.days * 86400 + delta.seconds + (delta.microseconds > 0)
-                if duration < mn:
-                    continue
-                case = cases[case_id]
-                if spend_key is not None:
-                    until = case.spent.get(spend_key)
-                    if until is not None and anchor <= until:
-                        continue
-                # the other members need only have occurred by the anchor
-                for x in others:
-                    first = case.first_seen.get(x)
-                    if first is None or first > anchor:
-                        break
-                else:
-                    out.add(_new(Allocation, (
-                        case_id, dep_set, anchor, duration, KIND_AVG if duration == avg else KIND_RANGE
-                    )))
-        return out
-
-    def _pairing_allocations(self, event, plan) -> set[Allocation]:
-        activity = event.activity
-        ts0 = floor_to_second(event.timestamp)
-        mn, mx, avg, _, _ = plan
-        out: set[Allocation] = set()
-        for case_id, case in self.store.live_cases().items():
-            starts = case.open.get(activity)
-            if not starts:
-                continue
-            started = starts[0]
-            # ts0 - started rounded up to whole seconds; ts0 is whole
-            delta = ts0 - started
-            duration = delta.days * 86400 + delta.seconds + (delta.microseconds > 0)
-            if mn <= duration <= mx:
-                out.add(_new(Allocation, (
-                    case_id, _NO_MEMBERS, started, duration, KIND_AVG if duration == avg else KIND_RANGE
-                )))
-        return out

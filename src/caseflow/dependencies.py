@@ -126,7 +126,7 @@ def eliminate_silent(raw: dict[str, set[frozenset[str]]], is_silent) -> dict[str
     return {t: expand(alts) for t, alts in raw.items() if not is_silent(t)}
 
 
-def find_loop_entries(td: TaskDependencies) -> frozenset[str]:
+def find_loop_entries(deps: dict[str, frozenset[frozenset[str]]]) -> frozenset[str]:
     """Dependency activities whose firing can re-enable an earlier activity.
 
     An activity x is a loop entry when some activity t with at least two
@@ -134,14 +134,14 @@ def find_loop_entries(td: TaskDependencies) -> frozenset[str]:
     on a cycle. Since the edge exists, that is exactly when t reaches x
     again along dependency edges (x == t counts).
     """
-    enables: dict[str, set[str]] = {t: set() for t in td.deps}
-    for t, alts in td.deps.items():
+    enables: dict[str, set[str]] = {t: set() for t in deps}
+    for t, alts in deps.items():
         for s in alts:
             for x in s:
                 enables.setdefault(x, set()).add(t)
 
     entries = set()
-    for t, alts in td.deps.items():
+    for t, alts in deps.items():
         if len(alts) < 2:
             continue
         reached = _reachable([t], enables.__getitem__)  # each node reached is a key of deps
@@ -164,5 +164,4 @@ def build_task_dependencies(net) -> TaskDependencies:
         labels[tid]: frozenset(frozenset(map(labels.__getitem__, s)) for s in alts)
         for tid, alts in observable.items()
     }
-    td = TaskDependencies(deps=deps, loop_entries=frozenset())
-    return TaskDependencies(deps=deps, loop_entries=find_loop_entries(td))
+    return TaskDependencies(deps=deps, loop_entries=find_loop_entries(deps))

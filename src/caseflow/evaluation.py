@@ -33,16 +33,13 @@ def selections(instances, mode: str = "max_trust", threshold: float | None = Non
     picked: dict[int, list] = {}
     if mode == "max_trust":
         for seq, group in by_seq.items():
-            proper = [i for i in group if not i.is_noise() and i.trust is not None]
+            proper = [i for i in group if not i.is_noise()]
             picked[seq] = [max(proper, key=lambda i: (i.trust, -i.case_id))] if proper else []
     elif mode == "threshold":
         if threshold is None:
             raise ValueError("threshold mode needs a threshold value")
         for seq, group in by_seq.items():
-            picked[seq] = [
-                i for i in group
-                if not i.is_noise() and i.trust is not None and i.trust >= threshold
-            ]
+            picked[seq] = [i for i in group if not i.is_noise() and i.trust >= threshold]
     else:
         raise ValueError(f"unknown selection mode {mode!r}")
     return picked

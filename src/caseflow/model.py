@@ -58,13 +58,13 @@ class WorkflowNet:
         self.transitions = tuple(transitions)
         self.flows = frozenset(flows)
 
-        self._nodes: dict[str, Transition | None] = {}
+        self._nodes: set[str] = set()
         for node, t in [(p, None) for p in places] + [(t.tid, t) for t in self.transitions]:
             if node in self._nodes:
                 raise NetError("DUPLICATE_ID", f"node id {node!r} declared twice")
             if t is not None and not t.silent and not t.label:
                 raise NetError("UNLABELED", f"observable transition {node!r} has no label")
-            self._nodes[node] = t
+            self._nodes.add(node)
 
         pre: dict[str, set[str]] = {n: set() for n in self._nodes}
         post: dict[str, set[str]] = {n: set() for n in self._nodes}
@@ -80,12 +80,6 @@ class WorkflowNet:
         self._pre = {n: frozenset(s) for n, s in pre.items()}
         self._post = {n: frozenset(s) for n, s in post.items()}
 
-    def transition(self, tid: str) -> Transition:
-        t = self._nodes.get(tid)
-        if t is None:
-            raise NetError("UNKNOWN_NODE", f"no transition with id {tid!r}")
-        return t
-
     def preset(self, node: str) -> frozenset[str]:
         if node not in self._nodes:
             raise NetError("UNKNOWN_NODE", f"no node with id {node!r}")
@@ -95,12 +89,6 @@ class WorkflowNet:
         if node not in self._nodes:
             raise NetError("UNKNOWN_NODE", f"no node with id {node!r}")
         return self._post[node]
-
-    def label_of(self, tid: str) -> str | None:
-        return self.transition(tid).label
-
-    def is_silent(self, tid: str) -> bool:
-        return self.transition(tid).silent
 
     def observable_labels(self) -> frozenset[str]:
         return frozenset(t.label for t in self.transitions if not t.silent)

@@ -1,14 +1,13 @@
 """In-memory store of correlated event instances, one writer at a time.
 
 The store keeps the materialized instances, the per-case views, and the
-indexes the correlator queries while weighing candidate cases: a time index
-of recent occurrences per activity, read once per dependency member as
-occurrences_since, and per live case one record, read through live_cases:
-the case's first occurrence of each activity (member checks), for each
-dependency alternative a fully trusted instance confirmed, the latest anchor
-that confirmed it (spend checks), and the case's open started events
-awaiting their completion (pairing). Only this module knows the layout of
-the time index.
+indexes its two searches read while an event weighs candidate cases: a time
+index of recent occurrences per activity, whose entries are the anchors of
+the dependency search, and per live case one record: the case's first
+occurrence of each activity (member checks), for each dependency alternative
+a fully trusted instance confirmed, the latest anchor that confirmed it
+(spend checks), and the case's open started events awaiting their
+completion (the pairing search). Only this module knows their layout.
 
 add is the only writer, and it needs no mode. An instance at full trust
 spends the dependency alternatives of its allocations, each up to its
@@ -24,7 +23,7 @@ before an event can reach it: such anchors lie before the search's lower
 edge, and such open started events are past every window. So each add trims
 its activity's index to R before the newest entry, and a case's first
 instance retires the cases last touched more than R before, open started
-events and all, by deleting their records. Queries change nothing. The
+events and all, by deleting their records. The searches change nothing. The
 instances themselves are kept for instances(), case_view() and export_log()
 unless keep_instances is false; then memory is bounded by the cases still
 open.
@@ -45,7 +44,17 @@ from collections import defaultdict
 from datetime import datetime, timedelta
 from typing import NamedTuple
 
-from .streams import format_timestamp
+from .streams import floor_to_second, format_timestamp
+
+KIND_AVG = "avg"
+KIND_RANGE = "range"
+
+# the dependency set of every pairing allocation, one object for them all
+_NO_MEMBERS = frozenset()
+
+# the searches build allocations as _new(Allocation, fields in declared
+# order), which skips the named tuple's own __new__, written in Python
+_new = tuple.__new__
 
 
 class Allocation(NamedTuple):
@@ -203,23 +212,65 @@ class CaseStore:
     def noise_count(self) -> int:
         return self._noise_count
 
-    # anchor lookups
+    # the searches
 
-    def occurrences_since(self, activity: str, lo: datetime) -> list[tuple[datetime, int]]:
-        """(timestamp, case id) of each indexed occurrence of activity from lo
-        on; those more than the reach before the newest are gone."""
-        entries = self._time_index.get(activity)
-        if entries is None:
-            return []
-        return entries[bisect_left(entries, (lo,)):]
+    def dependency_allocations(self, ts, mn, avg, max_span, anchorings) -> set[Allocation]:
+        """Each allocation of an event at ts through one of its anchorings, each
+        (members, spend key or None, anchor member, the other members), whose
+        duration lies in its window mn..max_span of average avg."""
+        ts0 = floor_to_second(ts)
+        # anchors from lo on lie at most max whole seconds before the event,
+        # earlier ones more; anchors after the event fail the min check
+        lo = ts0 - max_span
+        index, cases = self._time_index, self._live
+        # a set: same-instant occurrences of one member in one case index
+        # the same (anchor, case) twice
+        out: set[Allocation] = set()
+        for dep_set, spend_key, member, others in anchorings:
+            entries = index.get(member)
+            if entries is None:
+                continue
+            # entries from lo on lie within the reach, so their cases are live
+            for anchor, case_id in entries[bisect_left(entries, (lo,)):]:
+                # ts0 - anchor rounded up to whole seconds; ts0 is whole
+                delta = ts0 - anchor
+                duration = delta.days * 86400 + delta.seconds + (delta.microseconds > 0)
+                if duration < mn:
+                    continue
+                case = cases[case_id]
+                if spend_key is not None:
+                    until = case.spent.get(spend_key)
+                    if until is not None and anchor <= until:
+                        continue
+                # the other members need only have occurred by the anchor
+                for x in others:
+                    first = case.first_seen.get(x)
+                    if first is None or first > anchor:
+                        break
+                else:
+                    out.add(_new(Allocation, (
+                        case_id, dep_set, anchor, duration, KIND_AVG if duration == avg else KIND_RANGE
+                    )))
+        return out
 
-    def live_cases(self) -> dict[int, CaseRecord]:
-        """Case id -> the record of each case not yet retired. Every case of
-        an occurrence the search reads is live, and so is every case whose
-        open start a completion can still pair with: the store retires a case
-        only once it was last touched more than the reach before. The stored
-        map itself, not a copy: callers only read it."""
-        return self._live
+    def pairing_allocations(self, ts, activity, mn, mx, avg) -> set[Allocation]:
+        """Each pairing of a completion of activity at ts with a live case's
+        oldest open start of it, in the window mn..mx of average avg."""
+        ts0 = floor_to_second(ts)
+        out: set[Allocation] = set()
+        for case_id, case in self._live.items():
+            starts = case.open.get(activity)
+            if not starts:
+                continue
+            started = starts[0]
+            # ts0 - started rounded up to whole seconds; ts0 is whole
+            delta = ts0 - started
+            duration = delta.days * 86400 + delta.seconds + (delta.microseconds > 0)
+            if mn <= duration <= mx:
+                out.add(_new(Allocation, (
+                    case_id, _NO_MEMBERS, started, duration, KIND_AVG if duration == avg else KIND_RANGE
+                )))
+        return out
 
     def export_log(self, threshold: float = 0.0) -> str:
         """Render stored instances at or above the trust threshold as CSV,
@@ -280,7 +331,7 @@ class ExportWriter:
             if noise_reason is not None:
                 if threshold <= 0:
                     held.append(inst)
-            elif trust is not None and trust >= threshold:
+            elif trust >= threshold:
                 held.append(inst)
 
     def flush(self) -> None:

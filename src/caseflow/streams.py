@@ -185,7 +185,7 @@ def read_events(source, fmt: str = "csv") -> tuple[UncorrelatedEvent, ...]:
     rather than rejected.
     """
     if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as handle:
+        with open(source, encoding="utf-8-sig") as handle:
             return read_events(handle, fmt=fmt)
 
     events = list(iter_events(source, fmt))

@@ -475,6 +475,12 @@ ERROR_EXITS = {
         "correlate --model {tmp}/toy.net --heuristics {tmp}/toy.csv --input {tmp}/in.csv",
         "error: BAD_ENCODING: byte 0xff at offset 41 is not valid utf-8 (invalid start byte)\n",
     ),
+    # the byte-order mark is not text, but its three bytes count in the offset
+    "undecodable-input-after-a-byte-order-mark": (
+        {"in.csv": b"\xef\xbb\xbftimestamp,activity\n2021-03-01 09:00:00,A\n\xff\n"},
+        "correlate --model {tmp}/toy.net --heuristics {tmp}/toy.csv --input {tmp}/in.csv",
+        "error: BAD_ENCODING: byte 0xff at offset 44 is not valid utf-8 (invalid start byte)\n",
+    ),
 }
 
 
@@ -484,6 +490,50 @@ def test_error_exits_print_their_exact_message(runner, tmp_path, files, args, st
         (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
     result = invoke(runner, *[arg.format(tmp=tmp_path) for arg in args.split()])
     assert (result.exit_code, result.stderr) == (2, stderr.format(tmp=tmp_path))
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+def with_bom(path: Path, tmp_path: Path) -> Path:
+    """A copy of path that begins with a UTF-8 byte-order mark."""
+    copy = tmp_path / f"bom-{path.name}"
+    copy.write_bytes(BOM + path.read_bytes())
+    return copy
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("model", ["clinic.net", "clinic.pnml"])
+def test_a_byte_order_mark_changes_no_input(runner, data_dir, tmp_path, model, fmt):
+    # spreadsheet exports begin their UTF-8 text with a byte-order mark
+    stream = data_dir / "stream.csv"
+    if fmt == "jsonl":
+        stream = tmp_path / "stream.jsonl"
+        stream.write_text("".join(
+            json.dumps({"timestamp": str(event.timestamp), "activity": event.activity}) + "\n"
+            for event in read_events(data_dir / "stream.csv")))
+    files = (data_dir / model, data_dir / "heuristics.csv", stream)
+    results = []
+    for model_file, heuristics, input_file in (files, [with_bom(f, tmp_path) for f in files]):
+        results.append(invoke(runner, "correlate", "--model", str(model_file), "--heuristics",
+                              str(heuristics), "--input", str(input_file), "--format", fmt))
+    plain, marked = results
+    assert plain.exit_code == 0 and plain.stdout.count("\n") > 20
+    assert (marked.exit_code, marked.stdout, marked.stderr) == (0, plain.stdout, plain.stderr)
+
+
+def test_a_byte_order_mark_changes_no_config(runner, data_dir, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(BOM + (
+        f"model = {data_dir / 'clinic.net'}\n"
+        f"heuristics = {data_dir / 'heuristics.csv'}\n"
+        f"input = {data_dir / 'stream.csv'}\n"
+        "threshold = 60\n"
+    ).encode())
+    via_config = invoke(runner, "correlate", "--config", str(cfg))
+    via_flags = invoke(runner, "correlate", *correlate_args(data_dir), "--threshold", "60")
+    assert (via_config.exit_code, via_config.stderr) == (0, via_flags.stderr)
+    assert via_config.stdout == via_flags.stdout
 
 
 def test_correlate_exports_offset_timestamps_with_their_offsets(runner, tmp_path):
@@ -634,6 +684,24 @@ CONSOLE_ENTRY = ["-c", "from caseflow.cli import run; run()"]
 def test_a_failed_write_of_the_group_help_is_an_error_exit(entry, unbuffered):
     # click writes the group's own help while it parses, before any subcommand runs
     assert_one_error_line(run_into_full([*entry, "--help"], unbuffered))
+
+
+def run_with_stdout_closed(entry: list[str]) -> subprocess.CompletedProcess:
+    """A fresh interpreter running entry with descriptor 1 closed, so that
+    its sys.stdout is None."""
+    return subprocess.run([sys.executable, *entry], env=package_env(), stderr=subprocess.PIPE,
+                          text=True, timeout=60, preexec_fn=lambda: os.close(1))
+
+
+@pytest.mark.parametrize("entry", [["-m", "caseflow"], CONSOLE_ENTRY], ids=["module", "console"])
+def test_a_closed_stdout_fails_only_a_run_that_writes_to_it(data_dir, tmp_path, clinic_td, entry):
+    output = tmp_path / "out.json"
+    proc = run_with_stdout_closed([*entry, "analyze", *model_args(data_dir), "--output", str(output)])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(output.read_text()) == clinic_td.to_json_dict()
+    proc = run_with_stdout_closed([*entry, "analyze", *model_args(data_dir)])
+    assert_one_error_line(proc)
+    assert proc.stderr == "error: cannot write output: standard output is closed\n"
 
 
 @pytest.mark.parametrize("entry", [["-m", "caseflow"], CONSOLE_ENTRY], ids=["module", "console"])

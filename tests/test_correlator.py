@@ -36,6 +36,11 @@ def feed(correlator, events):
     return out
 
 
+def time_index(store, activity):
+    """The store's index of activity: what it holds, not what a search finds."""
+    return store._time_index.get(activity, [])
+
+
 def test_missing_heuristics_are_rejected_up_front(clinic_td):
     partial = HeuristicTable({"A": (1, 1), "B": (1, 4)})
     with pytest.raises(CorrelationError) as err:
@@ -73,11 +78,13 @@ def test_start_activity_opens_fresh_cases(clinic_correlator, clinic_td, clinic_t
     (started,) = corr.ingest(ev(1, "A", "started"))
     assert (started.case_id, started.trust, started.raw_trust) == (1, 100.0, 100.0)
     assert started.allocations == ()
-    assert corr.store.live_cases()[1].open == {"A": [started.timestamp]}
+    # a completion in any window finds the open start, and only that
+    assert [(a.case_id, a.anchor) for a in corr.store.pairing_allocations(
+        ev(2, "A").timestamp, "A", 0, 10**9, None)] == [(1, started.timestamp)]
     (completed,) = corr.ingest(ev(2, "A", "completed"))
     assert (completed.case_id, completed.trust) == (1, 100.0)
     assert [a.anchor for a in completed.allocations] == [started.timestamp]
-    assert corr.store.live_cases()[1].open == {}
+    assert corr.store.pairing_allocations(ev(3, "A").timestamp, "A", 0, 10**9, None) == set()
 
 
 def test_shared_event_is_materialized_once_per_case(clinic_correlator):
@@ -331,7 +338,7 @@ def test_activities_that_enable_nothing_stay_within_the_reach_in_the_time_index(
     widest = timedelta(0)
     for event in stream:
         corr.ingest(event)
-        entries = corr.store.occurrences_since("M", datetime.min)
+        entries = time_index(corr.store, "M")
         if entries:
             widest = max(widest, entries[-1][0] - entries[0][0])
     assert timedelta(0) < widest <= timedelta(seconds=12)
@@ -351,7 +358,7 @@ def test_a_self_loop_index_stays_within_the_reach_while_its_case_stays_open():
         b = UncorrelatedEvent(timestamp=t + timedelta(seconds=second), activity="B")
         (inst,) = corr.ingest(b)
         assert (inst.case_id, inst.trust) == (1, 100.0)
-        assert len(corr.store.occurrences_since("B", datetime.min)) <= 3
+        assert len(time_index(corr.store, "B")) <= 3
 
 
 def test_a_completions_stream_needs_no_window_for_its_start_activity(

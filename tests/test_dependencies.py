@@ -160,8 +160,7 @@ def test_loop_entries_empty_for_acyclic_model():
         "B": fs(fs("A")),
         "C": fs(fs("A"), fs("B")),
     }
-    td = TaskDependencies(deps=deps, loop_entries=frozenset())
-    assert find_loop_entries(td) == frozenset()
+    assert find_loop_entries(deps) == frozenset()
 
 
 def test_loop_entry_requires_at_least_two_alternatives():
@@ -172,8 +171,7 @@ def test_loop_entry_requires_at_least_two_alternatives():
         "B": fs(fs("C")),
         "C": fs(fs("A"), fs("B")),
     }
-    td = TaskDependencies(deps=deps, loop_entries=frozenset())
-    assert find_loop_entries(td) == {"B"}
+    assert find_loop_entries(deps) == {"B"}
 
 
 def test_loop_entries_match_a_transitive_closure_on_random_maps():
@@ -202,8 +200,7 @@ def test_loop_entries_match_a_transitive_closure_on_random_maps():
             for s in alts for x in s
             if x == t or ((x, t) in reach and (t, x) in reach)
         }
-        td = TaskDependencies(deps=deps, loop_entries=frozenset())
-        assert find_loop_entries(td) == expected, deps
+        assert find_loop_entries(deps) == expected, deps
 
 
 def test_clinic_dependencies(clinic_td):

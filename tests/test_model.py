@@ -22,6 +22,10 @@ def small_net():
     return parse_simple_net(SMALL)
 
 
+def transition(net, tid):
+    return next(t for t in net.transitions if t.tid == tid)
+
+
 def test_simple_net_round_trip_structure():
     net = small_net()
     assert net.places == {"p0", "p1", "p2"}
@@ -47,10 +51,10 @@ def test_label_defaults_to_id_and_dash_means_silent():
         arc skip p0
         """
     )
-    assert net.label_of("X") == "X"
-    assert not net.is_silent("X")
-    assert net.is_silent("skip")
-    assert net.label_of("skip") is None
+    assert transition(net, "X").label == "X"
+    assert not transition(net, "X").silent
+    assert transition(net, "skip").silent
+    assert transition(net, "skip").label is None
 
 
 def test_silent_keyword_and_silent_label_set():
@@ -66,12 +70,12 @@ def test_silent_keyword_and_silent_label_set():
         arc b p1
         """
     )
-    assert net.is_silent("a")
-    assert net.label_of("a") == "keep"
-    assert net.is_silent("b")
+    assert transition(net, "a").silent
+    assert transition(net, "a").label == "keep"
+    assert transition(net, "b").silent
     # the silent-label set is configurable
     net2 = parse_simple_net("place p0\ntransition b tau\narc p0 b", silent_labels=frozenset())
-    assert not net2.is_silent("b")
+    assert not transition(net2, "b").silent
 
 
 @pytest.mark.parametrize(
@@ -199,7 +203,7 @@ def test_validate_flags_duplicate_labels():
 def test_parse_pnml_clinic(clinic_net):
     assert len(clinic_net.places) == 13
     assert len(clinic_net.transitions) == 14
-    assert clinic_net.is_silent("t_tau")
+    assert transition(clinic_net, "t_tau").silent
     assert clinic_net.observable_labels() == set("ABCDEFGHIJLMN")
     assert validate(clinic_net).ok()
 
@@ -234,10 +238,10 @@ def test_parse_pnml_invisible_markers():
     </page></net></pnml>
     """
     net = parse_pnml(text)
-    assert not net.is_silent("t1")
-    assert net.is_silent("t2")
-    assert net.is_silent("t3")
-    assert net.is_silent("t4")  # no label at all
+    assert not transition(net, "t1").silent
+    assert transition(net, "t2").silent
+    assert transition(net, "t3").silent
+    assert transition(net, "t4").silent  # no label at all
     assert net.observable_labels() == {"A"}
 
 

@@ -28,6 +28,31 @@ def noise_inst(second, activity, reason="no-allocation"):
     )
 
 
+def found(store, member, at, span):
+    """(anchor, case id) of each occurrence of member that an event at `at`
+    finds within span seconds before it, through member alone, never spent."""
+    anchorings = ((frozenset({member}), None, member, ()),)
+    allocations = store.dependency_allocations(at, 0, None, timedelta(seconds=span), anchorings)
+    return sorted((a.anchor, a.case_id) for a in allocations)
+
+
+def paired(store, activity, at):
+    """(case id, start) of each open start of activity that a completion at
+    `at` pairs with, in any window."""
+    allocations = store.pairing_allocations(at, activity, 0, 10**9, None)
+    return sorted((a.case_id, a.anchor) for a in allocations)
+
+
+def live(store):
+    """The store's records of live cases: what it holds, not what a search finds."""
+    return store._live
+
+
+def time_index(store, activity):
+    """The store's index of activity: what it holds, not what a search finds."""
+    return store._time_index.get(activity, [])
+
+
 def test_case_ids_are_dense_and_sorted():
     store = CaseStore(REACH)
     assert store.new_case_id() == 1
@@ -58,7 +83,7 @@ def test_noise_is_kept_apart_from_cases():
     assert len(store) == 2
     assert store.noise_count() == 1
     assert store.noise()[0].activity == "Z"
-    assert store.occurrences_since("Z", ts(0)) == []
+    assert found(store, "Z", ts(3), 3) == []
 
 
 def test_occurrence_index_and_window_queries():
@@ -66,16 +91,16 @@ def test_occurrence_index_and_window_queries():
     c1, c2 = store.new_case_id(), store.new_case_id()
     for second, case_id in ((1, c1), (3, c1), (4, c2), (5, c1), (7, c1)):
         store.add(inst(second, "B", case_id, trust=40.0))
-    assert store.occurrences_since("B", ts(3)) == [
+    assert found(store, "B", ts(10), 7) == [
         (ts(3), c1), (ts(4), c2), (ts(5), c1), (ts(7), c1)
     ]
-    assert store.occurrences_since("B", ts(8)) == []
-    assert [t for t, _ in store.occurrences_since("B", ts(0))] == [
+    assert found(store, "B", ts(10), 2) == []
+    assert [t for t, _ in found(store, "B", ts(10), 10)] == [
         ts(1), ts(3), ts(4), ts(5), ts(7)
     ]
     # each case records its first occurrence of the activity
-    assert store.live_cases()[c1].first_seen == {"B": ts(1)}
-    assert store.live_cases()[c2].first_seen == {"B": ts(4)}
+    assert live(store)[c1].first_seen == {"B": ts(1)}
+    assert live(store)[c2].first_seen == {"B": ts(4)}
 
 
 def test_non_anchorable_instances_stay_out_of_the_indexes():
@@ -83,8 +108,8 @@ def test_non_anchorable_instances_stay_out_of_the_indexes():
     c1 = store.new_case_id()
     started = inst(1, "A", c1, lifecycle="started")
     store.add(started)
-    assert store.occurrences_since("A", ts(0)) == []
-    assert store.live_cases()[c1].first_seen == {}
+    assert found(store, "A", ts(2), 2) == []
+    assert live(store)[c1].first_seen == {}
     assert store.case_view(c1) == [started]
 
 
@@ -94,10 +119,11 @@ def test_time_index_keeps_the_window_edge_and_subsecond_occurrences():
     subsecond = ts(0) + timedelta(microseconds=300_000)
     store.add(inst(0, "B", c1))
     store.add(CorrelatedEventInstance(timestamp=subsecond, activity="B", case_id=c2, trust=100.0))
-    # an event at second 5 whose window ends at 4 s looks back to ts - max - 1
+    # an event at second 5 whose window ends at 5 s looks back to second 0,
+    # where the one occurrence lies, and finds the other 5 whole seconds back
     lo = ts(5) - timedelta(seconds=5)
     assert lo == ts(0)
-    assert store.occurrences_since("B", lo) == [(ts(0), c1), (subsecond, c2)]
+    assert found(store, "B", ts(5), 5) == [(ts(0), c1), (subsecond, c2)]
 
 
 def test_time_index_retires_occurrences_older_than_the_horizon():
@@ -105,12 +131,13 @@ def test_time_index_retires_occurrences_older_than_the_horizon():
     c1, c2 = store.new_case_id(), store.new_case_id()
     store.add(inst(1, "B", c1))
     store.add(inst(2, "B", c2))
-    assert store.occurrences_since("B", ts(0)) == [(ts(1), c1), (ts(2), c2)]
+    assert time_index(store, "B") == [(ts(1), c1), (ts(2), c2)]
     store.add(inst(3, "B", c1))
     # retired for good by the add: a wider window later does not bring them back
-    assert store.occurrences_since("B", ts(0)) == [(ts(2), c2), (ts(3), c1)]
+    assert time_index(store, "B") == [(ts(2), c2), (ts(3), c1)]
+    assert found(store, "B", ts(3), 60) == [(ts(2), c2), (ts(3), c1)]
     # the per-case member check still sees a case's earliest occurrence
-    assert store.live_cases()[c1].first_seen["B"] == ts(1)
+    assert live(store)[c1].first_seen["B"] == ts(1)
 
 
 def test_open_started_queue_is_first_in_first_out():
@@ -118,13 +145,16 @@ def test_open_started_queue_is_first_in_first_out():
     c1 = store.new_case_id()
     store.add(inst(1, "B", c1, lifecycle="started"))
     store.add(inst(2, "B", c1, lifecycle="started"))
-    case = store.live_cases()[c1]
+    case = live(store)[c1]
     assert case.open == {"B": [ts(1), ts(2)]}
+    assert paired(store, "B", ts(3)) == [(c1, ts(1))]
     # a completion closes the oldest open start
     store.add(inst(3, "B", c1, lifecycle="completed"))
     assert case.open == {"B": [ts(2)]}
+    assert paired(store, "B", ts(4)) == [(c1, ts(2))]
     store.add(inst(4, "B", c1, lifecycle="completed"))
     assert case.open == {}
+    assert paired(store, "B", ts(5)) == []
     # with nothing open, a completion closes nothing
     store.add(inst(5, "B", c1, lifecycle="completed"))
     assert case.open == {}
@@ -136,7 +166,7 @@ def test_drained_queues_leave_the_open_started_cases():
     store.add(inst(1, "B", c1, lifecycle="started"))
     store.add(inst(2, "B", c2, lifecycle="started"))
     store.add(inst(3, "C", c1, lifecycle="started"))
-    one, two = store.live_cases()[c1], store.live_cases()[c2]
+    one, two = live(store)[c1], live(store)[c2]
     assert (one.open, two.open) == ({"B": [ts(1)], "C": [ts(3)]}, {"B": [ts(2)]})
     # a drained queue leaves its case's record; other queues stay
     store.add(inst(4, "B", c1, lifecycle="completed"))
@@ -151,10 +181,11 @@ def test_a_retired_case_takes_its_open_starts_along():
     store = CaseStore(timedelta(seconds=2))
     c1, c2 = store.new_case_id(), store.new_case_id()
     store.add(inst(1, "B", c1, lifecycle="started"))
-    assert store.live_cases()[c1].open == {"B": [ts(1)]}
+    assert live(store)[c1].open == {"B": [ts(1)]}
     # c2's first instance, more than the reach after c1 was last touched
     store.add(inst(4, "A", c2))
-    assert list(store.live_cases()) == [c2]
+    assert list(live(store)) == [c2]
+    assert paired(store, "B", ts(4)) == []
 
 
 def alloc(case_id, *members, anchor=0):
@@ -187,7 +218,7 @@ def test_spent_alternatives_accumulate_per_case_and_activity():
     store.add(inst(1, "A", c2))
 
     def spent(case_id):
-        return store.live_cases()[case_id].spent
+        return live(store)[case_id].spent
 
     D, H, B = frozenset({"D"}), frozenset({"H"}), frozenset({"B"})
     # a fully trusted instance spends each set its allocations satisfy, up to
@@ -208,7 +239,7 @@ def test_spent_alternatives_accumulate_per_case_and_activity():
     # a started instance at full trust spends too
     store.add(inst(7, "C", c2, lifecycle="started", allocations=(alloc(c2, "B", anchor=6),)))
     assert spent(c2) == {("C", B): ts(6)}
-    assert 3 not in store.live_cases()
+    assert 3 not in live(store)
 
 
 def export_rows(store, threshold=0.0):

@@ -187,6 +187,34 @@ def test_read_events_reports_an_undecodable_byte_by_its_offset_in_the_file(tmp_p
                               "(invalid start byte)")
 
 
+BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_read_events_from_a_path_drops_a_byte_order_mark(tmp_path, fmt):
+    text = ("timestamp,activity\n2019-06-16 11:55:01,A\n2019-06-16 11:55:02,B\n" if fmt == "csv"
+            else '{"timestamp": "2019-06-16 11:55:01", "activity": "A"}\n'
+                 '{"timestamp": "2019-06-16 11:55:02", "activity": "B"}\n')
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(BOM + text.encode())
+    assert read_events(marked, fmt=fmt) == read_events(plain, fmt=fmt) == (ev(1, "A"), ev(2, "B"))
+
+
+@pytest.mark.parametrize("rows", [1, 1000], ids=["first-chunk", "later-chunk"])
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_a_byte_order_mark_counts_in_an_undecodable_byte_s_offset(tmp_path, fmt, rows):
+    row = ('{"timestamp": "2019-06-16 11:55:01", "activity": "A"}\n' if fmt == "jsonl"
+           else "2019-06-16 11:55:01,A\n")
+    head = ("" if fmt == "jsonl" else "timestamp,activity\n") + row * rows
+    path = tmp_path / "stream"
+    path.write_bytes(BOM + head.encode() + b"\xff\n")
+    with pytest.raises(StreamFormatError) as err:
+        read_events(path, fmt=fmt)
+    assert str(err.value) == (f"BAD_ENCODING: byte 0xff at offset {len(BOM) + len(head)} is not "
+                              "valid utf-8 (invalid start byte)")
+
+
 def test_read_events_csv_columns_read_as_a_dict_reader_reads_them():
     text = (
         "activity,timestamp,activity,case_id\n"

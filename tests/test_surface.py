@@ -74,11 +74,11 @@ def public_names(cls) -> set[str]:
 
 
 def test_store_and_table_expose_only_their_reads():
-    # the searches read cases through occurrences_since and live_cases alone,
-    # and scoring reads a window's size from window, not a set of its values
+    # the store runs both searches over its own records, which nothing else
+    # reads, and scoring reads a window's size from window, not a set of its values
     assert public_names(CaseStore) == {
         "new_case_id", "add", "case_ids", "case_view", "instances", "noise", "noise_count",
-        "occurrences_since", "live_cases", "export_log",
+        "dependency_allocations", "pairing_allocations", "export_log",
     }
     assert public_names(HeuristicTable) == {"activities", "items", "window", "avg"}
 
