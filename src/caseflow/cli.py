@@ -91,10 +91,7 @@ _model_options = _options(
     click.option("--silent-labels", default=",".join(sorted(DEFAULT_SILENT_LABELS)),
                  help="Comma-separated silent transition labels."),
 )
-_stream_options = _options(
-    click.option("--input", "input_path", type=str, default=None, help="Event stream."),
-    click.option("--format", "stream_format", type=click.Choice(["csv", "jsonl"]), default="csv"),
-)
+_input_option = click.option("--input", "input_path", type=str, default=None, help="Events: CSV or JSON lines.")
 _output_options = _options(
     click.option("--output", type=str, default=None, help="Write here instead of stdout."),
     click.option("--config", type=str, callback=_read_config, is_eager=True,
@@ -104,10 +101,10 @@ _heuristics_option = click.option("--heuristics", type=str, default=None,
                                   help="Duration windows CSV.")
 
 
-def _not_nan(ctx: click.Context, param: click.Parameter, value: float) -> float:
-    # FloatRange lets NaN through, as it compares false with the bound
-    if math.isnan(value):
-        raise click.BadParameter(f"{value} is not in the range x>0.")
+def _not_nan(ctx: click.Context, param: click.Parameter, value: float | None) -> float | None:
+    # FloatRange lets NaN through, as it compares false with the bounds
+    if value is not None and math.isnan(value):
+        raise click.BadParameter(f"{value} is not in the range {param.type._describe_range()}.")
     return value
 
 
@@ -153,9 +150,15 @@ def _open_input(path):
     return _open(path, "r", "read input", "utf-8-sig")
 
 
-def _read_stream(path, fmt):
+def _read_stream(path):
     with _open_input(path) as handle:
-        return read_events(handle, fmt=fmt)
+        return read_events(handle)
+
+
+def _stdout():
+    if sys.stdout is None:  # descriptor 1 was closed at start-up
+        _fail("cannot write output: standard output is closed")
+    return sys.stdout
 
 
 @contextmanager
@@ -164,9 +167,7 @@ def _output_stream(output: str | None):
     else a temporary file beside it (beside a symlink's file) that replaces it only if the
     block exits normally, so a failed run leaves the file untouched."""
     if output is None:
-        if sys.stdout is None:  # descriptor 1 was closed at start-up
-            _fail("cannot write output: standard output is closed")
-        yield sys.stdout
+        yield _stdout()
         return
     if os.path.exists(output) and not os.path.isfile(output):
         with _open(output, "w", "write output") as handle:
@@ -214,6 +215,10 @@ class _Main(click.Group):
                 with suppress(OSError):
                     sys.stdout.close()
             _fail(str(exc))
+        except click.exceptions.Exit as exc:
+            if exc.exit_code == 0:  # help, written by click.echo, which drops it if stdout is closed
+                _stdout()
+            raise
 
 
 @click.group(cls=_Main, context_settings={"show_default": True})
@@ -236,13 +241,12 @@ def analyze(model, silent_labels, output):
 @main.command()
 @_model_options
 @_heuristics_option
-@_stream_options
-@click.option("--threshold", type=click.FloatRange(0, 100), default=0.0,
+@_input_option
+@click.option("--threshold", type=click.FloatRange(0, 100), default=0.0, callback=_not_nan,
               help="Minimum trust to keep.")
 @_speedup_option
 @_output_options
-def correlate(model, silent_labels, heuristics, input_path, stream_format, threshold, speedup,
-              output):
+def correlate(model, silent_labels, heuristics, input_path, threshold, speedup, output):
     """Correlate an unlabeled stream and export the result as CSV.
 
     Each input row is read, correlated and written in one pass: an event's
@@ -264,7 +268,7 @@ def correlate(model, silent_labels, heuristics, input_path, stream_format, thres
                     writer.flush()
 
             try:
-                replay(iter_events(source, stream_format), correlate_one, speedup=speedup)
+                replay(iter_events(source), correlate_one, speedup=speedup)
             except (CaseflowError, ReplayError):  # the rows resolved so far go out first
                 with suppress(OSError):  # a failing stdout must not mask the error
                     writer.flush()
@@ -274,12 +278,12 @@ def correlate(model, silent_labels, heuristics, input_path, stream_format, thres
 
 
 @main.command("replay")
-@_stream_options
+@_input_option
 @_speedup_option
 @_output_options
-def replay_command(input_path, stream_format, speedup, output):
+def replay_command(input_path, speedup, output):
     """Replay a stream at speed, echoing events in delivery order."""
-    events = _read_stream(input_path, stream_format)
+    events = _read_stream(input_path)
     with _output_stream(output) as out:
         write_row = _csv_event_writer(out)
 
@@ -295,11 +299,11 @@ def replay_command(input_path, stream_format, speedup, output):
 @main.command()
 @_model_options
 @_heuristics_option
-@_stream_options
-@click.option("--threshold", type=click.FloatRange(0, 100), default=None,
+@_input_option
+@click.option("--threshold", type=click.FloatRange(0, 100), default=None, callback=_not_nan,
               help="Score rows at or above this trust; without it, each event's most trusted row.")
 @_output_options
-def evaluate(model, silent_labels, heuristics, input_path, stream_format, threshold, output):
+def evaluate(model, silent_labels, heuristics, input_path, threshold, output):
     """Strip a labeled log, re-correlate it, and score the result."""
     import json
 
@@ -307,7 +311,7 @@ def evaluate(model, silent_labels, heuristics, input_path, stream_format, thresh
 
     td = _load_td(model, silent_labels)
     table = _load_table(heuristics)
-    stream, truth_labels = strip_case_ids(_read_stream(input_path, stream_format))
+    stream, truth_labels = strip_case_ids(_read_stream(input_path))
     mode = "max_trust" if threshold is None else "threshold"
     latencies = []
 
@@ -325,12 +329,12 @@ def evaluate(model, silent_labels, heuristics, input_path, stream_format, thresh
 
 
 @main.command("extract-heuristics")
-@_stream_options
+@_input_option
 @_model_options
 @_output_options
-def extract_heuristics_command(input_path, stream_format, model, silent_labels, output):
+def extract_heuristics_command(input_path, model, silent_labels, output):
     """Measure per-activity duration windows from a labeled log."""
-    events = _read_stream(input_path, stream_format)
+    events = _read_stream(input_path)
     td = None if model is None else _load_td(model, silent_labels)
     table = extract_heuristics(events, td=td)
     with _output_stream(output) as out:

@@ -11,10 +11,9 @@ import csv
 import io
 import warnings
 from bisect import bisect_left
-from operator import itemgetter
 
 from .errors import CaseflowError
-from .streams import whole_seconds_between
+from .streams import _csv_rows, whole_seconds_between
 
 
 class HeuristicError(CaseflowError, ValueError):
@@ -62,22 +61,15 @@ def load_heuristics(text: str) -> HeuristicTable:
     """Parse `activity,min,max` CSV. Empty input yields an empty table."""
     if not text.strip():
         return HeuristicTable({})
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    index = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
-    missing = {"activity", "min", "max"} - index.keys()
-    if missing:
-        raise HeuristicError("MISSING_COLUMN", f"missing column(s) {sorted(missing)}")
-    pick, pad = itemgetter(index["activity"], index["min"], index["max"]), [""] * len(header)
     entries: dict[str, tuple[int, int]] = {}
-    for row in filter(None, reader):  # a blank row is []
-        activity, mn, mx = map(str.strip, pick(row + pad))  # a short row's cells read ""
+    columns = ("activity", "min", "max")
+    for line, (activity, mn, mx) in _csv_rows(io.StringIO(text), columns, set(columns), HeuristicError):
         try:
-            mn, mx = int(mn), int(mx)
-        except ValueError:
-            raise HeuristicError("MALFORMED_ROW", f"row {reader.line_num}: min/max must be integers") from None
-        if not activity:
-            raise HeuristicError("MALFORMED_ROW", f"row {reader.line_num}: empty activity")
+            mn, mx = int(mn.strip()), int(mx.strip())
+        except (AttributeError, ValueError):  # AttributeError: a short row's missing cell, None
+            raise HeuristicError("MALFORMED_ROW", f"row {line}: min/max must be integers") from None
+        if not (activity and (activity := activity.strip())):
+            raise HeuristicError("MALFORMED_ROW", f"row {line}: empty activity")
         if activity in entries:
             raise HeuristicError("DUPLICATE_ACTIVITY", f"{activity} appears twice")
         entries[activity] = (mn, mx)

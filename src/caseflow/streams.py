@@ -13,6 +13,7 @@ import warnings
 from contextlib import suppress
 from dataclasses import dataclass, replace
 from datetime import datetime
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -54,6 +55,9 @@ def parse_timestamp(text: str) -> datetime:
         return datetime.fromisoformat(raw)
     except ValueError:
         pass
+    if raw.endswith(("Z", "z")):  # UTC; fromisoformat reads Z from Python 3.11 on, and z never
+        with suppress(ValueError):
+            return datetime.fromisoformat(raw[:-1] + "+00:00")
     # tolerate unpadded month/day/hour, as produced by some exporters
     normalized = raw.replace("T", " ", 1)
     for fmt in _FALLBACK_FORMATS:
@@ -107,53 +111,64 @@ def _event(timestamp, activity, lifecycle, resource, case_id) -> UncorrelatedEve
     return event
 
 
-def _rows(handle, fmt: str):
-    """(line, values) per row, values in _COLUMNS order. CSV reads as a
-    DictReader: blank rows skipped, absent columns and a short row's missing
-    cells None, a repeated name its last column. A JSON line is an object,
-    its values read as text; blank lines are skipped."""
-    if fmt == "csv":
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            return
-        index = {name: i for i, name in enumerate(header)}
-        missing = {"timestamp", "activity"} - index.keys()
-        if missing:
-            raise StreamFormatError("MISSING_COLUMN", f"missing column(s) {sorted(missing)}")
-        width = len(header)
-        pad = [None] * width
-        # absent columns read the cell past the header's last, always None
-        pick = itemgetter(*(index.get(name, width) for name in _COLUMNS))
-        for row in filter(None, reader):  # a blank row is []
-            if len(row) != width:
-                row = (row + pad)[:width]
-            row.append(None)
-            yield reader.line_num, pick(row)
-    elif fmt == "jsonl":
-        import json  # here, so that reading CSV does not load it
-
-        for position, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise StreamFormatError("BAD_ROW", f"row {position}: {exc}") from exc
-            if not isinstance(record, dict):
-                raise StreamFormatError("BAD_ROW", f"row {position}: a JSON line must be an object")
-            yield position, [None if (v := record.get(k)) is None else str(v) for k in _COLUMNS]
-    else:
-        raise StreamFormatError("UNKNOWN_FORMAT", f"unknown stream format {fmt!r}")
+def _csv_rows(lines, columns, required, error):
+    """(line, values) per row of CSV lines, values in columns order, read as a DictReader
+    reads them: blank rows skipped, absent columns and a short row's missing cells None,
+    a repeated name its last column. A required column that is absent is error's MISSING_COLUMN."""
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header is None:
+        return
+    index = {name: i for i, name in enumerate(header)}
+    if missing := required - index.keys():
+        raise error("MISSING_COLUMN", f"missing column(s) {sorted(missing)}")
+    width = len(header)
+    pad = [None] * width
+    # absent columns read the cell past the header's last, always None
+    pick = itemgetter(*(index.get(name, width) for name in columns))
+    for row in filter(None, reader):  # a blank row is []
+        if len(row) != width:
+            row = (row + pad)[:width]
+        row.append(None)
+        yield reader.line_num, pick(row)
 
 
-def iter_events(handle, fmt: str = "csv"):
-    """Yield the events of an open text stream one row at a time, in file
-    order, reading no further ahead than the row being yielded. An error in
-    a row names its line; bytes the stream cannot decode are a BAD_ENCODING."""
+def _json_rows(lines):
+    """A JSON line is an object, its values read as text; blank lines are skipped."""
+    import json  # here, so that reading CSV does not load it
+
+    for position, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise StreamFormatError("BAD_ROW", f"row {position}: {exc}") from exc
+        if not isinstance(record, dict):
+            raise StreamFormatError("BAD_ROW", f"row {position}: a JSON line must be an object")
+        yield position, [None if (v := record.get(k)) is None else str(v) for k in _COLUMNS]
+
+
+def _rows(handle):
+    """(line, values) per row, values in _COLUMNS order. The first non-blank line, read
+    again in front of the rest, picks the format: JSON lines if it starts with '{', else CSV."""
+    head = []
+    for line in (lines := iter(handle)):
+        head.append(line)
+        if line.strip():
+            break
+    if head and head[-1].lstrip().startswith("{"):
+        return _json_rows(chain(head, lines))
+    return _csv_rows(chain(head, lines), _COLUMNS, {"timestamp", "activity"}, StreamFormatError)
+
+
+def iter_events(handle):
+    """Yield the events of an open text stream, CSV or JSON lines as its first non-blank line
+    says, one row at a time, in file order, reading no further ahead than the row being
+    yielded. An error in a row names its line; bytes it cannot decode are a BAD_ENCODING."""
     naive = None
     try:
-        for position, values in _rows(handle, fmt):
+        for position, values in _rows(handle):
             try:
                 event = _event(*values)
                 # naive and offset timestamps do not compare, so a stream must keep to one kind
@@ -177,8 +192,8 @@ def iter_events(handle, fmt: str = "csv"):
                                                 f"not valid {exc.encoding} ({exc.reason})") from None
 
 
-def read_events(source, fmt: str = "csv") -> tuple[UncorrelatedEvent, ...]:
-    """Read an event stream from a path or open text stream.
+def read_events(source) -> tuple[UncorrelatedEvent, ...]:
+    """Read a CSV or JSON-lines event stream from a path or open text stream.
 
     Events are returned in timestamp order; arrival order is kept among
     equal timestamps. An out-of-order source is sorted with a warning
@@ -186,9 +201,9 @@ def read_events(source, fmt: str = "csv") -> tuple[UncorrelatedEvent, ...]:
     """
     if isinstance(source, (str, Path)):
         with open(source, encoding="utf-8-sig") as handle:
-            return read_events(handle, fmt=fmt)
+            return read_events(handle)
 
-    events = list(iter_events(source, fmt))
+    events = list(iter_events(source))
     if any(a.timestamp > b.timestamp for a, b in zip(events, events[1:])):
         warnings.warn("event stream out of order; sorting by timestamp", RuntimeWarning, stacklevel=2)
         events.sort(key=lambda e: e.timestamp)

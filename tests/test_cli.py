@@ -242,11 +242,22 @@ def test_correlate_rejects_a_json_line_that_is_not_an_object(runner, data_dir, t
     stream = tmp_path / "stream.jsonl"
     stream.write_text('{"timestamp": "2019-06-16 11:55:01", "activity": "A"}\n[1, 2]\n')
     result = invoke(
-        runner, "correlate", *model_args(data_dir), "--format", "jsonl",
+        runner, "correlate", *model_args(data_dir),
         "--heuristics", str(data_dir / "heuristics.csv"), "--input", str(stream),
     )
     assert result.exit_code == 2
     assert result.stderr.startswith("error: BAD_ROW: row 2")
+
+
+def test_a_stream_format_flag_or_key_is_an_error(runner, data_dir, tmp_path):
+    # the stream's first non-blank line picks CSV or JSON lines, so no option names it
+    result = invoke(runner, "correlate", *correlate_args(data_dir), "--format", "csv")
+    assert result.exit_code == 2
+    assert "No such option" in result.stderr and "--format" in result.stderr
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format = csv\n")
+    result = invoke(runner, "correlate", *correlate_args(data_dir), "--config", str(cfg))
+    assert (result.exit_code, result.stderr) == (2, f"error: {cfg}:1: unknown key 'format'\n")
 
 
 def test_correlate_rejects_out_of_range_threshold(runner, data_dir):
@@ -516,7 +527,7 @@ def test_a_byte_order_mark_changes_no_input(runner, data_dir, tmp_path, model, f
     results = []
     for model_file, heuristics, input_file in (files, [with_bom(f, tmp_path) for f in files]):
         results.append(invoke(runner, "correlate", "--model", str(model_file), "--heuristics",
-                              str(heuristics), "--input", str(input_file), "--format", fmt))
+                              str(heuristics), "--input", str(input_file)))
     plain, marked = results
     assert plain.exit_code == 0 and plain.stdout.count("\n") > 20
     assert (marked.exit_code, marked.stdout, marked.stderr) == (0, plain.stdout, plain.stderr)
@@ -699,9 +710,10 @@ def test_a_closed_stdout_fails_only_a_run_that_writes_to_it(data_dir, tmp_path, 
     proc = run_with_stdout_closed([*entry, "analyze", *model_args(data_dir), "--output", str(output)])
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(output.read_text()) == clinic_td.to_json_dict()
-    proc = run_with_stdout_closed([*entry, "analyze", *model_args(data_dir)])
-    assert_one_error_line(proc)
-    assert proc.stderr == "error: cannot write output: standard output is closed\n"
+    for args in (["analyze", *model_args(data_dir)], ["--help"], ["correlate", "--help"]):
+        proc = run_with_stdout_closed([*entry, *args])
+        assert_one_error_line(proc)
+        assert proc.stderr == "error: cannot write output: standard output is closed\n"
 
 
 @pytest.mark.parametrize("entry", [["-m", "caseflow"], CONSOLE_ENTRY], ids=["module", "console"])
@@ -943,7 +955,7 @@ def test_evaluate_takes_the_labeled_log_from_config_input(runner, data_dir, tmp_
     log = tmp_path / "labeled.csv"
     log.write_text(SELF_EVAL_LOG)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"input = {log}\nformat = csv\n")
+    cfg.write_text(f"input = {log}\n")
     common = (*model_args(data_dir), "--heuristics", str(data_dir / "heuristics.csv"))
     via_config = invoke(runner, "evaluate", *common, "--config", str(cfg))
     via_flag = invoke(runner, "evaluate", *common, "--input", str(log))
@@ -990,3 +1002,18 @@ def test_nonpositive_speedup_is_rejected_as_a_usage_error(runner, data_dir, tmp_
         assert result.exit_code == 2
         assert "Invalid value for '--speedup'" in result.stderr
     assert invoke(runner, command, *args, "--speedup", "inf").exit_code == 0
+
+
+@pytest.mark.parametrize("command", ["correlate", "evaluate"])
+def test_nan_threshold_is_rejected_as_a_usage_error(runner, data_dir, tmp_path, command):
+    log = tmp_path / "labeled.csv"
+    log.write_text(SELF_EVAL_LOG)
+    args = (*model_args(data_dir), "--heuristics", str(data_dir / "heuristics.csv"), "--input", str(log))
+    via_flag = invoke(runner, command, *args, "--threshold", "nan")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("threshold = nan\n")
+    via_config = invoke(runner, command, *args, "--config", str(cfg))
+    for result in (via_flag, via_config):
+        assert result.exit_code == 2
+        assert "Invalid value for '--threshold': nan is not in the range 0<=x<=100." in result.stderr
+    assert invoke(runner, command, *args, "--threshold", "60").exit_code == 0

@@ -135,6 +135,8 @@ def test_extract_from_paired_stream():
         ev(5, "A", 3, "completed"),
         ev(5, "B", 1, "started"),
         ev(6, "B", 1, "completed"),
+        ev(7, "A", None, "started"),  # no case id: skipped, or A would reach 6 s
+        ev(13, "A", None, "completed"),
     ]
     table = extract_heuristics(events)
     assert table.window("A") == (1, 1)

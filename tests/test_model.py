@@ -84,6 +84,7 @@ def test_silent_keyword_and_silent_label_set():
         ("placex p0", "UNKNOWN_DIRECTIVE"),
         ("place p0 p1", "UNKNOWN_DIRECTIVE"),
         ("transition", "UNKNOWN_DIRECTIVE"),
+        ("transition t1 A extra", "UNKNOWN_DIRECTIVE"),
         ("arc p0", "UNKNOWN_DIRECTIVE"),
         ("# only a comment\n", "NO_NET"),
         ("", "NO_NET"),
@@ -140,6 +141,9 @@ def test_preset_of_unknown_node_raises():
     net = small_net()
     with pytest.raises(NetError) as err:
         net.preset("nope")
+    assert err.value.code == "UNKNOWN_NODE"
+    with pytest.raises(NetError) as err:
+        net.postset("nope")
     assert err.value.code == "UNKNOWN_NODE"
 
 

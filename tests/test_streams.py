@@ -16,6 +16,7 @@ from caseflow import (
 )
 from caseflow.streams import (
     format_timestamp,
+    iter_events,
     parse_timestamp,
     whole_seconds_between,
 )
@@ -46,6 +47,18 @@ def test_parse_timestamp_accepted_shapes(text):
 def test_parse_timestamp_minute_precision_and_micros():
     assert parse_timestamp("2019-06-16 11:55") == datetime(2019, 6, 16, 11, 55)
     assert parse_timestamp("2019-06-16 11:55:01.250000") == datetime(2019, 6, 16, 11, 55, 1, 250000)
+
+
+@pytest.mark.parametrize("text", ["2019-06-16T11:55:01Z", "2019-06-16 11:55:01z",
+                                  "2019-06-16T11:55:01.250Z", " 2019-06-16T11:55:01Z "])
+def test_parse_timestamp_reads_a_trailing_z_as_utc(text):
+    # Python 3.10's fromisoformat reads no Z, and no version reads z
+    parsed = parse_timestamp(text)
+    assert parsed.replace(microsecond=0) == datetime(2019, 6, 16, 11, 55, 1, tzinfo=timezone.utc)
+    assert parsed.utcoffset() == timedelta(0)
+    assert format_timestamp(parsed) == "2019-06-16 11:55:01+00:00"
+    with pytest.raises(StreamFormatError):
+        parse_timestamp("2019-06-16T11:55:61Z")
 
 
 def test_parse_timestamp_rejects_garbage():
@@ -117,26 +130,20 @@ def test_read_events_blank_activity_is_a_bad_row():
     assert err.value.code == "BAD_ROW"
 
 
-def test_read_events_unknown_format():
-    with pytest.raises(StreamFormatError) as err:
-        read_events(io.StringIO(""), fmt="xes")
-    assert err.value.code == "UNKNOWN_FORMAT"
-
-
 def test_read_events_jsonl():
     text = (
         '{"timestamp": "2019-06-16 11:55:01", "activity": "A", "case_id": "2"}\n'
         "\n"
         '{"timestamp": "2019-06-16 11:55:02", "activity": "B"}\n'
     )
-    events = read_events(io.StringIO(text), fmt="jsonl")
+    events = read_events(io.StringIO(text))
     assert [e.activity for e in events] == ["A", "B"]
     assert events[0].case_id == 2
 
 
 def test_read_events_jsonl_bad_line():
     with pytest.raises(StreamFormatError) as err:
-        read_events(io.StringIO("{not json}\n"), fmt="jsonl")
+        read_events(io.StringIO("{not json}\n"))
     assert err.value.code == "BAD_ROW"
     assert "row 1" in str(err.value)
 
@@ -145,9 +152,40 @@ def test_read_events_jsonl_line_that_is_not_an_object_is_a_bad_row():
     for line in ("[1, 2]", "null", '"2019-06-16 11:55:01,A"', "7"):
         text = '{"timestamp": "2019-06-16 11:55:01", "activity": "A"}\n' + line + "\n"
         with pytest.raises(StreamFormatError) as err:
-            read_events(io.StringIO(text), fmt="jsonl")
+            read_events(io.StringIO(text))
         assert err.value.code == "BAD_ROW"
         assert "row 2" in str(err.value)
+
+
+def test_the_first_non_blank_line_picks_the_format():
+    row = '{"timestamp": "2019-06-16 11:55:01", "activity": "A"}'
+    # the blank lines read to find it are read again, and counted
+    assert read_events(io.StringIO(f"\n \n\t{row}\n")) == (ev(1, "A"),)
+    with pytest.raises(StreamFormatError) as err:
+        read_events(io.StringIO(f"\n{row}\n\n{{bad}}\n"))
+    assert str(err.value).startswith("BAD_ROW: row 4: ")
+    # a first line that is not an object is a CSV header
+    with pytest.raises(StreamFormatError) as err:
+        read_events(io.StringIO(f"[1, 2]\n{row}\n"))
+    assert str(err.value) == "MISSING_COLUMN: missing column(s) ['activity', 'timestamp']"
+
+
+@pytest.mark.parametrize("text", [
+    "timestamp,activity\n2019-06-16 11:55:01,A\n2019-06-16 11:55:02,B\n",
+    '\n{"timestamp": "2019-06-16 11:55:01", "activity": "A"}\n'
+    '{"timestamp": "2019-06-16 11:55:02", "activity": "B"}\n',
+], ids=["csv", "jsonl"])
+def test_iter_events_reads_no_further_ahead_than_the_row_it_yields(text):
+    pulled = []
+
+    def lines():
+        for line in io.StringIO(text):
+            pulled.append(line)
+            yield line
+
+    events = iter_events(lines())
+    assert (next(events), len(pulled)) == (ev(1, "A"), 2)
+    assert (next(events), len(pulled)) == (ev(2, "B"), 3)
 
 
 def test_read_events_csv_errors_name_the_line_of_the_file():
@@ -167,7 +205,7 @@ def test_read_events_csv_errors_name_the_line_of_the_file():
     assert str(err.value) == "BAD_TIMESTAMP: row 6: cannot parse timestamp 'bad'"
     jsonl = '{"timestamp": "2019-06-16 11:55:01", "activity": "A"}\n\n{"timestamp": "bad", "activity": "A"}\n'
     with pytest.raises(StreamFormatError) as err:
-        read_events(io.StringIO(jsonl), fmt="jsonl")
+        read_events(io.StringIO(jsonl))
     assert str(err.value) == "BAD_TIMESTAMP: row 3: cannot parse timestamp 'bad'"
 
 
@@ -181,7 +219,7 @@ def test_read_events_reports_an_undecodable_byte_by_its_offset_in_the_file(tmp_p
     path = tmp_path / "stream"
     path.write_bytes(head.encode() + b"\xff\n")
     with pytest.raises(StreamFormatError) as err:
-        read_events(path, fmt=fmt)
+        read_events(path)
     assert err.value.code == "BAD_ENCODING"
     assert str(err.value) == (f"BAD_ENCODING: byte 0xff at offset {len(head)} is not valid utf-8 "
                               "(invalid start byte)")
@@ -198,7 +236,7 @@ def test_read_events_from_a_path_drops_a_byte_order_mark(tmp_path, fmt):
     plain, marked = tmp_path / "plain", tmp_path / "marked"
     plain.write_bytes(text.encode())
     marked.write_bytes(BOM + text.encode())
-    assert read_events(marked, fmt=fmt) == read_events(plain, fmt=fmt) == (ev(1, "A"), ev(2, "B"))
+    assert read_events(marked) == read_events(plain) == (ev(1, "A"), ev(2, "B"))
 
 
 @pytest.mark.parametrize("rows", [1, 1000], ids=["first-chunk", "later-chunk"])
@@ -210,7 +248,7 @@ def test_a_byte_order_mark_counts_in_an_undecodable_byte_s_offset(tmp_path, fmt,
     path = tmp_path / "stream"
     path.write_bytes(BOM + head.encode() + b"\xff\n")
     with pytest.raises(StreamFormatError) as err:
-        read_events(path, fmt=fmt)
+        read_events(path)
     assert str(err.value) == (f"BAD_ENCODING: byte 0xff at offset {len(BOM) + len(head)} is not "
                               "valid utf-8 (invalid start byte)")
 
@@ -245,7 +283,7 @@ def test_read_events_rejects_naive_and_offset_timestamps_in_one_stream():
         '{"timestamp": "2019-06-16 11:55:03", "activity": "A"}\n'
     )
     with pytest.raises(StreamFormatError) as err:
-        read_events(io.StringIO(mixed), fmt="jsonl")
+        read_events(io.StringIO(mixed))
     assert err.value.code == "MIXED_TIMEZONES"
     assert "row 3" in str(err.value)
     # one kind throughout reads as before, offsets compared as instants
