@@ -27,22 +27,23 @@ def selections(instances, mode: str = "max_trust", threshold: float | None = Non
     given trust, so one event may answer more than once. Noise instances are
     never selected; an event left with nothing is an abstention.
     """
-    by_seq: dict[int, list] = {}
-    for inst in instances:
-        by_seq.setdefault(inst.seq, []).append(inst)
-    picked: dict[int, list] = {}
     if mode == "max_trust":
-        for seq, group in by_seq.items():
-            proper = [i for i in group if not i.is_noise()]
-            picked[seq] = [max(proper, key=lambda i: (i.trust, -i.case_id))] if proper else []
+        def pick(group):
+            return [max(group, key=lambda i: (i.trust, -i.case_id))] if group else []
     elif mode == "threshold":
         if threshold is None:
             raise ValueError("threshold mode needs a threshold value")
-        for seq, group in by_seq.items():
-            picked[seq] = [i for i in group if not i.is_noise() and i.trust >= threshold]
+
+        def pick(group):
+            return [i for i in group if i.trust >= threshold]
     else:
         raise ValueError(f"unknown selection mode {mode!r}")
-    return picked
+    proper: dict[int, list] = {}
+    for inst in instances:
+        group = proper.setdefault(inst.seq, [])
+        if not inst.is_noise():
+            group.append(inst)
+    return {seq: pick(group) for seq, group in proper.items()}
 
 
 def align_cases(pairs) -> dict:
@@ -82,27 +83,14 @@ def score(instances, truth_labels, mode: str = "max_trust", threshold: float | N
     positive, abstaining is correct.
     """
     labels = list(truth_labels)
-    seqs = {inst.seq for inst in instances}
-    if seqs != set(range(len(labels))):
-        raise ValueError("instances and truth labels cover different events")
     picked = selections(instances, mode=mode, threshold=threshold)
-    pairs = []
-    for seq, chosen in picked.items():
-        pairs.extend((inst.case_id, labels[seq]) for inst in chosen)
+    if picked.keys() != set(range(len(labels))):
+        raise ValueError("instances and truth labels cover different events")
+    pairs = [(inst.case_id, labels[seq]) for seq, chosen in picked.items() for inst in chosen]
     mapping = align_cases(pairs)
-    tp = fp = fn = 0
-    for seq, chosen in picked.items():
-        true = labels[seq]
-        if not chosen:
-            if true is not None:
-                fn += 1
-            continue
-        for inst in chosen:
-            if true is not None and mapping.get(inst.case_id) == true:
-                tp += 1
-            else:
-                fp += 1
-    return ConfusionCounts(tp=tp, fp=fp, fn=fn)
+    tp = sum(true is not None and mapping.get(pred) == true for pred, true in pairs)
+    fn = sum(not chosen and labels[seq] is not None for seq, chosen in picked.items())
+    return ConfusionCounts(tp=tp, fp=len(pairs) - tp, fn=fn)
 
 
 def _guarded_ratio(numerator: float, denominator: float, what: str) -> float:
@@ -120,10 +108,15 @@ def recall(counts: ConfusionCounts) -> float:
     return _guarded_ratio(counts.tp, counts.tp + counts.fn, "recall")
 
 
-def f_score(counts: ConfusionCounts) -> float:
+def _ratios(counts: ConfusionCounts) -> tuple[float, float, float]:
+    """Precision, recall and F, each computed, and so warned about, once."""
     p = precision(counts)
     r = recall(counts)
-    return _guarded_ratio(2 * p * r, p + r, "f-score")
+    return p, r, _guarded_ratio(2 * p * r, p + r, "f-score")
+
+
+def f_score(counts: ConfusionCounts) -> float:
+    return _ratios(counts)[2]
 
 
 def latency_report(latencies_seconds) -> dict[str, float]:
@@ -140,12 +133,13 @@ def latency_report(latencies_seconds) -> dict[str, float]:
 
 
 def build_report(counts: ConfusionCounts, latencies_seconds=()) -> dict:
+    p, r, f = _ratios(counts)
     return {
         "tp": counts.tp,
         "fp": counts.fp,
         "fn": counts.fn,
-        "precision": precision(counts),
-        "recall": recall(counts),
-        "f_score": f_score(counts),
+        "precision": p,
+        "recall": r,
+        "f_score": f,
         "latency_ms": latency_report(latencies_seconds),
     }

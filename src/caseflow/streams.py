@@ -112,11 +112,13 @@ def _event(timestamp, activity, lifecycle, resource, case_id) -> UncorrelatedEve
 
 
 def _csv_rows(lines, columns, required, error):
-    """(line, values) per row of CSV lines, values in columns order, read as a DictReader
-    reads them: blank rows skipped, absent columns and a short row's missing cells None,
-    a repeated name its last column. A required column that is absent is error's MISSING_COLUMN."""
+    """(line, values) per row of CSV lines, values in columns order, read as a DictReader reads
+    them: blank rows skipped, and unlike DictReader before the header too, absent columns and a
+    short row's missing cells None, a repeated name its last column. A required column that is
+    absent is error's MISSING_COLUMN."""
     reader = csv.reader(lines)
-    header = next(reader, None)
+    rows = filter(None, reader)  # a blank row is []
+    header = next(rows, None)
     if header is None:
         return
     index = {name: i for i, name in enumerate(header)}
@@ -126,7 +128,7 @@ def _csv_rows(lines, columns, required, error):
     pad = [None] * width
     # absent columns read the cell past the header's last, always None
     pick = itemgetter(*(index.get(name, width) for name in columns))
-    for row in filter(None, reader):  # a blank row is []
+    for row in rows:
         if len(row) != width:
             row = (row + pad)[:width]
         row.append(None)

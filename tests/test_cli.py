@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import re
 import stat
 import subprocess
 import sys
@@ -762,6 +763,20 @@ def test_evaluate_report_fields_stay_in_unit_range(runner, data_dir, tmp_path):
     report = json.loads(result.stdout)
     for field in ("precision", "recall", "f_score"):
         assert 0.0 <= report[field] <= 1.0
+
+
+def test_evaluate_warns_once_per_undefined_ratio(data_dir, tmp_path):
+    # an activity the model lacks is noise, so nothing is picked: no precision and no F;
+    # a fresh interpreter, as pytest would record the warnings instead of printing them
+    log = tmp_path / "labeled.csv"
+    log.write_text("timestamp,activity,case_id\n2021-03-01 09:00:00,Z,1\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "caseflow", "evaluate", *model_args(data_dir),
+         "--heuristics", str(data_dir / "heuristics.csv"), "--input", str(log)],
+        env=package_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert re.findall(r"(\S+) undefined", proc.stderr) == ["precision", "f-score"], proc.stderr
 
 
 def test_evaluate_missing_truth_file(runner, data_dir, tmp_path):

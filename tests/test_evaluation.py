@@ -100,6 +100,13 @@ def test_score_requires_matching_populations():
         score([inst(0, 1, 100.0)], ["a", "b"])
 
 
+def test_score_checks_its_mode_before_its_coverage():
+    with pytest.raises(ValueError, match="unknown selection mode"):
+        score([inst(0, 1, 100.0)], ["a", "b"], mode="best")
+    with pytest.raises(ValueError, match="needs a threshold"):
+        score([inst(0, 1, 100.0)], ["a", "b"], mode="threshold")
+
+
 def test_score_threshold_mode_counts_each_surviving_instance():
     instances = [inst(0, 1, 90.0), inst(0, 2, 90.0), inst(1, 1, 90.0)]
     truth = ["a", "a"]
@@ -121,6 +128,17 @@ def test_ratios_and_guarded_zero_denominators():
     with pytest.warns(RuntimeWarning) as caught:
         assert f_score(ConfusionCounts(0, 0, 0)) == 0.0
     assert any("f-score undefined" in str(w.message) for w in caught)
+
+
+@pytest.mark.parametrize("counts,undefined", [
+    (ConfusionCounts(0, 0, 5), ["precision", "f-score"]),
+    (ConfusionCounts(0, 0, 0), ["precision", "recall", "f-score"]),
+])
+def test_build_report_warns_once_per_undefined_ratio(counts, undefined):
+    with pytest.warns(RuntimeWarning) as caught:
+        report = build_report(counts)
+    assert [str(w.message).split()[0] for w in caught] == undefined
+    assert (report["precision"], report["recall"], report["f_score"]) == (0.0, 0.0, 0.0)
 
 
 def test_latency_report_nearest_rank():

@@ -64,6 +64,13 @@ def test_load_empty_text_gives_empty_table():
     assert len(load_heuristics("  \n ")) == 0
 
 
+def test_blank_lines_may_come_before_the_header():
+    table = load_heuristics("\n\nactivity,min,max\nA,1,2\n")
+    assert table.window("A") == (1, 2)
+    with pytest.raises(HeuristicError, match="row 4: min/max must be integers"):
+        load_heuristics("\n\nactivity,min,max\nA,x,2\n")
+
+
 @pytest.mark.parametrize(
     "text,code",
     [

@@ -22,7 +22,7 @@ from caseflow import (
 )
 from caseflow.correlator import kind_probabilities
 from caseflow.dependencies import non_cartesian_product
-from caseflow.evaluation import f_score, score
+from caseflow.evaluation import ConfusionCounts, align_cases, f_score, score
 from caseflow.model import parse_pnml, validate
 from caseflow.store import CaseStore, CorrelatedEventInstance, ExportWriter
 from caseflow.streams import (
@@ -98,6 +98,59 @@ instance_rows = st.lists(
     ),
     max_size=30,
 )
+
+
+# per event: its true id and the (case id, trust) of each instance, none for a noise
+# instance; few trusts, so that ties are common
+scored_events = st.lists(
+    st.tuples(
+        st.one_of(st.none(), st.integers(1, 4), st.sampled_from("abcd")),
+        st.dictionaries(st.integers(1, 5), st.sampled_from([25.0, 50.0, 75.0, 100.0]), max_size=3),
+    ),
+    max_size=8,
+)
+
+
+def tally_event_by_event(events, mode, threshold):
+    """score's tallies, counted one event at a time against align_cases."""
+    picks = []
+    for true, trusts in events:
+        if mode == "threshold":
+            chosen = [case for case, trust in trusts.items() if trust >= threshold]
+        else:
+            chosen = [min(trusts, key=lambda case: (-trusts[case], case))] if trusts else []
+        picks.append((true, chosen))
+    mapping = align_cases([(case, true) for true, chosen in picks for case in chosen])
+    tp = fp = fn = 0
+    for true, chosen in picks:
+        if not chosen and true is not None:
+            fn += 1
+        for case in chosen:
+            if true is not None and mapping.get(case) == true:
+                tp += 1
+            else:
+                fp += 1
+    return ConfusionCounts(tp=tp, fp=fp, fn=fn)
+
+
+@given(scored_events, st.sampled_from([("max_trust", None), ("threshold", 0.0),
+                                       ("threshold", 50.0), ("threshold", 100.0)]), st.randoms())
+def test_score_counts_as_event_by_event(events, selection, rng):
+    mode, threshold = selection
+    ts = datetime(2021, 3, 1, 9, 0)
+    instances = [
+        CorrelatedEventInstance(ts, "X", case, trust, seq=seq)
+        for seq, (_, trusts) in enumerate(events) for case, trust in trusts.items()
+    ] + [
+        CorrelatedEventInstance(ts, "X", None, None, noise_reason="no-allocation", seq=seq)
+        for seq, (_, trusts) in enumerate(events) if not trusts
+    ]
+    rng.shuffle(instances)
+    labels = [true for true, _ in events]
+    expected = tally_event_by_event(events, mode, threshold)
+    # a one-shot iterable is read once, as a list is
+    assert score(instances, labels, mode=mode, threshold=threshold) == expected
+    assert score(iter(instances), labels, mode=mode, threshold=threshold) == expected
 
 
 def build_store(rows):

@@ -168,6 +168,11 @@ def test_the_first_non_blank_line_picks_the_format():
     with pytest.raises(StreamFormatError) as err:
         read_events(io.StringIO(f"[1, 2]\n{row}\n"))
     assert str(err.value) == "MISSING_COLUMN: missing column(s) ['activity', 'timestamp']"
+    # a CSV header, too, is the first non-blank line, and the lines before it are counted
+    assert read_events(io.StringIO("\n\ntimestamp,activity\n2019-06-16 11:55:01,A\n")) == (ev(1, "A"),)
+    with pytest.raises(StreamFormatError) as err:
+        read_events(io.StringIO("\ntimestamp,activity\nbad,A\n"))
+    assert str(err.value) == "BAD_TIMESTAMP: row 3: cannot parse timestamp 'bad'"
 
 
 @pytest.mark.parametrize("text", [
