@@ -85,11 +85,10 @@ class Correlator:
                 for member in dep_set
             )
             self._plan[activity] = (mn, mx, table.avg(activity), timedelta(seconds=mx), anchorings)
-        # an event's allocations go by case, anchor, then sorted members;
+        # _order sorts an event's allocations by case, anchor, then sorted members;
         # ranking every dependency set once spares sorting members per event
         dep_sets = {frozenset()}.union(*(td.alternatives(a) for a in td.activities()))
-        rank = {dep_set: i for i, dep_set in enumerate(sorted(dep_sets, key=sorted))}
-        self._order = lambda a: (a[0], a[2], rank[a[1]])
+        self._rank = {dep_set: i for i, dep_set in enumerate(sorted(dep_sets, key=sorted))}
         # (activity, m) -> kind_probabilities of the activity's window
         self._probability: dict[tuple[str, int], dict[str, float]] = {}
         # nothing older than the widest window, plus the second an unfloored
@@ -215,6 +214,9 @@ class Correlator:
         return self.store.dependency_allocations(event.timestamp, mn, avg, max_span, anchorings)
 
     # internals
+
+    def _order(self, allocation: Allocation) -> tuple:
+        return allocation[0], allocation[2], self._rank[allocation[1]]
 
     def _require_windows(self, activities) -> None:
         missing = sorted(a for a in activities if a not in self.table)

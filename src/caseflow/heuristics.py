@@ -58,9 +58,7 @@ class HeuristicTable:
 
 
 def load_heuristics(text: str) -> HeuristicTable:
-    """Parse `activity,min,max` CSV. Empty input yields an empty table."""
-    if not text.strip():
-        return HeuristicTable({})
+    """Parse `activity,min,max` CSV. Input of only blank lines yields an empty table."""
     entries: dict[str, tuple[int, int]] = {}
     columns = ("activity", "min", "max")
     for line, (activity, mn, mx) in _csv_rows(io.StringIO(text), columns, set(columns), HeuristicError):

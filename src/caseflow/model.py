@@ -56,21 +56,21 @@ class WorkflowNet:
         places = sorted(places)
         self.places = frozenset(places)
         self.transitions = tuple(transitions)
-        self.flows = frozenset(flows)
 
-        self._nodes: set[str] = set()
+        nodes: set[str] = set()
         for node, t in [(p, None) for p in places] + [(t.tid, t) for t in self.transitions]:
-            if node in self._nodes:
+            if node in nodes:
                 raise NetError("DUPLICATE_ID", f"node id {node!r} declared twice")
             if t is not None and not t.silent and not t.label:
                 raise NetError("UNLABELED", f"observable transition {node!r} has no label")
-            self._nodes.add(node)
+            nodes.add(node)
 
-        pre: dict[str, set[str]] = {n: set() for n in self._nodes}
-        post: dict[str, set[str]] = {n: set() for n in self._nodes}
-        for src, dst in self.flows:
+        pre: dict[str, set[str]] = {n: set() for n in nodes}
+        post: dict[str, set[str]] = {n: set() for n in nodes}
+        # in the order given, so a net with several bad arcs names its first
+        for src, dst in flows:
             for end in (src, dst):
-                if end not in self._nodes:
+                if end not in nodes:
                     raise NetError("UNKNOWN_NODE", f"arc {src!r} -> {dst!r} references undeclared node {end!r}")
             if (src in self.places) == (dst in self.places):
                 kind = "places" if src in self.places else "transitions"
@@ -81,12 +81,12 @@ class WorkflowNet:
         self._post = {n: frozenset(s) for n, s in post.items()}
 
     def preset(self, node: str) -> frozenset[str]:
-        if node not in self._nodes:
+        if node not in self._pre:
             raise NetError("UNKNOWN_NODE", f"no node with id {node!r}")
         return self._pre[node]
 
     def postset(self, node: str) -> frozenset[str]:
-        if node not in self._nodes:
+        if node not in self._pre:
             raise NetError("UNKNOWN_NODE", f"no node with id {node!r}")
         return self._post[node]
 
@@ -120,7 +120,7 @@ def validate(net: WorkflowNet) -> NetDiagnostics:
 
     forward = _reachable(sources, net._post.__getitem__)
     backward = _reachable(sinks, net._pre.__getitem__)
-    for node in sorted(net._nodes):
+    for node in sorted(net._pre):
         if node not in forward or node not in backward:
             diags.errors.append(
                 Diagnostic("CONNECTIVITY", node, f"node {node!r} is not on a path from source to sink")
@@ -252,9 +252,7 @@ def parse_simple_net(text: str, silent_labels=DEFAULT_SILENT_LABELS) -> Workflow
             if len(body) == 0 or len(body) > 2:
                 raise NetError("UNKNOWN_DIRECTIVE", f"line {lineno}: bad transition declaration")
             tid = body[0]
-            label = body[1] if len(body) == 2 else tid
-            if label == "-":
-                label = None
+            label = None if body[-1] == "-" else body[-1]  # the label, else the id
             silent = silent_flag or not label or label in silent_labels
             transitions.append(Transition(tid, label, silent))
         elif directive == "arc":

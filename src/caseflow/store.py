@@ -1,12 +1,12 @@
 """In-memory store of correlated event instances, one writer at a time.
 
-The store keeps the materialized instances, the per-case views, and the
-indexes its two searches read while an event weighs candidate cases: a time
-index of recent occurrences per activity, whose entries are the anchors of
-the dependency search, and per live case one record: the case's first
-occurrence of each activity (member checks), for each dependency alternative
-a fully trusted instance confirmed, the latest anchor that confirmed it
-(spend checks), and the case's open started events awaiting their
+The store keeps the materialized instances in one list, which the case views
+read, and the indexes its two searches read while an event weighs candidate
+cases: a time index of recent occurrences per activity, whose entries are the
+anchors of the dependency search, and per live case one record: the case's
+first occurrence of each activity (member checks), for each dependency
+alternative a fully trusted instance confirmed, the latest anchor that
+confirmed it (spend checks), and the case's open started events awaiting their
 completion (the pairing search). Only this module knows their layout.
 
 add is the only writer, and it needs no mode. An instance at full trust
@@ -117,9 +117,10 @@ class CaseStore:
     and the time index, the per-case records and the export are only right
     if they do. reach is the distance R past which the store forgets.
 
-    With keep_instances false the store keeps no instance, only counts them:
-    instances(), noise(), case_ids(), case_view() and export_log() then see
-    none.
+    Each kept instance is stored once, in arrival order, and case_ids() and
+    case_view() read that one list. With keep_instances false the store
+    keeps no instance, only counts them: instances(), noise(), case_ids(),
+    case_view() and export_log() then see none.
     """
 
     def __init__(self, reach: timedelta, *, keep_instances: bool = True):
@@ -127,21 +128,17 @@ class CaseStore:
         self._keep = keep_instances
         self._count = 0  # instances added, kept or not
         self._noise_count = 0
-        self._cases: dict[int, list[CorrelatedEventInstance]] = {}
         self._instances: list[CorrelatedEventInstance] = []
         self._live: dict[int, CaseRecord] = {}
         self._time_index: defaultdict[str, list[tuple[datetime, int]]] = defaultdict(list)
-        self._next_case = 1
+        self._last_case = 0  # the latest case id handed out
 
     def __len__(self) -> int:
         return self._count
 
     def new_case_id(self) -> int:
-        case_id = self._next_case
-        self._next_case += 1
-        if self._keep:
-            self._cases[case_id] = []
-        return case_id
+        self._last_case += 1
+        return self._last_case
 
     def add(self, instance: CorrelatedEventInstance) -> None:
         """Store an instance and apply its effects on its case: at trust 100
@@ -154,8 +151,6 @@ class CaseStore:
         self._count += 1
         if self._keep:
             self._instances.append(instance)
-            if noise_reason is None:
-                self._cases[case_id].append(instance)
         if noise_reason is not None:
             self._noise_count += 1
             return
@@ -198,10 +193,11 @@ class CaseStore:
             del self._live[case_id]
 
     def case_ids(self) -> list[int]:
-        return sorted(self._cases)
+        return sorted({inst.case_id for inst in self._instances} - {None})
 
     def case_view(self, case_id: int) -> list[CorrelatedEventInstance]:
-        return list(self._cases[case_id])
+        """The case's kept instances in arrival order; [] for an id with none."""
+        return [inst for inst in self._instances if inst.case_id == case_id]
 
     def instances(self) -> list[CorrelatedEventInstance]:
         return list(self._instances)

@@ -113,10 +113,15 @@ def _event(timestamp, activity, lifecycle, resource, case_id) -> UncorrelatedEve
 
 def _csv_rows(lines, columns, required, error):
     """(line, values) per row of CSV lines, values in columns order, read as a DictReader reads
-    them: blank rows skipped, and unlike DictReader before the header too, absent columns and a
-    short row's missing cells None, a repeated name its last column. A required column that is
-    absent is error's MISSING_COLUMN."""
-    reader = csv.reader(lines)
+    them: blank rows skipped, and unlike DictReader before the header too, as are lines of only
+    whitespace there; absent columns and a short row's missing cells None, a repeated name its
+    last column. A required column that is absent is error's MISSING_COLUMN."""
+    head = []
+    for line in (lines := iter(lines)):
+        head.append(line if line.strip() else "")  # a blank row, counted in line numbers
+        if head[-1]:
+            break
+    reader = csv.reader(chain(head, lines))
     rows = filter(None, reader)  # a blank row is []
     header = next(rows, None)
     if header is None:

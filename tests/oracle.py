@@ -4,7 +4,9 @@ Deliberately naive: allocations are found by enumerating every combination
 of stored member occurrences per case (a raw product scan over case views),
 and trust is recomputed with exact fractions. Spent alternatives and open
 starts are derived from the case views too, not read from the store's own
-records. Nothing here shares code with the package's own anchor enumeration.
+records. The case views come from one read of the store's instances per
+call, grouped by case id in store order. Nothing here shares code with the
+package's own anchor enumeration.
 """
 
 from fractions import Fraction
@@ -13,6 +15,15 @@ from itertools import product
 from caseflow.correlator import KIND_AVG, KIND_RANGE
 from caseflow.store import Allocation
 from caseflow.streams import whole_seconds_between
+
+
+def _case_views(store) -> dict:
+    """case id -> the case's instances in store order, from one instances() read."""
+    views: dict[int, list] = {}
+    for inst in store.instances():
+        if not inst.is_noise():
+            views.setdefault(inst.case_id, []).append(inst)
+    return views
 
 
 def brute_force_allocations(correlator, event):
@@ -26,12 +37,12 @@ def brute_force_allocations(correlator, event):
     mn, mx = table.window(event.activity)
     avg = table.avg(event.activity)
     out = set()
-    for case_id in store.case_ids():
+    for case_id, view in _case_views(store).items():
         occurrences: dict[str, list] = {}
         # a fully trusted instance of the activity spends the sets it used,
         # for every anchor up to the latest anchor that confirmed each
         spent_until: dict = {}
-        for inst in store.case_view(case_id):
+        for inst in view:
             if inst.activity == event.activity and inst.trust >= 100 - 1e-9:
                 for a in inst.allocations:
                     spent_until[a.dependency_set] = max(
@@ -67,10 +78,10 @@ def _brute_force_pairings(correlator, event):
     mn, mx = table.window(event.activity)
     avg = table.avg(event.activity)
     out = set()
-    for case_id in store.case_ids():
+    for case_id, view in _case_views(store).items():
         # each completion closed one start, oldest first, so the open one is
         # the start after as many as the case has completions
-        same = [i for i in store.case_view(case_id) if i.activity == event.activity]
+        same = [i for i in view if i.activity == event.activity]
         starts = [i.timestamp for i in same if i.lifecycle == "started"]
         closed = len(same) - len(starts)
         if closed >= len(starts):

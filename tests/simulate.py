@@ -5,7 +5,7 @@ duration inside its heuristic window, to produce labeled streams whose true
 case ids are known. random_net builds small block-structured workflow nets
 so the allocation engine can be compared against the brute-force oracle on
 shapes nobody hand-picked. events_to_csv writes events back as a stream file,
-and net_to_pnml writes a net as a PNML document.
+net_to_pnml writes a net as a PNML document, and arcs reads a net's arcs back.
 """
 
 import io
@@ -29,6 +29,12 @@ def events_to_csv(events) -> str:
     return buffer.getvalue()
 
 
+def arcs(net) -> set[tuple[str, str]]:
+    """The net's arcs as (source, target) pairs, read from its postsets."""
+    nodes = net.places | {t.tid for t in net.transitions}
+    return {(src, dst) for src in nodes for dst in net.postset(src)}
+
+
 def net_to_pnml(net, form="plain") -> str:
     """The net as a PNML document in one of PNML_FORMS: no namespace, a
     default xmlns, every tag in a prefixed namespace, or the nodes and arcs
@@ -44,7 +50,7 @@ def net_to_pnml(net, form="plain") -> str:
     body += [f'<{p}transition id="{t.tid}">{named(t.label)}</{p}transition>'
              for t in net.transitions]
     body += [f'<{p}arc id="a{i}" source="{src}" target="{dst}"/>'
-             for i, (src, dst) in enumerate(sorted(net.flows))]
+             for i, (src, dst) in enumerate(sorted(arcs(net)))]
     if form == "page":
         body = [f'<{p}page id="page0">', *body, f"</{p}page>"]
     return (f'<{p}pnml{xmlns}><{p}net id="net0">{named("generated")}'

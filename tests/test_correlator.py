@@ -1,5 +1,7 @@
 """Correlator behavior on small hand-checked streams."""
 
+import io
+import pickle
 import random
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
@@ -19,6 +21,7 @@ from caseflow import (
 from caseflow.correlator import kind_probabilities
 from caseflow.dependencies import TaskDependencies
 from caseflow.model import parse_simple_net
+from caseflow.store import ExportWriter
 
 
 def ev(second, activity, lifecycle=None, minute=55):
@@ -435,6 +438,30 @@ def test_retired_cases_leave_the_store(clinic_net, clinic_table, clinic_td, n_ca
     assert peak <= (20 if paired else 10)
     assert len(store) >= len(stream)
     assert store.instances() == [] and store.case_ids() == []
+
+
+@pytest.mark.parametrize("paired", [False, True], ids=["completions", "paired"])
+def test_a_correlator_pickled_between_events_resumes_where_it_stopped(
+        clinic_net, clinic_table, clinic_td, paired):
+    log = simulate.simulate_log(
+        clinic_net, clinic_table, random.Random(6), 200, weights={"M": 3, "G": 3},
+        paired=paired,
+    )
+    stream = strip_case_ids(log)[0]
+
+    def export(pause_at):
+        # one writer for the whole run, the correlator swapped for its copy
+        out = io.StringIO()
+        writer = ExportWriter(out)
+        corr = Correlator(clinic_td, clinic_table, keep_instances=False)
+        for position, event in enumerate(stream):
+            if position == pause_at:
+                corr = pickle.loads(pickle.dumps(corr))
+            writer.write(corr.ingest(event))
+        writer.close()
+        return out.getvalue()
+
+    assert export(len(stream) // 2) == export(None)
 
 
 def long_log(clinic_net, table, scale=1, paired=False):

@@ -62,6 +62,7 @@ def test_table_rejects_bad_windows(entries, code):
 def test_load_empty_text_gives_empty_table():
     assert len(load_heuristics("")) == 0
     assert len(load_heuristics("  \n ")) == 0
+    assert len(load_heuristics(" \t\n\r \n\u3000")) == 0
 
 
 def test_blank_lines_may_come_before_the_header():
@@ -69,6 +70,12 @@ def test_blank_lines_may_come_before_the_header():
     assert table.window("A") == (1, 2)
     with pytest.raises(HeuristicError, match="row 4: min/max must be integers"):
         load_heuristics("\n\nactivity,min,max\nA,x,2\n")
+
+
+def test_lines_of_only_whitespace_may_come_before_the_header():
+    assert load_heuristics(" \n\t\nactivity,min,max\nA,1,2\n").window("A") == (1, 2)
+    with pytest.raises(HeuristicError, match="row 3: min/max must be integers"):
+        load_heuristics(" \t\nactivity,min,max\nA,x,2\n")
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,12 @@
 """Net construction, the two parsers, and structural validation."""
 
+from itertools import permutations
+
 import pytest
 
 from caseflow import NetError, parse_pnml
 from caseflow.model import Transition, WorkflowNet, parse_simple_net, validate
+from simulate import arcs
 
 SMALL = """
 place p0
@@ -137,6 +140,17 @@ def test_constructor_rejects_dangling_and_nonbipartite_arcs():
     assert err.value.code == "BIPARTITE"
 
 
+def test_the_first_bad_arc_in_the_given_order_is_the_error():
+    bad = {
+        ("p", "q"): "BIPARTITE: arc 'p' -> 'q' connects two places",
+        ("t", "x"): "UNKNOWN_NODE: arc 't' -> 'x' references undeclared node 'x'",
+    }
+    for flows in permutations([("p", "t"), ("t", "q"), *bad]):
+        with pytest.raises(NetError) as err:
+            WorkflowNet({"p", "q"}, [Transition("t", "A")], flows)
+        assert str(err.value) == bad[next(arc for arc in flows if arc in bad)], flows
+
+
 def test_preset_of_unknown_node_raises():
     net = small_net()
     with pytest.raises(NetError) as err:
@@ -216,7 +230,7 @@ def test_pnml_and_simple_fixtures_agree(clinic_net, data_dir):
     other = parse_simple_net((data_dir / "clinic.net").read_text())
     assert other.places == clinic_net.places
     assert set(other.transitions) == set(clinic_net.transitions)
-    assert other.flows == clinic_net.flows
+    assert arcs(other) == arcs(clinic_net)
 
 
 def test_parse_pnml_invisible_markers():

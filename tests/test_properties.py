@@ -447,17 +447,18 @@ def test_generated_nets_yield_observable_dependencies(seed):
 def test_generated_nets_read_back_from_each_pnml_form(seed):
     net = simulate.random_net(random.Random(seed))
     td = build_task_dependencies(net)
+    arcs = simulate.arcs(net)
     for form in simulate.PNML_FORMS:
         parsed = parse_pnml(simulate.net_to_pnml(net, form))
         assert parsed.places == net.places, form
         assert parsed.transitions == net.transitions, form  # ids, labels, silent flags
-        assert parsed.flows == net.flows, form
+        assert simulate.arcs(parsed) == arcs, form
         assert build_task_dependencies(parsed) == td, form
         for node in parsed.places | {t.tid for t in parsed.transitions}:
             pre, post = parsed.preset(node), parsed.postset(node)
             assert type(pre) is frozenset and type(post) is frozenset
-            assert pre == {src for src, dst in net.flows if dst == node}, (form, node)
-            assert post == {dst for src, dst in net.flows if src == node}, (form, node)
+            assert pre == {src for src, dst in arcs if dst == node}, (form, node)
+            assert post == {dst for src, dst in arcs if src == node}, (form, node)
 
 
 def correlate_spaced_cases(seed, paired, n_cases):

@@ -1,6 +1,7 @@
 """Stream reading, ground truth round trips, timed replay."""
 
 import io
+import sys
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
@@ -59,6 +60,20 @@ def test_parse_timestamp_reads_a_trailing_z_as_utc(text):
     assert format_timestamp(parsed) == "2019-06-16 11:55:01+00:00"
     with pytest.raises(StreamFormatError):
         parse_timestamp("2019-06-16T11:55:61Z")
+
+
+def test_parse_timestamp_reads_the_iso_forms_of_3_11_from_3_11_on():
+    # only Python 3.11's fromisoformat reads an offset without a colon or a
+    # fraction of 1, 2, 4 or 5 digits, and no fallback format reads either
+    offset, fraction = "2019-06-16T11:55:01+0200", "2019-06-16T11:55:01.5"
+    if sys.version_info >= (3, 11):
+        assert parse_timestamp(offset).utcoffset() == timedelta(hours=2)
+        assert parse_timestamp(fraction) == datetime(2019, 6, 16, 11, 55, 1, 500_000)
+    else:
+        for text in (offset, fraction):
+            with pytest.raises(StreamFormatError) as err:
+                parse_timestamp(text)
+            assert err.value.code == "BAD_TIMESTAMP"
 
 
 def test_parse_timestamp_rejects_garbage():
@@ -173,6 +188,20 @@ def test_the_first_non_blank_line_picks_the_format():
     with pytest.raises(StreamFormatError) as err:
         read_events(io.StringIO("\ntimestamp,activity\nbad,A\n"))
     assert str(err.value) == "BAD_TIMESTAMP: row 3: cannot parse timestamp 'bad'"
+
+
+@pytest.mark.parametrize("blank", [" ", "\t", " \t "])
+def test_lines_of_only_whitespace_may_come_before_a_csv_header(blank):
+    text = f"{blank}\n\n{blank}\ntimestamp,activity\n2019-06-16 11:55:01,A\n"
+    assert read_events(io.StringIO(text)) == (ev(1, "A"),)
+    # row numbers count them
+    with pytest.raises(StreamFormatError) as err:
+        read_events(io.StringIO(f"{blank}\ntimestamp,activity\nbad,A\n"))
+    assert str(err.value) == "BAD_TIMESTAMP: row 3: cannot parse timestamp 'bad'"
+    # after the header, such a line is a row as before
+    with pytest.raises(StreamFormatError) as err:
+        read_events(io.StringIO(f"timestamp,activity\n{blank}\n2019-06-16 11:55:01,A\n"))
+    assert str(err.value) == "BAD_ROW: row 2: needs timestamp and activity"
 
 
 @pytest.mark.parametrize("text", [
