@@ -105,7 +105,8 @@ class Correlator:
 
     def ingest(self, event) -> list[CorrelatedEventInstance]:
         """Process one event, returning its stored instances by case order."""
-        ts = event.timestamp
+        # unpacked once, as a named tuple's field reads cost more than locals
+        ts, activity, lifecycle, resource, _ = event
         last = self._last_ts
         if last is not None:
             try:
@@ -118,7 +119,7 @@ class Correlator:
                 ) from None
         self._last_ts = ts
         if self._mode is None:
-            if event.lifecycle == "started":
+            if lifecycle == "started":
                 # completions pair with their start, so every window is read
                 self._require_windows(self.td.activities())
                 self._mode = MODE_PAIRED
@@ -128,13 +129,11 @@ class Correlator:
         seq = self._seq
         self._seq += 1
 
-        activity = event.activity
         plan = self._plan.get(activity)
         if plan is None:
             return [self._stash_noise(event, seq, "unknown-activity")]
 
         store = self.store
-        lifecycle = event.lifecycle
         mn, mx, avg, max_span, anchorings = plan
         if self._mode == MODE_PAIRED and lifecycle != "started":
             if lifecycle != "completed":
@@ -149,7 +148,7 @@ class Correlator:
         else:
             # no alternatives: the event opens a case, its one allocation-free instance
             inst = _new(CorrelatedEventInstance, (
-                ts, activity, store.new_case_id(), 100.0, lifecycle, event.resource, (), 100.0, None, seq,
+                ts, activity, store.new_case_id(), 100.0, lifecycle, resource, (), 100.0, None, seq,
             ))
             store.add(inst)
             return [inst]
@@ -160,7 +159,7 @@ class Correlator:
             # a lone allocation is certain
             (alloc,) = allocations
             inst = _new(CorrelatedEventInstance, (
-                ts, activity, alloc[0], 100.0, lifecycle, event.resource, (alloc,), 100.0, None, seq,
+                ts, activity, alloc[0], 100.0, lifecycle, resource, (alloc,), 100.0, None, seq,
             ))
             store.add(inst)
             return [inst]
@@ -190,7 +189,7 @@ class Correlator:
                 raw *= 100.0
                 trust = min(100.0, raw)
             inst = _new(CorrelatedEventInstance, (
-                ts, activity, case_id, trust, lifecycle, event.resource, allocs, raw, None, seq,
+                ts, activity, case_id, trust, lifecycle, resource, allocs, raw, None, seq,
             ))
             instances.append(inst)
             store.add(inst)

@@ -9,7 +9,7 @@ may legitimately re-enable earlier work (loop entries).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CaseflowError
 from .model import _reachable
@@ -19,8 +19,7 @@ class DependencyError(CaseflowError, ValueError):
     """A net whose task dependencies cannot be derived, or an unknown activity."""
 
 
-@dataclass(frozen=True)
-class TaskDependencies:
+class TaskDependencies(NamedTuple):
     """Mapping activity -> alternatives, where each alternative is a set of
     activities that jointly enable it. Start activities have no alternatives.
     """

@@ -61,7 +61,8 @@ def load_heuristics(text: str) -> HeuristicTable:
     """Parse `activity,min,max` CSV. Input of only blank lines yields an empty table."""
     entries: dict[str, tuple[int, int]] = {}
     columns = ("activity", "min", "max")
-    for line, (activity, mn, mx) in _csv_rows(io.StringIO(text), columns, set(columns), HeuristicError):
+    rows = _csv_rows(io.StringIO(text), columns, set(columns), HeuristicError, "MALFORMED_ROW")
+    for line, (activity, mn, mx) in rows:
         try:
             mn, mx = int(mn.strip()), int(mx.strip())
         except (AttributeError, ValueError):  # AttributeError: a short row's missing cell, None

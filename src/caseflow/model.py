@@ -9,7 +9,7 @@ non-silent transitions.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import CaseflowError
 
@@ -20,23 +20,20 @@ class NetError(CaseflowError, ValueError):
     """A model file or net structure that cannot be accepted."""
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     tid: str
     label: str | None
     silent: bool = False
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     code: str
     node: str | None
     message: str
 
 
-@dataclass
-class NetDiagnostics:
-    errors: list[Diagnostic] = field(default_factory=list)
+class NetDiagnostics(NamedTuple):
+    errors: list[Diagnostic]
 
     def ok(self) -> bool:
         return not self.errors
@@ -109,20 +106,20 @@ def validate(net: WorkflowNet) -> NetDiagnostics:
     livelock) is not verified; an unsound net can yield faulty correlations
     downstream.
     """
-    diags = NetDiagnostics()
+    errors: list[Diagnostic] = []
 
     sources = net.source_places()
     sinks = net.sink_places()
     for end, places in (("source", sources), ("sink", sinks)):
         if len(places) != 1:
-            diags.errors.append(Diagnostic(
+            errors.append(Diagnostic(
                 f"UNIQUE_{end.upper()}", None, f"expected one {end} place, found {len(places)}: {places}"))
 
     forward = _reachable(sources, net._post.__getitem__)
     backward = _reachable(sinks, net._pre.__getitem__)
     for node in sorted(net._pre):
         if node not in forward or node not in backward:
-            diags.errors.append(
+            errors.append(
                 Diagnostic("CONNECTIVITY", node, f"node {node!r} is not on a path from source to sink")
             )
 
@@ -131,13 +128,13 @@ def validate(net: WorkflowNet) -> NetDiagnostics:
         if t.silent:
             continue
         if t.label in seen:
-            diags.errors.append(
+            errors.append(
                 Diagnostic("DUPLICATE_LABEL", t.tid, f"label {t.label!r} also used by transition {seen[t.label]!r}")
             )
         else:
             seen[t.label] = t.tid
 
-    return diags
+    return NetDiagnostics(errors)
 
 
 def _reachable(starts, step):

@@ -73,8 +73,8 @@ class Allocation(NamedTuple):
 class CorrelatedEventInstance(NamedTuple):
     """One correlated event in one case, or one noise event (case_id None).
 
-    A named tuple, not a dataclass, as ingest builds one per event: it is
-    built and hashed in C, and stays immutable and compared by value.
+    ingest builds one per event; as a named tuple, like every record of the
+    package, it is built and hashed in C, immutable and compared by value.
     """
 
     timestamp: datetime
@@ -95,8 +95,8 @@ class CorrelatedEventInstance(NamedTuple):
 class CaseRecord:
     """The store's record of one live case: the dependency search reads its
     first occurrences and its spent alternatives, the pairing search its
-    open starts. A plain slotted class, as a dataclass costs its code
-    generation at every import of the CLI."""
+    open starts. A plain slotted class, as its fields change while the case
+    lives, which a named tuple's cannot."""
 
     __slots__ = ("last", "first_seen", "spent", "open")
 

@@ -11,7 +11,6 @@ import math
 import time
 import warnings
 from contextlib import suppress
-from dataclasses import dataclass, replace
 from datetime import datetime
 from itertools import chain
 from operator import itemgetter
@@ -37,8 +36,7 @@ class ReplayError(Exception):
         return f"sink failed at event {self.position}: {self.cause}"
 
 
-@dataclass(frozen=True, slots=True)
-class UncorrelatedEvent:
+class UncorrelatedEvent(NamedTuple):
     timestamp: datetime
     activity: str
     lifecycle: str | None = None
@@ -85,37 +83,19 @@ def whole_seconds_between(start: datetime, end: datetime) -> int:
     return delta.days * 86400 + delta.seconds + (delta.microseconds > 0)
 
 
-# the columns of an event row, in the order _event takes their values
+# the columns of an event row, in the order of UncorrelatedEvent's fields
 _COLUMNS = ("timestamp", "activity", "lifecycle", "resource", "case_id")
-# _event builds an event through its slots, named like the columns
-_new = object.__new__
-_set_timestamp, _set_activity, _set_lifecycle, _set_resource, _set_case_id = (
-    getattr(UncorrelatedEvent, name).__set__ for name in _COLUMNS)
+# iter_events builds each event as _new(UncorrelatedEvent, fields in declared
+# order), which skips the named tuple's own __new__, written in Python
+_new = tuple.__new__
 
 
-def _event(timestamp, activity, lifecycle, resource, case_id) -> UncorrelatedEvent:
-    """One row's event from its _COLUMNS values, each a str or None: the
-    coercions that CSV and JSON lines share. A blank value is None."""
-    if timestamp is None or activity is None or not (activity := activity.strip()):
-        raise StreamFormatError("BAD_ROW", "needs timestamp and activity")
-    case_id = case_id and case_id.strip() or None
-    # the slots' own setters, as the frozen dataclass's __init__ sets each
-    # field through object.__setattr__, at over half again the cost
-    event = _new(UncorrelatedEvent)
-    _set_timestamp(event, parse_timestamp(timestamp))
-    _set_activity(event, activity)
-    _set_lifecycle(event, lifecycle and lifecycle.strip().lower() or None)
-    _set_resource(event, resource and resource.strip() or None)
-    # isdecimal, not isdigit: int() rejects digits such as '²'
-    _set_case_id(event, int(case_id) if case_id and case_id.isdecimal() else case_id)
-    return event
-
-
-def _csv_rows(lines, columns, required, error):
+def _csv_rows(lines, columns, required, error, bad_row):
     """(line, values) per row of CSV lines, values in columns order, read as a DictReader reads
     them: blank rows skipped, and unlike DictReader before the header too, as are lines of only
     whitespace there; absent columns and a short row's missing cells None, a repeated name its
-    last column. A required column that is absent is error's MISSING_COLUMN."""
+    last column. A required column that is absent is error's MISSING_COLUMN, and a line the csv
+    module rejects (a cell over csv.field_size_limit(), a bare carriage return) error's bad_row."""
     head = []
     for line in (lines := iter(lines)):
         head.append(line if line.strip() else "")  # a blank row, counted in line numbers
@@ -123,21 +103,24 @@ def _csv_rows(lines, columns, required, error):
             break
     reader = csv.reader(chain(head, lines))
     rows = filter(None, reader)  # a blank row is []
-    header = next(rows, None)
-    if header is None:
-        return
-    index = {name: i for i, name in enumerate(header)}
-    if missing := required - index.keys():
-        raise error("MISSING_COLUMN", f"missing column(s) {sorted(missing)}")
-    width = len(header)
-    pad = [None] * width
-    # absent columns read the cell past the header's last, always None
-    pick = itemgetter(*(index.get(name, width) for name in columns))
-    for row in rows:
-        if len(row) != width:
-            row = (row + pad)[:width]
-        row.append(None)
-        yield reader.line_num, pick(row)
+    try:
+        header = next(rows, None)
+        if header is None:
+            return
+        index = {name: i for i, name in enumerate(header)}
+        if missing := required - index.keys():
+            raise error("MISSING_COLUMN", f"missing column(s) {sorted(missing)}")
+        width = len(header)
+        pad = [None] * width
+        # absent columns read the cell past the header's last, always None
+        pick = itemgetter(*(index.get(name, width) for name in columns))
+        for row in rows:
+            if len(row) != width:
+                row = (row + pad)[:width]
+            row.append(None)
+            yield reader.line_num, pick(row)
+    except csv.Error as exc:
+        raise error(bad_row, f"row {reader.line_num}: {exc}") from None
 
 
 def _json_rows(lines):
@@ -166,7 +149,8 @@ def _rows(handle):
             break
     if head and head[-1].lstrip().startswith("{"):
         return _json_rows(chain(head, lines))
-    return _csv_rows(chain(head, lines), _COLUMNS, {"timestamp", "activity"}, StreamFormatError)
+    return _csv_rows(chain(head, lines), _COLUMNS, {"timestamp", "activity"}, StreamFormatError,
+                     "BAD_ROW")
 
 
 def iter_events(handle):
@@ -175,11 +159,14 @@ def iter_events(handle):
     yielded. An error in a row names its line; bytes it cannot decode are a BAD_ENCODING."""
     naive = None
     try:
-        for position, values in _rows(handle):
+        for position, (timestamp, activity, lifecycle, resource, case_id) in _rows(handle):
+            # each value is a str or None, and a blank one is None
             try:
-                event = _event(*values)
+                if timestamp is None or activity is None or not (activity := activity.strip()):
+                    raise StreamFormatError("BAD_ROW", "needs timestamp and activity")
+                ts = parse_timestamp(timestamp)
                 # naive and offset timestamps do not compare, so a stream must keep to one kind
-                is_naive = event.timestamp.utcoffset() is None
+                is_naive = ts.utcoffset() is None
                 if naive is None:
                     naive = is_naive
                 elif is_naive is not naive:
@@ -188,7 +175,13 @@ def iter_events(handle):
                                             f"stream whose first timestamp is {kinds[naive]}")
             except StreamFormatError as exc:
                 raise StreamFormatError(exc.code, f"row {position}: {exc.message}") from None
-            yield event
+            case_id = case_id and case_id.strip() or None
+            yield _new(UncorrelatedEvent, (
+                ts, activity, lifecycle and lifecycle.strip().lower() or None,
+                resource and resource.strip() or None,
+                # isdecimal, not isdigit: int() rejects digits such as '²'
+                int(case_id) if case_id and case_id.isdecimal() else case_id,
+            ))
     except UnicodeDecodeError as exc:
         # exc.start counts from the start of the chunk the text layer was
         # decoding, which ends where its binary buffer now stands
@@ -237,7 +230,7 @@ def strip_case_ids(events) -> tuple[tuple[UncorrelatedEvent, ...], list[int | st
     """The events without case ids, and their ids in order: labels[i] is
     the id of events[i], as score() reads its truth labels."""
     events = tuple(events)  # read once, so a generator gives both
-    return tuple(replace(ev, case_id=None) for ev in events), [ev.case_id for ev in events]
+    return tuple(ev._replace(case_id=None) for ev in events), [ev.case_id for ev in events]
 
 
 class ReplayReport(NamedTuple):

@@ -10,7 +10,6 @@ latency at scale, and noise isolation.
 import json
 import random
 import time
-from dataclasses import replace
 from datetime import datetime
 from fractions import Fraction
 
@@ -230,10 +229,10 @@ def test_allocation_engine_matches_brute_force_oracle():
 
         # relabeling a stripped stream restores it exactly
         labeled = tuple(
-            replace(event, case_id=rng.choice([1, 2, 3, "x", None])) for event in stream
+            event._replace(case_id=rng.choice([1, 2, 3, "x", None])) for event in stream
         )
         stripped, labels = strip_case_ids(labeled)
-        assert tuple(replace(e, case_id=c) for e, c in zip(stripped, labels)) == labeled
+        assert tuple(e._replace(case_id=c) for e, c in zip(stripped, labels)) == labeled
 
         # repeated runs are byte-identical
         if scenario % 25 == 0:

@@ -487,6 +487,18 @@ ERROR_EXITS = {
         "correlate --model {tmp}/toy.net --heuristics {tmp}/toy.csv --input {tmp}/in.csv",
         "error: BAD_ENCODING: byte 0xff at offset 41 is not valid utf-8 (invalid start byte)\n",
     ),
+    # a cell longer than csv.field_size_limit(), 131,072 characters by default
+    "oversized-input-cell": (
+        {"in.csv": "timestamp,activity\n2021-03-01 09:00:00,A\n2021-03-01 09:00:01," + "A" * 200_000},
+        "correlate --model {tmp}/toy.net --heuristics {tmp}/toy.csv --input {tmp}/in.csv",
+        "error: BAD_ROW: row 3: field larger than field limit (131072)\n",
+    ),
+    "oversized-heuristics-cell": (
+        {"big.csv": "activity,min,max\nA,1,1\n" + "B" * 200_000 + ",1,1\n",
+         "in.csv": "timestamp,activity\n"},
+        "correlate --model {tmp}/toy.net --heuristics {tmp}/big.csv --input {tmp}/in.csv",
+        "error: MALFORMED_ROW: row 3: field larger than field limit (131072)\n",
+    ),
     # the byte-order mark is not text, but its three bytes count in the offset
     "undecodable-input-after-a-byte-order-mark": (
         {"in.csv": b"\xef\xbb\xbftimestamp,activity\n2021-03-01 09:00:00,A\n\xff\n"},
@@ -625,6 +637,17 @@ def test_importing_the_cli_does_not_load_json():
     # interpreter loaded it already, there is nothing to see
     program = ("import sys; loaded = 'json' in sys.modules; import caseflow.cli; "
                "print(loaded or 'json' not in sys.modules)")
+    proc = run_python(program)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n"
+
+
+def test_importing_the_package_does_not_load_dataclasses():
+    # every record is a named tuple, so no process pays for the decorator's
+    # code generation at start-up; if the interpreter loaded it already,
+    # there is nothing to see
+    program = ("import sys; loaded = 'dataclasses' in sys.modules; import caseflow, "
+               "caseflow.evaluation; print(loaded or 'dataclasses' not in sys.modules)")
     proc = run_python(program)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "True\n"

@@ -3,7 +3,6 @@
 import io
 import pickle
 import random
-from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -504,7 +503,7 @@ def test_allocations_match_brute_force_with_subsecond_timestamps(clinic_net, cli
     jitter = random.Random(7)
     stream = sorted(
         (
-            replace(e, timestamp=e.timestamp + timedelta(microseconds=jitter.randrange(1_000_000)))
+            e._replace(timestamp=e.timestamp + timedelta(microseconds=jitter.randrange(1_000_000)))
             for e in long_log(clinic_net, clinic_table)
         ),
         key=lambda e: e.timestamp,

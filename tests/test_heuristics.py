@@ -1,8 +1,8 @@
 """Duration windows: table validation, CSV round trip, extraction from logs."""
 
+import csv
 import random
 import warnings
-from dataclasses import replace
 from datetime import datetime, timedelta
 
 import pytest
@@ -99,6 +99,20 @@ def test_malformed_row_reports_its_position():
     # the line of the file, counting a blank one
     with pytest.raises(HeuristicError, match="row 4:"):
         load_heuristics("activity,min,max\nA,1,5\n\nB,x,5\n")
+
+
+def test_a_cell_over_the_csv_field_limit_is_a_malformed_row_on_its_line():
+    with pytest.raises(HeuristicError) as err:
+        load_heuristics("activity,min,max\nA,1,2\n" + "B" * 200_000 + ",1,2\n")
+    assert err.value.code == "MALFORMED_ROW"
+    assert err.value.message == f"row 3: field larger than field limit ({csv.field_size_limit()})"
+
+
+def test_a_bare_carriage_return_is_a_malformed_row_on_its_line():
+    with pytest.raises(HeuristicError) as err:
+        load_heuristics("activity,min,max\nA,1\r2,3\n")
+    assert err.value.code == "MALFORMED_ROW"
+    assert err.value.message.startswith("row 2: new-line character seen in unquoted field")
 
 
 @pytest.mark.parametrize(
@@ -278,7 +292,7 @@ def test_completions_only_windows_equal_a_scan_of_each_history(clinic_net, clini
     log = simulate.simulate_log(clinic_net, clinic_table, random.Random(seed), 40,
                                 weights={"F": 6, "N": 3})
     step = timedelta(seconds=grain)
-    log = [replace(e, timestamp=datetime.min + (e.timestamp - datetime.min) // step * step)
+    log = [e._replace(timestamp=datetime.min + (e.timestamp - datetime.min) // step * step)
            for e in log]
     assert max(sum(e.case_id == c for e in log) for c in range(1, 41)) >= 100
     with warnings.catch_warnings():

@@ -218,6 +218,15 @@ def test_validate_flags_duplicate_labels():
     assert any(d.code == "DUPLICATE_LABEL" and d.node == "tb" for d in diags.errors)
 
 
+def test_each_validate_call_returns_a_list_of_its_own():
+    # the diagnostics of one call share no mutable default with another's
+    first, second = validate(parse_simple_net(SMALL)), validate(parse_simple_net(SMALL))
+    assert first.ok() and second.ok()
+    assert first.errors is not second.errors
+    first.errors.append(validate(parse_simple_net(SMALL + "place stray\n")).errors[0])
+    assert second.errors == [] and second.ok()
+
+
 def test_parse_pnml_clinic(clinic_net):
     assert len(clinic_net.places) == 13
     assert len(clinic_net.transitions) == 14

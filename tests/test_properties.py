@@ -4,7 +4,6 @@ import csv
 import io
 import math
 import random
-from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -421,7 +420,7 @@ def test_strip_then_relabel_round_trips(events):
     stripped, labels = strip_case_ids(events)
     assert all(e.case_id is None for e in stripped)
     assert labels == [e.case_id for e in events]
-    assert tuple(replace(e, case_id=c) for e, c in zip(stripped, labels)) == events
+    assert tuple(e._replace(case_id=c) for e, c in zip(stripped, labels)) == events
 
 
 @settings(deadline=None)

@@ -1,8 +1,9 @@
 """Stream reading, ground truth round trips, timed replay."""
 
+import csv
 import io
+import json
 import sys
-from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -243,6 +244,42 @@ def test_read_events_csv_errors_name_the_line_of_the_file():
     assert str(err.value) == "BAD_TIMESTAMP: row 3: cannot parse timestamp 'bad'"
 
 
+def test_a_cell_over_the_csv_field_limit_is_a_bad_row_on_its_line():
+    text = "timestamp,activity\n2019-06-16 11:55:01,A\n2019-06-16 11:55:02," + "B" * 200_000 + "\n"
+    with pytest.raises(StreamFormatError) as err:
+        read_events(io.StringIO(text))
+    assert err.value.code == "BAD_ROW"
+    assert err.value.message == f"row 3: field larger than field limit ({csv.field_size_limit()})"
+
+
+def test_a_bare_carriage_return_in_memory_is_a_bad_row_on_its_line():
+    # a file opened in text mode reads it as a line break; in-memory text does not
+    with pytest.raises(StreamFormatError) as err:
+        read_events(io.StringIO("timestamp,activity\n2019-06-16 11:55:01,A\rB\n"))
+    assert err.value.code == "BAD_ROW"
+    assert err.value.message.startswith("row 2: new-line character seen in unquoted field")
+
+
+@pytest.mark.parametrize("columns", ["required", "all"])
+def test_a_csv_row_and_a_json_line_read_as_the_keyword_built_event(columns):
+    if columns == "required":
+        row = {"timestamp": "2019-06-16 11:55:01", "activity": "A"}
+        expected = UncorrelatedEvent(timestamp=datetime(2019, 6, 16, 11, 55, 1), activity="A")
+    else:
+        row = {"timestamp": "2019-06-16 11:55:01", "activity": "A", "lifecycle": "Started",
+               "resource": "Noah", "case_id": "3"}
+        expected = UncorrelatedEvent(timestamp=datetime(2019, 6, 16, 11, 55, 1), activity="A",
+                                     lifecycle="started", resource="Noah", case_id=3)
+    csv_text = ",".join(row) + "\n" + ",".join(row.values()) + "\n"
+    for text in (csv_text, json.dumps(row) + "\n"):
+        (event,) = read_events(io.StringIO(text))
+        assert type(event) is UncorrelatedEvent
+        assert event == expected
+        assert event._replace(case_id=None) == UncorrelatedEvent(
+            expected.timestamp, expected.activity, expected.lifecycle, expected.resource)
+        assert strip_case_ids([event]) == ((event._replace(case_id=None),), [expected.case_id])
+
+
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 def test_read_events_reports_an_undecodable_byte_by_its_offset_in_the_file(tmp_path, fmt):
     # past the first chunk the text layer decodes, so the decoder's own
@@ -359,7 +396,7 @@ def test_strip_then_relabel_is_identity():
     stripped, labels = strip_case_ids(original)
     assert all(e.case_id is None for e in stripped)
     assert labels == [e.case_id for e in original]
-    assert tuple(replace(e, case_id=c) for e, c in zip(stripped, labels)) == original
+    assert tuple(e._replace(case_id=c) for e, c in zip(stripped, labels)) == original
     assert strip_case_ids(iter(original)) == (stripped, labels)
 
 
