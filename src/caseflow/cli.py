@@ -9,6 +9,7 @@ flags win over the file.
 
 from __future__ import annotations
 
+import argparse
 import gc
 import math
 import os
@@ -17,8 +18,6 @@ import sys
 import time
 from contextlib import contextmanager, suppress
 from pathlib import Path
-
-import click
 
 from .correlator import Correlator
 from .dependencies import build_task_dependencies
@@ -36,8 +35,13 @@ from .streams import (
 )
 
 
+def _echo(text: str) -> None:
+    if sys.stderr is not None:  # descriptor 2 was closed at start-up
+        print(text, file=sys.stderr)
+
+
 def _fail(message: str):
-    click.echo(f"error: {message}", err=True)
+    _echo(f"error: {message}")
     sys.exit(2)
 
 
@@ -53,17 +57,12 @@ def _read_text(path: str, what: str) -> str:
 _UNCOMMENTED = re.compile(r"""(?:[^"'#]|"[^"]*"|'[^']*'|["']|(?<=\S)#)*""")
 
 
-def _read_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
-    """Load a key=value file into the command's defaults, so click converts
-    and validates its values like flags, and explicit flags still win. A key
-    is a long flag name with '_' for '-'; '#' after whitespace starts a
-    comment, unless it is quoted."""
-    if path is None:
-        return
-    text = _read_text(path, "config")
-    names = {opt.opts[0].lstrip("-").replace("-", "_"): opt.name for opt in ctx.command.params}
-    cfg: dict[str, str] = {}
-    for i, raw in enumerate(text.splitlines(), start=1):
+def _read_config(path: str, options: dict[str, dict]) -> dict[str, str]:
+    """A key=value file's values by destination, as text, for the command's defaults, so that
+    argparse converts and checks a value like a flag's when no flag replaces it. A key is a
+    long flag name with '_' for '-'; '#' after whitespace starts a comment, unless it is quoted."""
+    values = {}
+    for i, raw in enumerate(_read_text(path, "config").splitlines(), start=1):
         line = _UNCOMMENTED.match(raw).group().strip()
         if not line:
             continue
@@ -71,46 +70,35 @@ def _read_config(ctx: click.Context, param: click.Parameter, path: str | None) -
             _fail(f"{path}:{i}: expected key=value")
         key, value = line.split("=", 1)
         key = key.strip()
-        if key not in names:
+        if key not in options:
             _fail(f"{path}:{i}: unknown key {key!r}")
-        cfg[names[key]] = value.strip().strip("\"'")
-    ctx.default_map = cfg
+        values[options[key].get("dest", key)] = value.strip().strip("\"'")
+    return values
 
 
-def _options(*decorators):
-    """Apply several click.option decorators as one, in the order listed."""
-    def apply(f):
-        for decorator in reversed(decorators):
-            f = decorator(f)
-        return f
-    return apply
+def _float_in(describe: str, within):
+    """An argparse type: a float for which within holds, which NaN never does."""
+    def convert(text: str) -> float:
+        value = float(text)
+        if not within(value):
+            raise argparse.ArgumentTypeError(f"{value} is not in the range {describe}")
+        return value
+    convert.__name__ = "float"  # argparse names the type so when float() fails
+    return convert
 
 
-_model_options = _options(
-    click.option("--model", type=str, default=None, help="Workflow model file."),
-    click.option("--silent-labels", default=",".join(sorted(DEFAULT_SILENT_LABELS)),
-                 help="Comma-separated silent transition labels."),
-)
-_input_option = click.option("--input", "input_path", type=str, default=None, help="Events: CSV or JSON lines.")
-_output_options = _options(
-    click.option("--output", type=str, default=None, help="Write here instead of stdout."),
-    click.option("--config", type=str, callback=_read_config, is_eager=True,
-                 expose_value=False, help="key=value defaults file."),
-)
-_heuristics_option = click.option("--heuristics", type=str, default=None,
-                                  help="Duration windows CSV.")
-
-
-def _not_nan(ctx: click.Context, param: click.Parameter, value: float | None) -> float | None:
-    # FloatRange lets NaN through, as it compares false with the bounds
-    if value is not None and math.isnan(value):
-        raise click.BadParameter(f"{value} is not in the range {param.type._describe_range()}.")
-    return value
-
-
-_speedup_option = click.option("--speedup", type=click.FloatRange(min=0, min_open=True),
-                               default=math.inf, callback=_not_nan,
-                               help="Replay speed factor; inf is no pacing.")
+# each option as its config key, the long flag name with '_' for '-', and its add_argument keywords
+_MODEL = {
+    "model": dict(help="Workflow model file."),
+    "silent_labels": dict(default=",".join(sorted(DEFAULT_SILENT_LABELS)),
+                          help="Comma-separated silent transition labels (default: %(default)s)."),
+}
+_HEURISTICS = {"heuristics": dict(help="Duration windows CSV.")}
+_INPUT = {"input": dict(dest="input_path", metavar="INPUT", help="Events: CSV or JSON lines.")}
+_SPEEDUP = {"speedup": dict(type=_float_in("x>0", lambda x: x > 0), default=math.inf,
+                            help="Replay speed factor; inf is no pacing (default: %(default)s).")}
+_OUTPUT = {"output": dict(help="Write here instead of stdout."),
+           "config": dict(help="key=value defaults file.")}
 
 
 def _load_td(model, silent_labels):
@@ -126,7 +114,7 @@ def _load_td(model, silent_labels):
     if not diagnostics.ok():
         for error in diagnostics.errors:
             where = f" ({error.node})" if error.node else ""
-            click.echo(f"error: {error.code}: {error.message}{where}", err=True)
+            _echo(f"error: {error.code}: {error.message}{where}")
         sys.exit(2)
     return build_task_dependencies(net)
 
@@ -184,51 +172,6 @@ def _output_stream(output: str | None):
         temporary.unlink(missing_ok=True)
 
 
-class _Main(click.Group):
-    """Reports a package error from any subcommand as `error: CODE: message`, exit 2,
-    and so a failed read or write, and a sink failure caused by either; any other
-    cause is a bug. A broken pipe, in the sink or not, passes through to click. Parsing
-    is guarded too, as the group's own help is written while its arguments are parsed."""
-
-    def parse_args(self, ctx: click.Context, args: list[str]) -> list[str]:
-        return self._guarded(super().parse_args, ctx, args)
-
-    def invoke(self, ctx: click.Context):
-        return self._guarded(super().invoke, ctx)
-
-    def _guarded(self, call, *args):
-        try:
-            result = call(*args)
-            if sys.stdout is not None:  # so that a buffered write fails here, not at exit
-                sys.stdout.flush()
-            return result
-        except (CaseflowError, ReplayError, OSError) as exc:
-            cause = exc.cause if isinstance(exc, ReplayError) else exc
-            if isinstance(cause, BrokenPipeError):
-                raise cause from None  # click ends it with a quiet exit 1
-            if not isinstance(cause, (CaseflowError, OSError)):
-                raise
-            try:
-                if sys.stdout is not None:
-                    sys.stdout.flush()
-            except OSError:  # drop what cannot be written, so that exit does not fail on it again
-                with suppress(OSError):
-                    sys.stdout.close()
-            _fail(str(exc))
-        except click.exceptions.Exit as exc:
-            if exc.exit_code == 0:  # help, written by click.echo, which drops it if stdout is closed
-                _stdout()
-            raise
-
-
-@click.group(cls=_Main, context_settings={"show_default": True})
-def main():
-    """Correlate unlabeled event streams to cases using a workflow model."""
-
-
-@main.command()
-@_model_options
-@_output_options
 def analyze(model, silent_labels, output):
     """Derive task dependencies and loop entries from a workflow model."""
     import json  # here and, with evaluation, in evaluate only, so correlate loads neither
@@ -238,14 +181,6 @@ def analyze(model, silent_labels, output):
         out.write(json.dumps(td.to_json_dict(), indent=2, sort_keys=True) + "\n")
 
 
-@main.command()
-@_model_options
-@_heuristics_option
-@_input_option
-@click.option("--threshold", type=click.FloatRange(0, 100), default=0.0, callback=_not_nan,
-              help="Minimum trust to keep.")
-@_speedup_option
-@_output_options
 def correlate(model, silent_labels, heuristics, input_path, threshold, speedup, output):
     """Correlate an unlabeled stream and export the result as CSV.
 
@@ -274,13 +209,9 @@ def correlate(model, silent_labels, heuristics, input_path, threshold, speedup, 
                     writer.flush()
                 raise
             writer.close()
-    click.echo(f"noise events: {correlator.store.noise_count()}", err=True)
+    _echo(f"noise events: {correlator.store.noise_count()}")
 
 
-@main.command("replay")
-@_input_option
-@_speedup_option
-@_output_options
 def replay_command(input_path, speedup, output):
     """Replay a stream at speed, echoing events in delivery order."""
     events = _read_stream(input_path)
@@ -293,16 +224,9 @@ def replay_command(input_path, speedup, output):
                 out.flush()
 
         report = replay(events, echo, speedup=speedup)
-    click.echo(f"delivered {report.delivered} events in {report.wall_seconds:.3f}s", err=True)
+    _echo(f"delivered {report.delivered} events in {report.wall_seconds:.3f}s")
 
 
-@main.command()
-@_model_options
-@_heuristics_option
-@_input_option
-@click.option("--threshold", type=click.FloatRange(0, 100), default=None, callback=_not_nan,
-              help="Score rows at or above this trust; without it, each event's most trusted row.")
-@_output_options
 def evaluate(model, silent_labels, heuristics, input_path, threshold, output):
     """Strip a labeled log, re-correlate it, and score the result."""
     import json
@@ -328,10 +252,6 @@ def evaluate(model, silent_labels, heuristics, input_path, threshold, output):
         out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-@main.command("extract-heuristics")
-@_input_option
-@_model_options
-@_output_options
 def extract_heuristics_command(input_path, model, silent_labels, output):
     """Measure per-activity duration windows from a labeled log."""
     events = _read_stream(input_path)
@@ -339,6 +259,95 @@ def extract_heuristics_command(input_path, model, silent_labels, output):
     table = extract_heuristics(events, td=td)
     with _output_stream(output) as out:
         out.write(save_heuristics(table))
+
+
+_THRESHOLD = _float_in("0<=x<=100", lambda x: 0 <= x <= 100)
+# each subcommand's function and options
+_COMMANDS = {
+    "analyze": (analyze, {**_MODEL, **_OUTPUT}),
+    "correlate": (correlate, {**_MODEL, **_HEURISTICS, **_INPUT, "threshold": dict(
+        type=_THRESHOLD, default=0.0, help="Minimum trust to keep (default: %(default)s)."),
+        **_SPEEDUP, **_OUTPUT}),
+    "replay": (replay_command, {**_INPUT, **_SPEEDUP, **_OUTPUT}),
+    "evaluate": (evaluate, {**_MODEL, **_HEURISTICS, **_INPUT, "threshold": dict(
+        type=_THRESHOLD, help="Score rows at or above this trust; without it, each event's "
+                              "most trusted row."), **_OUTPUT}),
+    "extract-heuristics": (extract_heuristics_command, {**_INPUT, **_MODEL, **_OUTPUT}),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Takes --help but not -h, and no abbreviated flag; writes help as a command writes
+    its output, so that a failed write is an error exit."""
+
+    def __init__(self, **kwargs):
+        super().__init__(add_help=False, allow_abbrev=False, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def parse_known_args(self, args=None, namespace=None):
+        # a subcommand's parser reports an unknown argument with its own usage
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+    def print_help(self, file=None):
+        out = _stdout()
+        out.write(self.format_help())
+        out.flush()
+
+
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The caseflow parser, and each subcommand's own by name."""
+    parser = _Parser(prog="caseflow",
+                     description="Correlate unlabeled event streams to cases using a workflow model.")
+    choices = parser.add_subparsers(dest="command", required=True)
+    commands = {}
+    for name, (function, options) in _COMMANDS.items():
+        doc = function.__doc__
+        commands[name] = command = choices.add_parser(name, help=doc.split("\n")[0],
+                                                      description=doc)
+        for key, spec in options.items():
+            command.add_argument("--" + key.replace("_", "-"), **spec)
+    return parser, commands
+
+
+def main(argv: list[str] | None = None) -> None:
+    """Run a command line, sys.argv's by default. A package error from any subcommand is
+    reported as `error: CODE: message`, exit 2, and so is a failed read or write, and a sink
+    failure caused by either; any other cause is a bug. A broken pipe, in the sink or not,
+    is a quiet exit 1. Parsing is guarded too, as --help writes to standard output."""
+    try:
+        parser, commands = _parsers()
+        args = parser.parse_args(argv)
+        function, options = _COMMANDS[args.command]
+        if args.config is not None:  # the file's values become defaults, so a flag still wins
+            commands[args.command].set_defaults(**_read_config(args.config, options))
+            args = parser.parse_args(argv)
+        kwargs = vars(args)
+        del kwargs["command"], kwargs["config"]
+        function(**kwargs)
+        if sys.stdout is not None:  # so that a buffered write fails here, not at exit
+            sys.stdout.flush()
+    except (CaseflowError, ReplayError, OSError) as exc:
+        cause = exc.cause if isinstance(exc, ReplayError) else exc
+        if isinstance(cause, BrokenPipeError):  # as when the output goes to `head`
+            # the interpreter flushes stdout at exit, which must not fail on it again
+            with suppress(AttributeError, OSError, ValueError):  # no stdout, or no descriptor
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            sys.exit(1)
+        if not isinstance(cause, (CaseflowError, OSError)):
+            raise
+        try:
+            if sys.stdout is not None:
+                sys.stdout.flush()
+        except OSError:  # drop what cannot be written, so that exit does not fail on it again
+            with suppress(OSError):
+                sys.stdout.close()
+        _fail(str(exc))
+    except KeyboardInterrupt:
+        _echo("\nAborted!")
+        sys.exit(1)
 
 
 def run():

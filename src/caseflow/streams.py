@@ -132,7 +132,7 @@ def _json_rows(lines):
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or a number over the int digit limit
             raise StreamFormatError("BAD_ROW", f"row {position}: {exc}") from exc
         if not isinstance(record, dict):
             raise StreamFormatError("BAD_ROW", f"row {position}: a JSON line must be an object")
@@ -173,14 +173,17 @@ def iter_events(handle):
                     kinds = ("offset", "naive")
                     raise StreamFormatError("MIXED_TIMEZONES", f"{kinds[is_naive]} timestamp in a "
                                             f"stream whose first timestamp is {kinds[naive]}")
+                case_id = case_id and case_id.strip() or None
+                try:  # isdecimal, not isdigit: int() rejects digits such as '²'
+                    case_id = int(case_id) if case_id and case_id.isdecimal() else case_id
+                except ValueError:  # more digits than sys.get_int_max_str_digits()
+                    raise StreamFormatError("BAD_ROW", f"case id of {len(case_id)} digits "
+                                                       "is too long") from None
             except StreamFormatError as exc:
                 raise StreamFormatError(exc.code, f"row {position}: {exc.message}") from None
-            case_id = case_id and case_id.strip() or None
             yield _new(UncorrelatedEvent, (
                 ts, activity, lifecycle and lifecycle.strip().lower() or None,
-                resource and resource.strip() or None,
-                # isdecimal, not isdigit: int() rejects digits such as '²'
-                int(case_id) if case_id and case_id.isdecimal() else case_id,
+                resource and resource.strip() or None, case_id,
             ))
     except UnicodeDecodeError as exc:
         # exc.start counts from the start of the chunk the text layer was

@@ -14,8 +14,8 @@ from datetime import datetime
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
 
+import cli_runner
 import oracle
 import simulate
 from caseflow import (
@@ -29,7 +29,6 @@ from caseflow import (
     score,
     strip_case_ids,
 )
-from caseflow.cli import main
 
 # the full running-example stream: (second past 11:55, activity)
 EVENTS = [
@@ -97,9 +96,7 @@ def running_example(clinic_td, clinic_table, clinic_events):
 
 def test_model_analysis_reproduces_curated_dependency_table(data_dir):
     start = time.perf_counter()
-    result = CliRunner().invoke(
-        main, ["analyze", "--model", str(data_dir / "clinic.pnml")], catch_exceptions=False
-    )
+    result = cli_runner.invoke("analyze", "--model", str(data_dir / "clinic.pnml"))
     elapsed = time.perf_counter() - start
     assert result.exit_code == 0
     assert json.loads(result.stdout) == {

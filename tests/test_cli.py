@@ -1,4 +1,4 @@
-"""End-to-end command behavior through the click runner."""
+"""End-to-end command behavior, run in this process through the argparse front end."""
 
 import gc
 import io
@@ -14,9 +14,9 @@ import warnings
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import caseflow
+import cli_runner
 import simulate
 from caseflow import (
     Correlator,
@@ -25,7 +25,6 @@ from caseflow import (
     read_events,
     strip_case_ids,
 )
-from caseflow.cli import main
 from caseflow.evaluation import build_report, score
 from caseflow.model import parse_simple_net
 from caseflow.streams import ReplayError
@@ -56,11 +55,11 @@ SELF_EVAL_LOG = (
 
 @pytest.fixture()
 def runner():
-    return CliRunner()
+    return cli_runner.invoke
 
 
 def invoke(runner, *args):
-    return runner.invoke(main, list(args), catch_exceptions=False)
+    return runner(*args)
 
 
 def model_args(data_dir):
@@ -250,11 +249,25 @@ def test_correlate_rejects_a_json_line_that_is_not_an_object(runner, data_dir, t
     assert result.stderr.startswith("error: BAD_ROW: row 2")
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="int() reads a decimal string of any length")
+def test_correlate_rejects_a_case_id_over_the_integer_digit_limit(runner, data_dir, tmp_path):
+    stream = tmp_path / "stream.csv"
+    stream.write_text("timestamp,activity,case_id\n2019-06-16 11:55:01,A,"
+                      + "7" * (sys.get_int_max_str_digits() + 1) + "\n")
+    result = invoke(
+        runner, "correlate", *model_args(data_dir),
+        "--heuristics", str(data_dir / "heuristics.csv"), "--input", str(stream),
+    )
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: BAD_ROW: row 2") and result.stderr.count("\n") == 1
+
+
 def test_a_stream_format_flag_or_key_is_an_error(runner, data_dir, tmp_path):
     # the stream's first non-blank line picks CSV or JSON lines, so no option names it
     result = invoke(runner, "correlate", *correlate_args(data_dir), "--format", "csv")
     assert result.exit_code == 2
-    assert "No such option" in result.stderr and "--format" in result.stderr
+    assert "unrecognized arguments: --format csv" in result.stderr
     cfg = tmp_path / "run.cfg"
     cfg.write_text("format = csv\n")
     result = invoke(runner, "correlate", *correlate_args(data_dir), "--config", str(cfg))
@@ -387,7 +400,7 @@ def test_a_sink_failure_from_an_os_error_is_an_error_exit(runner, tmp_path, monk
 
 
 def test_a_broken_pipe_in_the_sink_exits_quietly(runner, tmp_path, monkeypatch):
-    # as click ends any other broken pipe, so that `caseflow correlate | head` stays quiet
+    # as any other broken pipe ends, so that `caseflow correlate | head` stays quiet
     result = correlate_with_a_failing_writer(runner, tmp_path, monkeypatch,
                                              BrokenPipeError(32, "Broken pipe"))
     assert (result.exit_code, result.stderr) == (1, "")
@@ -642,6 +655,13 @@ def test_importing_the_cli_does_not_load_json():
     assert proc.stdout == "True\n"
 
 
+def test_importing_the_cli_does_not_load_click():
+    # the front end is argparse, so no start-up pays for click's import
+    proc = run_python("import sys, caseflow.cli; print('click' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_importing_the_package_does_not_load_dataclasses():
     # every record is a named tuple, so no process pays for the decorator's
     # code generation at start-up; if the interpreter loaded it already,
@@ -671,7 +691,7 @@ finally:
     print(gc.get_freeze_count() > 0, file=sys.stderr)
 """)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("Usage: caseflow")
+    assert proc.stdout.startswith("usage: caseflow")
     assert proc.stderr == "True\n"
 
 
@@ -717,7 +737,7 @@ CONSOLE_ENTRY = ["-c", "from caseflow.cli import run; run()"]
 @pytest.mark.parametrize("unbuffered", [False, True])
 @pytest.mark.parametrize("entry", [["-m", "caseflow"], CONSOLE_ENTRY], ids=["module", "console"])
 def test_a_failed_write_of_the_group_help_is_an_error_exit(entry, unbuffered):
-    # click writes the group's own help while it parses, before any subcommand runs
+    # argparse writes the top-level help while it parses, before any subcommand runs
     assert_one_error_line(run_into_full([*entry, "--help"], unbuffered))
 
 
@@ -964,7 +984,37 @@ def test_config_rejects_unknown_keys(runner, data_dir, tmp_path, command, key):
 def test_flags_decided_by_the_input_are_not_options(runner, data_dir, flag):
     result = invoke(runner, "evaluate", *correlate_args(data_dir), flag, "x")
     assert result.exit_code == 2
-    assert "No such option" in result.stderr and flag in result.stderr
+    assert f"unrecognized arguments: {flag} x" in result.stderr
+
+
+NUMERIC_FLAGS = {"correlate": ("--threshold", "--speedup"), "evaluate": ("--threshold",),
+                 "replay": ("--speedup",)}
+
+
+@pytest.mark.parametrize("command", ["analyze", "correlate", "replay", "evaluate",
+                                     "extract-heuristics"])
+def test_usage_errors_exit_2_and_name_the_flag(runner, tmp_path, command):
+    # an unknown flag, -h (only --help is help), an abbreviation of a real flag, and a value
+    # that is not a number, as a flag or from a config file; each comes before any file is read
+    numeric = NUMERIC_FLAGS.get(command, ())
+    runs = [(flag, None, (flag, "x")) for flag in ("--no-such-flag", "-h", "--out")]
+    runs += [("--thresh", None, ("--thresh", "50"))] if "--threshold" in numeric else []
+    for flag in numeric:
+        cfg = tmp_path / f"{flag[2:]}.cfg"
+        cfg.write_text(f"{flag[2:]} = abc\n")
+        runs += [(flag, "'abc'", (flag, "abc")), (flag, "'abc'", ("--config", str(cfg)))]
+    for flag, value, args in runs:
+        result = invoke(runner, command, *args)
+        assert (result.exit_code, result.stdout) == (2, ""), args
+        # the flag as a whole word, not inside the usage's --output or --threshold
+        assert re.search(rf"(?<![\w-]){flag}(?![\w-])", result.stderr), (args, result.stderr)
+        assert value is None or value in result.stderr, (args, result.stderr)
+
+
+def test_no_subcommand_is_a_usage_error(runner):
+    result = invoke(runner)
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr.lower().startswith("usage: "), result.stderr
 
 
 def test_config_hash_inside_a_value_is_not_a_comment(runner, data_dir, tmp_path):
@@ -1038,7 +1088,7 @@ def test_nonpositive_speedup_is_rejected_as_a_usage_error(runner, data_dir, tmp_
     via_config = invoke(runner, command, *args, "--config", str(cfg))
     for result in (via_flag, via_config):
         assert result.exit_code == 2
-        assert "Invalid value for '--speedup'" in result.stderr
+        assert f"argument --speedup: {float(speedup)} is not in the range x>0" in result.stderr
     assert invoke(runner, command, *args, "--speedup", "inf").exit_code == 0
 
 
@@ -1053,5 +1103,5 @@ def test_nan_threshold_is_rejected_as_a_usage_error(runner, data_dir, tmp_path, 
     via_config = invoke(runner, command, *args, "--config", str(cfg))
     for result in (via_flag, via_config):
         assert result.exit_code == 2
-        assert "Invalid value for '--threshold': nan is not in the range 0<=x<=100." in result.stderr
+        assert "argument --threshold: nan is not in the range 0<=x<=100" in result.stderr
     assert invoke(runner, command, *args, "--threshold", "60").exit_code == 0

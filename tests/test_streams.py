@@ -252,6 +252,26 @@ def test_a_cell_over_the_csv_field_limit_is_a_bad_row_on_its_line():
     assert err.value.message == f"row 3: field larger than field limit ({csv.field_size_limit()})"
 
 
+INT_MAX_STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not INT_MAX_STR_DIGITS, reason="int() reads a decimal string of any length")
+def test_a_case_id_over_the_integer_digit_limit_is_a_bad_row():
+    # an id at the limit is still an integer; one digit more, int() refuses it
+    limit = INT_MAX_STR_DIGITS
+    csv_text = "timestamp,activity,case_id\n2019-06-16 11:55:01,A,{}\n"
+    assert read_events(io.StringIO(csv_text.format("7" * limit)))[0].case_id == int("7" * limit)
+    with pytest.raises(StreamFormatError) as err:
+        read_events(io.StringIO(csv_text.format("7" * (limit + 1))))
+    assert str(err.value) == f"BAD_ROW: row 2: case id of {limit + 1} digits is too long"
+    # as a JSON string the id is read as in CSV; as a JSON number, json refuses it
+    jsonl = '{{"timestamp": "2019-06-16 11:55:01", "activity": "A", "case_id": {}}}\n'
+    for case_id in (f'"{"7" * (limit + 1)}"', "7" * (limit + 1)):
+        with pytest.raises(StreamFormatError) as err:
+            read_events(io.StringIO(jsonl.format(case_id)))
+        assert str(err.value).startswith("BAD_ROW: row 1: ")
+
+
 def test_a_bare_carriage_return_in_memory_is_a_bad_row_on_its_line():
     # a file opened in text mode reads it as a line break; in-memory text does not
     with pytest.raises(StreamFormatError) as err:

@@ -20,7 +20,7 @@ from caseflow import (
     StreamFormatError,
     correlator,
 )
-from caseflow.cli import main
+from caseflow.cli import _parsers
 from caseflow.errors import CaseflowError
 from caseflow.store import CaseStore
 
@@ -62,11 +62,12 @@ def test_readme_cli_examples_use_only_real_flags():
             if line.startswith("caseflow "):
                 commands.append(line.split())
     assert commands, "README has no `caseflow ...` example"
-    for _, name, *args in commands:
-        command = main.commands[name]
-        flags = {opt for param in command.params for opt in param.opts}
-        unknown = [arg for arg in args if arg.startswith("--") and arg not in flags]
-        assert not unknown, f"caseflow {name}: {unknown}"
+    parser, _ = _parsers()
+    for _, *args in commands:
+        try:  # argparse names on stderr a flag it does not know, or a value it rejects
+            parser.parse_args(args)
+        except SystemExit:
+            pytest.fail(f"caseflow {' '.join(args)} does not parse")
 
 
 def public_names(cls) -> set[str]:
