@@ -284,48 +284,47 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(add_help=False, allow_abbrev=False, **kwargs)
         self.add_argument("--help", action="help", help="Show this message and exit.")
 
-    def parse_known_args(self, args=None, namespace=None):
-        # a subcommand's parser reports an unknown argument with its own usage
-        namespace, extras = super().parse_known_args(args, namespace)
-        if extras:
-            self.error(f"unrecognized arguments: {' '.join(extras)}")
-        return namespace, extras
-
     def print_help(self, file=None):
         out = _stdout()
         out.write(self.format_help())
         out.flush()
 
 
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The caseflow parser, and each subcommand's own by name."""
+def _parser(name: str | None = None) -> argparse.ArgumentParser:
+    """The named subcommand's parser, the one a run builds; without a name, the caseflow
+    parser, for help and usage errors only, whose subcommands carry just their help lines."""
+    if name is not None:
+        function, options = _COMMANDS[name]
+        parser = _Parser(prog=f"caseflow {name}", description=function.__doc__)
+        for key, spec in options.items():
+            parser.add_argument("--" + key.replace("_", "-"), **spec)
+        return parser
     parser = _Parser(prog="caseflow",
                      description="Correlate unlabeled event streams to cases using a workflow model.")
-    choices = parser.add_subparsers(dest="command", required=True)
-    commands = {}
-    for name, (function, options) in _COMMANDS.items():
-        doc = function.__doc__
-        commands[name] = command = choices.add_parser(name, help=doc.split("\n")[0],
-                                                      description=doc)
-        for key, spec in options.items():
-            command.add_argument("--" + key.replace("_", "-"), **spec)
-    return parser, commands
+    choices = parser.add_subparsers(dest="command", required=True)  # the name usage errors give
+    for name, (function, _) in _COMMANDS.items():
+        choices.add_parser(name, help=function.__doc__.split("\n")[0])
+    return parser
 
 
 def main(argv: list[str] | None = None) -> None:
-    """Run a command line, sys.argv's by default. A package error from any subcommand is
-    reported as `error: CODE: message`, exit 2, and so is a failed read or write, and a sink
-    failure caused by either; any other cause is a bug. A broken pipe, in the sink or not,
-    is a quiet exit 1. Parsing is guarded too, as --help writes to standard output."""
+    """Run a command line, sys.argv's by default, building only its subcommand's parser (one
+    that names none gets help or a usage error). A package error is reported as `error: CODE:
+    message`, exit 2, as is a failed read or write or a sink failure caused by either; any other
+    cause is a bug. A broken pipe is a quiet exit 1. Parsing is guarded: --help writes to stdout."""
     try:
-        parser, commands = _parsers()
+        argv = sys.argv[1:] if argv is None else argv
+        if not argv or argv[0] not in _COMMANDS:
+            _parser().parse_args(argv)  # writes help or a usage error, and exits
+        name, *argv = argv
+        function, options = _COMMANDS[name]
+        parser = _parser(name)
         args = parser.parse_args(argv)
-        function, options = _COMMANDS[args.command]
         if args.config is not None:  # the file's values become defaults, so a flag still wins
-            commands[args.command].set_defaults(**_read_config(args.config, options))
+            parser.set_defaults(**_read_config(args.config, options))
             args = parser.parse_args(argv)
         kwargs = vars(args)
-        del kwargs["command"], kwargs["config"]
+        del kwargs["config"]
         function(**kwargs)
         if sys.stdout is not None:  # so that a buffered write fails here, not at exit
             sys.stdout.flush()

@@ -104,7 +104,8 @@ class Correlator:
         return self._mode
 
     def ingest(self, event) -> list[CorrelatedEventInstance]:
-        """Process one event, returning its stored instances by case order."""
+        """Process one event, returning its stored instances by case order. One it rejects
+        changes nothing: no check faults a first event, so only the mode is set before them."""
         # unpacked once, as a named tuple's field reads cost more than locals
         ts, activity, lifecycle, resource, _ = event
         last = self._last_ts
@@ -117,7 +118,6 @@ class Correlator:
                     "MIXED_TIMEZONES",
                     f"{ts} cannot follow {last}: naive and offset timestamps do not compare",
                 ) from None
-        self._last_ts = ts
         if self._mode is None:
             if lifecycle == "started":
                 # completions pair with their start, so every window is read
@@ -125,24 +125,25 @@ class Correlator:
                 self._mode = MODE_PAIRED
             else:
                 self._mode = MODE_COMPLETED
-
+        paired_completion = self._mode == MODE_PAIRED and lifecycle != "started"
+        plan = self._plan.get(activity)
+        if plan is not None:
+            if paired_completion and lifecycle != "completed":
+                raise CorrelationError(
+                    "MIXED_LIFECYCLE", f"paired stream needs started/completed lifecycles, got {lifecycle!r}")
+            if lifecycle == "started" and self._mode == MODE_COMPLETED:
+                raise CorrelationError(
+                    "MIXED_LIFECYCLE", "stream opened without lifecycle pairing; started events not allowed")
+        self._last_ts = ts
         seq = self._seq
         self._seq += 1
-
-        plan = self._plan.get(activity)
         if plan is None:
             return [self._stash_noise(event, seq, "unknown-activity")]
 
         store = self.store
         mn, mx, avg, max_span, anchorings = plan
-        if self._mode == MODE_PAIRED and lifecycle != "started":
-            if lifecycle != "completed":
-                raise CorrelationError(
-                    "MIXED_LIFECYCLE", f"paired stream needs started/completed lifecycles, got {lifecycle!r}")
+        if paired_completion:
             allocations = store.pairing_allocations(ts, activity, mn, mx, avg)
-        elif lifecycle == "started" and self._mode == MODE_COMPLETED:
-            raise CorrelationError(
-                "MIXED_LIFECYCLE", "stream opened without lifecycle pairing; started events not allowed")
         elif anchorings:
             allocations = store.dependency_allocations(ts, mn, avg, max_span, anchorings)
         else:

@@ -25,6 +25,7 @@ from caseflow import (
     read_events,
     strip_case_ids,
 )
+from caseflow.cli import _Parser
 from caseflow.evaluation import build_report, score
 from caseflow.model import parse_simple_net
 from caseflow.streams import ReplayError
@@ -53,15 +54,6 @@ SELF_EVAL_LOG = (
 )
 
 
-@pytest.fixture()
-def runner():
-    return cli_runner.invoke
-
-
-def invoke(runner, *args):
-    return runner(*args)
-
-
 def model_args(data_dir):
     return ("--model", str(data_dir / "clinic.net"))
 
@@ -73,22 +65,22 @@ def correlate_args(data_dir):
     )
 
 
-def test_analyze_emits_dependency_json(runner, data_dir, clinic_td):
-    result = invoke(runner, "analyze", *model_args(data_dir))
+def test_analyze_emits_dependency_json(data_dir, clinic_td):
+    result = cli_runner.invoke("analyze", *model_args(data_dir))
     assert result.exit_code == 0
     assert json.loads(result.stdout) == clinic_td.to_json_dict()
 
 
-def test_analyze_pnml_format_is_sniffed(runner, data_dir, clinic_td):
-    result = invoke(runner, "analyze", "--model", str(data_dir / "clinic.pnml"))
+def test_analyze_pnml_format_is_sniffed(data_dir, clinic_td):
+    result = cli_runner.invoke("analyze", "--model", str(data_dir / "clinic.pnml"))
     assert result.exit_code == 0
     assert json.loads(result.stdout) == clinic_td.to_json_dict()
 
 
-def test_analyze_acyclic_net_has_no_loop_entries(runner, tmp_path):
+def test_analyze_acyclic_net_has_no_loop_entries(tmp_path):
     model = tmp_path / "toy.net"
     model.write_text(TOY_NET)
-    result = invoke(runner, "analyze", "--model", str(model))
+    result = cli_runner.invoke("analyze", "--model", str(model))
     assert result.exit_code == 0
     doc = json.loads(result.stdout)
     assert doc["loop_entries"] == []
@@ -99,14 +91,14 @@ def test_analyze_acyclic_net_has_no_loop_entries(runner, tmp_path):
 SKIP_NET = TOY_NET.replace("arc p1 tb\n", "place p3\ntransition ts skip\narc p1 ts\narc ts p3\narc p3 tb\n")
 
 
-def test_analyze_takes_silent_labels_from_the_flag_or_the_config(runner, tmp_path):
+def test_analyze_takes_silent_labels_from_the_flag_or_the_config(tmp_path):
     model = tmp_path / "skip.net"
     model.write_text(SKIP_NET)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("silent_labels = skip\n")
 
     def deps(*args):
-        result = invoke(runner, "analyze", "--model", str(model), *args)
+        result = cli_runner.invoke("analyze", "--model", str(model), *args)
         assert result.exit_code == 0, result.stderr
         return json.loads(result.stdout)["deps"]
 
@@ -115,44 +107,44 @@ def test_analyze_takes_silent_labels_from_the_flag_or_the_config(runner, tmp_pat
     assert deps("--config", str(cfg)) == {"A": [], "B": [["A"]]}
 
 
-def test_analyze_rejects_invalid_net(runner, tmp_path):
+def test_analyze_rejects_invalid_net(tmp_path):
     model = tmp_path / "two_sources.net"
     model.write_text(TWO_SOURCE_NET)
-    result = invoke(runner, "analyze", "--model", str(model))
+    result = cli_runner.invoke("analyze", "--model", str(model))
     assert result.exit_code == 2
     assert "UNIQUE_SOURCE" in result.stderr
 
 
-def test_analyze_requires_a_model(runner):
-    result = invoke(runner, "analyze")
+def test_analyze_requires_a_model():
+    result = cli_runner.invoke("analyze")
     assert result.exit_code == 2
     assert "model file is required" in result.stderr
 
 
-def test_analyze_writes_output_file(runner, data_dir, tmp_path, clinic_td):
+def test_analyze_writes_output_file(data_dir, tmp_path, clinic_td):
     out = tmp_path / "td.json"
-    result = invoke(runner, "analyze", *model_args(data_dir), "--output", str(out))
+    result = cli_runner.invoke("analyze", *model_args(data_dir), "--output", str(out))
     assert result.exit_code == 0
     assert result.stdout == ""
     assert json.loads(out.read_text()) == clinic_td.to_json_dict()
 
 
-def test_analyze_reports_an_unwritable_output(runner, data_dir, tmp_path):
-    result = invoke(runner, "analyze", *model_args(data_dir),
-                    "--output", str(tmp_path / "missing" / "x.json"))
+def test_analyze_reports_an_unwritable_output(data_dir, tmp_path):
+    result = cli_runner.invoke("analyze", *model_args(data_dir),
+                               "--output", str(tmp_path / "missing" / "x.json"))
     assert result.exit_code == 2
     assert result.stderr.startswith("error: cannot write output")
 
 
-def test_output_through_a_symlink_replaces_the_file_it_points_to(runner, data_dir, tmp_path):
-    plain = invoke(runner, "analyze", *model_args(data_dir))
+def test_output_through_a_symlink_replaces_the_file_it_points_to(data_dir, tmp_path):
+    plain = cli_runner.invoke("analyze", *model_args(data_dir))
     (tmp_path / "files").mkdir()
     (tmp_path / "links").mkdir()
     target = tmp_path / "files" / "td.json"
     target.write_text("old\n")
     link = tmp_path / "links" / "td.json"
     link.symlink_to(Path("..", "files", "td.json"))
-    result = invoke(runner, "analyze", *model_args(data_dir), "--output", str(link))
+    result = cli_runner.invoke("analyze", *model_args(data_dir), "--output", str(link))
     assert result.exit_code == 0, result.stderr
     assert link.is_symlink() and link.resolve() == target.resolve()
     assert target.read_text() == plain.stdout
@@ -162,22 +154,22 @@ def test_output_through_a_symlink_replaces_the_file_it_points_to(runner, data_di
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="makes a FIFO")
-def test_output_to_a_fifo_is_written_in_place(runner, data_dir, tmp_path):
-    plain = invoke(runner, "correlate", *correlate_args(data_dir))
+def test_output_to_a_fifo_is_written_in_place(data_dir, tmp_path):
+    plain = cli_runner.invoke("correlate", *correlate_args(data_dir))
     fifo = tmp_path / "rows.fifo"
     os.mkfifo(fifo)
     received = []
     reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
     reader.start()  # opening either end of a FIFO waits for the other end
-    result = invoke(runner, "correlate", *correlate_args(data_dir), "--output", str(fifo))
+    result = cli_runner.invoke("correlate", *correlate_args(data_dir), "--output", str(fifo))
     reader.join(timeout=20)
     assert result.exit_code == 0, result.stderr
     assert received == [plain.stdout]
     assert stat.S_ISFIFO(fifo.stat().st_mode)
 
 
-def test_correlate_running_example(runner, data_dir):
-    result = invoke(runner, "correlate", *correlate_args(data_dir))
+def test_correlate_running_example(data_dir):
+    result = cli_runner.invoke("correlate", *correlate_args(data_dir))
     assert result.exit_code == 0
     assert "noise events: 0" in result.stderr
     lines = result.stdout.splitlines()
@@ -187,9 +179,9 @@ def test_correlate_running_example(runner, data_dir):
     assert [c.split(",")[0] + c.split(",")[2] for c in certain] == ["1A", "2A", "3A", "3B", "3D"]
 
 
-def test_correlate_threshold_matches_external_filtering(runner, data_dir):
-    full = invoke(runner, "correlate", *correlate_args(data_dir), "--threshold", "0")
-    at_60 = invoke(runner, "correlate", *correlate_args(data_dir), "--threshold", "60")
+def test_correlate_threshold_matches_external_filtering(data_dir):
+    full = cli_runner.invoke("correlate", *correlate_args(data_dir), "--threshold", "0")
+    at_60 = cli_runner.invoke("correlate", *correlate_args(data_dir), "--threshold", "60")
     lines = full.stdout.splitlines()
     kept = [lines[0]] + [
         line for line in lines[1:]
@@ -198,11 +190,11 @@ def test_correlate_threshold_matches_external_filtering(runner, data_dir):
     assert at_60.stdout.splitlines() == kept
 
 
-def test_correlate_empty_stream(runner, data_dir, tmp_path):
+def test_correlate_empty_stream(data_dir, tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("timestamp,activity\n")
-    result = invoke(
-        runner, "correlate", *model_args(data_dir),
+    result = cli_runner.invoke(
+        "correlate", *model_args(data_dir),
         "--heuristics", str(data_dir / "heuristics.csv"), "--input", str(empty),
     )
     assert result.exit_code == 0
@@ -210,13 +202,13 @@ def test_correlate_empty_stream(runner, data_dir, tmp_path):
     assert "noise events: 0" in result.stderr
 
 
-def test_correlate_counts_unmodeled_activity_as_noise(runner, data_dir, tmp_path):
+def test_correlate_counts_unmodeled_activity_as_noise(data_dir, tmp_path):
     stream = tmp_path / "stream.csv"
     stream.write_text(
         "timestamp,activity\n2021-03-01 09:00:00,A\n2021-03-01 09:00:01,ZZZ\n"
     )
-    result = invoke(
-        runner, "correlate", *model_args(data_dir),
+    result = cli_runner.invoke(
+        "correlate", *model_args(data_dir),
         "--heuristics", str(data_dir / "heuristics.csv"), "--input", str(stream),
     )
     assert result.exit_code == 0
@@ -225,24 +217,24 @@ def test_correlate_counts_unmodeled_activity_as_noise(runner, data_dir, tmp_path
     assert len(noise_rows) == 1 and ",ZZZ,," in noise_rows[0]
 
 
-def test_correlate_rejects_naive_and_offset_timestamps_in_one_stream(runner, data_dir, tmp_path):
+def test_correlate_rejects_naive_and_offset_timestamps_in_one_stream(data_dir, tmp_path):
     stream = tmp_path / "stream.csv"
     stream.write_text(
         "timestamp,activity\n2019-06-16 11:55:01,A\n2019-06-16T11:55:03+00:00,A\n"
     )
-    result = invoke(
-        runner, "correlate", *model_args(data_dir),
+    result = cli_runner.invoke(
+        "correlate", *model_args(data_dir),
         "--heuristics", str(data_dir / "heuristics.csv"), "--input", str(stream),
     )
     assert result.exit_code == 2
     assert result.stderr.startswith("error: MIXED_TIMEZONES: row 3")
 
 
-def test_correlate_rejects_a_json_line_that_is_not_an_object(runner, data_dir, tmp_path):
+def test_correlate_rejects_a_json_line_that_is_not_an_object(data_dir, tmp_path):
     stream = tmp_path / "stream.jsonl"
     stream.write_text('{"timestamp": "2019-06-16 11:55:01", "activity": "A"}\n[1, 2]\n')
-    result = invoke(
-        runner, "correlate", *model_args(data_dir),
+    result = cli_runner.invoke(
+        "correlate", *model_args(data_dir),
         "--heuristics", str(data_dir / "heuristics.csv"), "--input", str(stream),
     )
     assert result.exit_code == 2
@@ -251,40 +243,40 @@ def test_correlate_rejects_a_json_line_that_is_not_an_object(runner, data_dir, t
 
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
                     reason="int() reads a decimal string of any length")
-def test_correlate_rejects_a_case_id_over_the_integer_digit_limit(runner, data_dir, tmp_path):
+def test_correlate_rejects_a_case_id_over_the_integer_digit_limit(data_dir, tmp_path):
     stream = tmp_path / "stream.csv"
     stream.write_text("timestamp,activity,case_id\n2019-06-16 11:55:01,A,"
                       + "7" * (sys.get_int_max_str_digits() + 1) + "\n")
-    result = invoke(
-        runner, "correlate", *model_args(data_dir),
+    result = cli_runner.invoke(
+        "correlate", *model_args(data_dir),
         "--heuristics", str(data_dir / "heuristics.csv"), "--input", str(stream),
     )
     assert result.exit_code == 2
     assert result.stderr.startswith("error: BAD_ROW: row 2") and result.stderr.count("\n") == 1
 
 
-def test_a_stream_format_flag_or_key_is_an_error(runner, data_dir, tmp_path):
+def test_a_stream_format_flag_or_key_is_an_error(data_dir, tmp_path):
     # the stream's first non-blank line picks CSV or JSON lines, so no option names it
-    result = invoke(runner, "correlate", *correlate_args(data_dir), "--format", "csv")
+    result = cli_runner.invoke("correlate", *correlate_args(data_dir), "--format", "csv")
     assert result.exit_code == 2
     assert "unrecognized arguments: --format csv" in result.stderr
     cfg = tmp_path / "run.cfg"
     cfg.write_text("format = csv\n")
-    result = invoke(runner, "correlate", *correlate_args(data_dir), "--config", str(cfg))
+    result = cli_runner.invoke("correlate", *correlate_args(data_dir), "--config", str(cfg))
     assert (result.exit_code, result.stderr) == (2, f"error: {cfg}:1: unknown key 'format'\n")
 
 
-def test_correlate_rejects_out_of_range_threshold(runner, data_dir):
-    result = invoke(runner, "correlate", *correlate_args(data_dir), "--threshold", "250")
+def test_correlate_rejects_out_of_range_threshold(data_dir):
+    result = cli_runner.invoke("correlate", *correlate_args(data_dir), "--threshold", "250")
     assert result.exit_code == 2
     assert "threshold" in result.stderr
 
 
-def test_correlate_requires_heuristics_covering_the_model(runner, data_dir, tmp_path):
+def test_correlate_requires_heuristics_covering_the_model(data_dir, tmp_path):
     sparse = tmp_path / "sparse.csv"
     sparse.write_text("activity,min,max\nA,1,1\n")
-    result = invoke(
-        runner, "correlate", *model_args(data_dir),
+    result = cli_runner.invoke(
+        "correlate", *model_args(data_dir),
         "--heuristics", str(sparse), "--input", str(data_dir / "stream.csv"),
     )
     assert result.exit_code == 2
@@ -317,7 +309,7 @@ def toy_args(tmp_path, stream_text):
             "--input", str(tmp_path / "in.csv"))
 
 
-def test_correlate_streams_the_export_log_rows_in_order(runner, tmp_path):
+def test_correlate_streams_the_export_log_rows_in_order(tmp_path):
     corr = Correlator(build_task_dependencies(parse_simple_net(TOY_NET)),
                       load_heuristics(TOY_WINDOWS))
     for event in read_events(io.StringIO(TIED_STREAM)):
@@ -339,19 +331,20 @@ def test_correlate_streams_the_export_log_rows_in_order(runner, tmp_path):
     args = toy_args(tmp_path, TIED_STREAM)
     for threshold in ("0", "60"):
         out = tmp_path / f"out{threshold}.csv"
-        to_stdout = invoke(runner, "correlate", *args, "--threshold", threshold)
-        to_file = invoke(runner, "correlate", *args, "--threshold", threshold, "--output", str(out))
+        to_stdout = cli_runner.invoke("correlate", *args, "--threshold", threshold)
+        to_file = cli_runner.invoke("correlate", *args, "--threshold", threshold,
+                                    "--output", str(out))
         expected = corr.store.export_log(float(threshold))
         assert to_stdout.stdout == expected
         assert to_file.exit_code == 0 and out.read_text() == expected
         assert to_stdout.stderr == to_file.stderr == "noise events: 2\n"
 
 
-def test_correlate_rejects_a_disordered_stream_and_keeps_the_output(runner, tmp_path):
+def test_correlate_rejects_a_disordered_stream_and_keeps_the_output(tmp_path):
     out = tmp_path / "out.csv"
     out.write_bytes(b"an earlier export\n")
     disordered = "timestamp,activity\n2021-03-01 09:00:05,A\n2021-03-01 09:00:01,A\n"
-    result = invoke(runner, "correlate", *toy_args(tmp_path, disordered), "--output", str(out))
+    result = cli_runner.invoke("correlate", *toy_args(tmp_path, disordered), "--output", str(out))
     assert result.exit_code == 2
     assert "OUT_OF_ORDER" in result.stderr
     assert out.read_bytes() == b"an earlier export\n"
@@ -360,7 +353,7 @@ def test_correlate_rejects_a_disordered_stream_and_keeps_the_output(runner, tmp_
 
 @pytest.mark.parametrize("broken_pipe", [False, True])
 def test_correlate_writes_the_resolved_rows_before_a_mid_stream_error(
-    runner, data_dir, tmp_path, clinic_td, clinic_table, clinic_events, monkeypatch, broken_pipe
+    data_dir, tmp_path, clinic_td, clinic_table, clinic_events, monkeypatch, broken_pipe
 ):
     # event 12 goes back in time; event 11's instant is not over, the ten before are
     lines = (data_dir / "stream.csv").read_text().splitlines(keepends=True)
@@ -375,41 +368,41 @@ def test_correlate_writes_the_resolved_rows_before_a_mid_stream_error(
             raise BrokenPipeError(32, "Broken pipe")
         monkeypatch.setattr("caseflow.cli.ExportWriter.flush", broken)
         expected = expected.splitlines(keepends=True)[0]
-    result = invoke(runner, "correlate", *model_args(data_dir),
-                    "--heuristics", str(data_dir / "heuristics.csv"),
-                    "--input", str(tmp_path / "in.csv"))
+    result = cli_runner.invoke("correlate", *model_args(data_dir),
+                               "--heuristics", str(data_dir / "heuristics.csv"),
+                               "--input", str(tmp_path / "in.csv"))
     assert result.exit_code == 2
     assert result.stderr == ("error: sink failed at event 11: OUT_OF_ORDER: "
                              "2019-06-16 11:55:00 arrived after 2019-06-16 11:55:11\n")
     assert result.stdout == expected
 
 
-def correlate_with_a_failing_writer(runner, tmp_path, monkeypatch, cause):
+def correlate_with_a_failing_writer(tmp_path, monkeypatch, cause):
     def broken(self, instances):
         raise cause
     monkeypatch.setattr("caseflow.cli.ExportWriter.write", broken)
-    return invoke(runner, "correlate",
-                  *toy_args(tmp_path, "timestamp,activity\n2021-03-01 09:00:00,A\n"))
+    return cli_runner.invoke("correlate",
+                             *toy_args(tmp_path, "timestamp,activity\n2021-03-01 09:00:00,A\n"))
 
 
-def test_a_sink_failure_from_an_os_error_is_an_error_exit(runner, tmp_path, monkeypatch):
-    result = correlate_with_a_failing_writer(runner, tmp_path, monkeypatch,
+def test_a_sink_failure_from_an_os_error_is_an_error_exit(tmp_path, monkeypatch):
+    result = correlate_with_a_failing_writer(tmp_path, monkeypatch,
                                              OSError(28, "No space left on device"))
     assert (result.exit_code, result.stderr) == (
         2, "error: sink failed at event 0: [Errno 28] No space left on device\n")
 
 
-def test_a_broken_pipe_in_the_sink_exits_quietly(runner, tmp_path, monkeypatch):
+def test_a_broken_pipe_in_the_sink_exits_quietly(tmp_path, monkeypatch):
     # as any other broken pipe ends, so that `caseflow correlate | head` stays quiet
-    result = correlate_with_a_failing_writer(runner, tmp_path, monkeypatch,
+    result = correlate_with_a_failing_writer(tmp_path, monkeypatch,
                                              BrokenPipeError(32, "Broken pipe"))
     assert (result.exit_code, result.stderr) == (1, "")
 
 
-def test_a_sink_failure_from_a_bug_is_not_an_error_exit(runner, tmp_path, monkeypatch):
+def test_a_sink_failure_from_a_bug_is_not_an_error_exit(tmp_path, monkeypatch):
     # only a package error or an OSError is the input's or the system's fault
     with pytest.raises(ReplayError) as err:
-        correlate_with_a_failing_writer(runner, tmp_path, monkeypatch, KeyError("internal"))
+        correlate_with_a_failing_writer(tmp_path, monkeypatch, KeyError("internal"))
     assert isinstance(err.value.cause, KeyError)
 
 
@@ -522,10 +515,10 @@ ERROR_EXITS = {
 
 
 @pytest.mark.parametrize("files, args, stderr", ERROR_EXITS.values(), ids=ERROR_EXITS)
-def test_error_exits_print_their_exact_message(runner, tmp_path, files, args, stderr):
+def test_error_exits_print_their_exact_message(tmp_path, files, args, stderr):
     for name, text in {"toy.net": TOY_NET, "toy.csv": TOY_WINDOWS, **files}.items():
         (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
-    result = invoke(runner, *[arg.format(tmp=tmp_path) for arg in args.split()])
+    result = cli_runner.invoke(*[arg.format(tmp=tmp_path) for arg in args.split()])
     assert (result.exit_code, result.stderr) == (2, stderr.format(tmp=tmp_path))
 
 
@@ -541,7 +534,7 @@ def with_bom(path: Path, tmp_path: Path) -> Path:
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 @pytest.mark.parametrize("model", ["clinic.net", "clinic.pnml"])
-def test_a_byte_order_mark_changes_no_input(runner, data_dir, tmp_path, model, fmt):
+def test_a_byte_order_mark_changes_no_input(data_dir, tmp_path, model, fmt):
     # spreadsheet exports begin their UTF-8 text with a byte-order mark
     stream = data_dir / "stream.csv"
     if fmt == "jsonl":
@@ -552,14 +545,14 @@ def test_a_byte_order_mark_changes_no_input(runner, data_dir, tmp_path, model, f
     files = (data_dir / model, data_dir / "heuristics.csv", stream)
     results = []
     for model_file, heuristics, input_file in (files, [with_bom(f, tmp_path) for f in files]):
-        results.append(invoke(runner, "correlate", "--model", str(model_file), "--heuristics",
-                              str(heuristics), "--input", str(input_file)))
+        results.append(cli_runner.invoke("correlate", "--model", str(model_file), "--heuristics",
+                                         str(heuristics), "--input", str(input_file)))
     plain, marked = results
     assert plain.exit_code == 0 and plain.stdout.count("\n") > 20
     assert (marked.exit_code, marked.stdout, marked.stderr) == (0, plain.stdout, plain.stderr)
 
 
-def test_a_byte_order_mark_changes_no_config(runner, data_dir, tmp_path):
+def test_a_byte_order_mark_changes_no_config(data_dir, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_bytes(BOM + (
         f"model = {data_dir / 'clinic.net'}\n"
@@ -567,20 +560,20 @@ def test_a_byte_order_mark_changes_no_config(runner, data_dir, tmp_path):
         f"input = {data_dir / 'stream.csv'}\n"
         "threshold = 60\n"
     ).encode())
-    via_config = invoke(runner, "correlate", "--config", str(cfg))
-    via_flags = invoke(runner, "correlate", *correlate_args(data_dir), "--threshold", "60")
+    via_config = cli_runner.invoke("correlate", "--config", str(cfg))
+    via_flags = cli_runner.invoke("correlate", *correlate_args(data_dir), "--threshold", "60")
     assert (via_config.exit_code, via_config.stderr) == (0, via_flags.stderr)
     assert via_config.stdout == via_flags.stdout
 
 
-def test_correlate_exports_offset_timestamps_with_their_offsets(runner, tmp_path):
+def test_correlate_exports_offset_timestamps_with_their_offsets(tmp_path):
     offsets = (
         "timestamp,activity\n"
         "2021-03-01T11:00:00+02:00,A\n"
         "2021-03-01T09:00:01+00:00,A\n"
         "2021-03-01T11:00:02+02:00,B\n"
     )
-    result = invoke(runner, "correlate", *toy_args(tmp_path, offsets))
+    result = cli_runner.invoke("correlate", *toy_args(tmp_path, offsets))
     assert result.exit_code == 0
     assert [row.split(",")[1] for row in result.stdout.splitlines()[1:]] == [
         "2021-03-01 11:00:00+02:00",
@@ -695,10 +688,10 @@ finally:
     assert proc.stderr == "True\n"
 
 
-def test_the_cli_group_leaves_the_callers_heap_unfrozen(runner, data_dir):
+def test_the_cli_group_leaves_the_callers_heap_unfrozen(data_dir):
     # only the console entry freezes; a process that invokes main keeps its heap
     before = gc.get_freeze_count()
-    result = invoke(runner, "correlate", *correlate_args(data_dir))
+    result = cli_runner.invoke("correlate", *correlate_args(data_dir))
     assert result.exit_code == 0
     assert gc.get_freeze_count() == before
 
@@ -772,11 +765,11 @@ def test_the_group_help_into_a_closed_pipe_exits_quietly(entry):
     assert (proc.returncode, proc.stderr) == (1, "")
 
 
-def test_evaluate_recovers_a_well_separated_log(runner, data_dir, tmp_path):
+def test_evaluate_recovers_a_well_separated_log(data_dir, tmp_path):
     log = tmp_path / "labeled.csv"
     log.write_text(SELF_EVAL_LOG)
-    result = invoke(
-        runner, "evaluate", *model_args(data_dir),
+    result = cli_runner.invoke(
+        "evaluate", *model_args(data_dir),
         "--heuristics", str(data_dir / "heuristics.csv"), "--input", str(log),
     )
     assert result.exit_code == 0
@@ -787,7 +780,7 @@ def test_evaluate_recovers_a_well_separated_log(runner, data_dir, tmp_path):
     assert set(report["latency_ms"]) == {"mean", "p99", "max"}
 
 
-def test_evaluate_report_fields_stay_in_unit_range(runner, data_dir, tmp_path):
+def test_evaluate_report_fields_stay_in_unit_range(data_dir, tmp_path):
     # two simultaneous cases of the same shape cannot be told apart, so the
     # scores drop below 1 but must stay in [0, 1]
     log = tmp_path / "labeled.csv"
@@ -798,8 +791,8 @@ def test_evaluate_report_fields_stay_in_unit_range(runner, data_dir, tmp_path):
         "2021-03-01 09:00:03,B,1\n"
         "2021-03-01 09:00:03,B,2\n"
     )
-    result = invoke(
-        runner, "evaluate", *model_args(data_dir),
+    result = cli_runner.invoke(
+        "evaluate", *model_args(data_dir),
         "--heuristics", str(data_dir / "heuristics.csv"), "--input", str(log),
     )
     assert result.exit_code == 0
@@ -822,9 +815,9 @@ def test_evaluate_warns_once_per_undefined_ratio(data_dir, tmp_path):
     assert re.findall(r"(\S+) undefined", proc.stderr) == ["precision", "f-score"], proc.stderr
 
 
-def test_evaluate_missing_truth_file(runner, data_dir, tmp_path):
-    result = invoke(
-        runner, "evaluate", *model_args(data_dir),
+def test_evaluate_missing_truth_file(data_dir, tmp_path):
+    result = cli_runner.invoke(
+        "evaluate", *model_args(data_dir),
         "--heuristics", str(data_dir / "heuristics.csv"),
         "--input", str(tmp_path / "nope.csv"),
     )
@@ -833,7 +826,7 @@ def test_evaluate_missing_truth_file(runner, data_dir, tmp_path):
 
 
 @pytest.mark.parametrize("threshold", [None, 0.0, 60.0])
-def test_evaluate_scores_like_the_library(runner, data_dir, tmp_path, clinic_td, clinic_table,
+def test_evaluate_scores_like_the_library(data_dir, tmp_path, clinic_td, clinic_table,
                                           clinic_net, threshold):
     # without --threshold each event's most trusted row counts; with it, every
     # row that `correlate --threshold` exports, less the noise rows
@@ -847,15 +840,16 @@ def test_evaluate_scores_like_the_library(runner, data_dir, tmp_path, clinic_td,
     mode = "max_trust" if threshold is None else "threshold"
     expected = build_report(score(corr.store.instances(), labels, mode=mode, threshold=threshold))
     flags = () if threshold is None else ("--threshold", str(threshold))
-    result = invoke(runner, "evaluate", *model_args(data_dir),
-                    "--heuristics", str(data_dir / "heuristics.csv"), "--input", str(log), *flags)
+    result = cli_runner.invoke("evaluate", *model_args(data_dir),
+                               "--heuristics", str(data_dir / "heuristics.csv"),
+                               "--input", str(log), *flags)
     assert result.exit_code == 0, result.stderr
     report = json.loads(result.stdout)
     del report["latency_ms"], expected["latency_ms"]
     assert report == expected
 
 
-def test_extract_heuristics_from_labeled_log(runner, data_dir, tmp_path):
+def test_extract_heuristics_from_labeled_log(data_dir, tmp_path):
     seconds = [
         (2, "A"), (3, "B"), (4, "C"), (6, "B"), (7, "D"), (8, "J"), (11, "I"),
         (13, "E"), (14, "E"), (15, "F"), (16, "L"), (17, "G"), (18, "H"),
@@ -868,8 +862,8 @@ def test_extract_heuristics_from_labeled_log(runner, data_dir, tmp_path):
         "timestamp,activity,case_id\n"
         + "".join(f"2019-06-16 11:55:{s:02d},{a},2\n" for s, a in seconds)
     )
-    result = invoke(
-        runner, "extract-heuristics", "--input", str(log), *model_args(data_dir)
+    result = cli_runner.invoke(
+        "extract-heuristics", "--input", str(log), *model_args(data_dir)
     )
     assert result.exit_code == 0
     table = load_heuristics(result.stdout)
@@ -884,41 +878,41 @@ def test_extract_heuristics_from_labeled_log(runner, data_dir, tmp_path):
 
 
 def test_correlate_takes_the_windows_extracted_from_a_completions_log(
-    runner, data_dir, tmp_path, clinic_net, clinic_table
+    data_dir, tmp_path, clinic_net, clinic_table
 ):
     # A opens every case and follows nothing, so extraction measures no window for it
     log = simulate.simulate_log(clinic_net, clinic_table, random.Random(60), 60)
     labeled, windows = tmp_path / "labeled.csv", tmp_path / "windows.csv"
     labeled.write_text(events_to_csv(log))
     (tmp_path / "in.csv").write_text(events_to_csv(strip_case_ids(log)[0]))
-    extracted = invoke(runner, "extract-heuristics", "--input", str(labeled),
-                       *model_args(data_dir), "--output", str(windows))
+    extracted = cli_runner.invoke("extract-heuristics", "--input", str(labeled),
+                                  *model_args(data_dir), "--output", str(windows))
     assert extracted.exit_code == 0
     assert "A" not in load_heuristics(windows.read_text())
-    result = invoke(runner, "correlate", *model_args(data_dir), "--heuristics", str(windows),
-                    "--input", str(tmp_path / "in.csv"))
+    result = cli_runner.invoke("correlate", *model_args(data_dir), "--heuristics", str(windows),
+                               "--input", str(tmp_path / "in.csv"))
     assert result.exit_code == 0, result.stderr
     # every event gives a row, or one per candidate case
     assert len(result.stdout.splitlines()) > len(log)
 
 
-def test_extract_heuristics_empty_log(runner, tmp_path):
+def test_extract_heuristics_empty_log(tmp_path):
     log = tmp_path / "empty.csv"
     log.write_text("timestamp,activity,case_id\n")
-    result = invoke(runner, "extract-heuristics", "--input", str(log))
+    result = cli_runner.invoke("extract-heuristics", "--input", str(log))
     assert result.exit_code == 0
     assert result.stdout == "activity,min,max\n"
 
 
-def test_extract_heuristics_without_timestamps(runner, tmp_path):
+def test_extract_heuristics_without_timestamps(tmp_path):
     log = tmp_path / "bad.csv"
     log.write_text("when,activity\nnow,A\n")
-    result = invoke(runner, "extract-heuristics", "--input", str(log))
+    result = cli_runner.invoke("extract-heuristics", "--input", str(log))
     assert result.exit_code == 2
     assert "MISSING_COLUMN" in result.stderr
 
 
-def test_config_file_supplies_defaults(runner, data_dir, tmp_path):
+def test_config_file_supplies_defaults(data_dir, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         f"model = {data_dir / 'clinic.net'}\n"
@@ -926,13 +920,13 @@ def test_config_file_supplies_defaults(runner, data_dir, tmp_path):
         f"input = {data_dir / 'stream.csv'}\n"
         "threshold = 60  # keep only confident rows\n"
     )
-    via_config = invoke(runner, "correlate", "--config", str(cfg))
-    via_flags = invoke(runner, "correlate", *correlate_args(data_dir), "--threshold", "60")
+    via_config = cli_runner.invoke("correlate", "--config", str(cfg))
+    via_flags = cli_runner.invoke("correlate", *correlate_args(data_dir), "--threshold", "60")
     assert via_config.exit_code == 0
     assert via_config.stdout == via_flags.stdout
 
 
-def test_explicit_flag_overrides_config(runner, data_dir, tmp_path):
+def test_explicit_flag_overrides_config(data_dir, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         f"model = {data_dir / 'clinic.net'}\n"
@@ -940,24 +934,24 @@ def test_explicit_flag_overrides_config(runner, data_dir, tmp_path):
         f"input = {data_dir / 'stream.csv'}\n"
         "threshold = 60\n"
     )
-    overridden = invoke(runner, "correlate", "--config", str(cfg), "--threshold", "0")
-    unfiltered = invoke(runner, "correlate", *correlate_args(data_dir))
+    overridden = cli_runner.invoke("correlate", "--config", str(cfg), "--threshold", "0")
+    unfiltered = cli_runner.invoke("correlate", *correlate_args(data_dir))
     assert overridden.stdout == unfiltered.stdout
     assert len(overridden.stdout.splitlines()) == 67
 
 
-def test_config_rejects_malformed_lines(runner, tmp_path):
+def test_config_rejects_malformed_lines(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("just a line without equals\n")
-    result = invoke(runner, "analyze", "--config", str(cfg))
+    result = cli_runner.invoke("analyze", "--config", str(cfg))
     assert result.exit_code == 2
     assert "expected key=value" in result.stderr
 
 
-def test_config_values_are_type_checked_like_flags(runner, data_dir, tmp_path):
+def test_config_values_are_type_checked_like_flags(data_dir, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("threshold = abc\n")
-    result = invoke(runner, "correlate", *correlate_args(data_dir), "--config", str(cfg))
+    result = cli_runner.invoke("correlate", *correlate_args(data_dir), "--config", str(cfg))
     assert result.exit_code == 2
     assert "threshold" in result.stderr
 
@@ -969,20 +963,20 @@ def test_config_values_are_type_checked_like_flags(runner, data_dir, tmp_path):
     ("evaluate", "truth"),
     ("replay", "threshold"),
 ])
-def test_config_rejects_unknown_keys(runner, data_dir, tmp_path, command, key):
+def test_config_rejects_unknown_keys(data_dir, tmp_path, command, key):
     # such a key would otherwise leave its option at the default, unnoticed
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"# a misspelt or a removed key\n\n{key} = 60\n")
     args = {"analyze": model_args(data_dir), "replay": ("--input", str(data_dir / "stream.csv"))}
-    result = invoke(runner, command, *args.get(command, correlate_args(data_dir)),
-                    "--config", str(cfg))
+    result = cli_runner.invoke(command, *args.get(command, correlate_args(data_dir)),
+                               "--config", str(cfg))
     assert result.exit_code == 2
     assert result.stderr == f"error: {cfg}:3: unknown key {key!r}\n"
 
 
 @pytest.mark.parametrize("flag", ["--truth", "--mode", "--model-format"])
-def test_flags_decided_by_the_input_are_not_options(runner, data_dir, flag):
-    result = invoke(runner, "evaluate", *correlate_args(data_dir), flag, "x")
+def test_flags_decided_by_the_input_are_not_options(data_dir, flag):
+    result = cli_runner.invoke("evaluate", *correlate_args(data_dir), flag, "x")
     assert result.exit_code == 2
     assert f"unrecognized arguments: {flag} x" in result.stderr
 
@@ -993,7 +987,7 @@ NUMERIC_FLAGS = {"correlate": ("--threshold", "--speedup"), "evaluate": ("--thre
 
 @pytest.mark.parametrize("command", ["analyze", "correlate", "replay", "evaluate",
                                      "extract-heuristics"])
-def test_usage_errors_exit_2_and_name_the_flag(runner, tmp_path, command):
+def test_usage_errors_exit_2_and_name_the_flag(tmp_path, command):
     # an unknown flag, -h (only --help is help), an abbreviation of a real flag, and a value
     # that is not a number, as a flag or from a config file; each comes before any file is read
     numeric = NUMERIC_FLAGS.get(command, ())
@@ -1004,49 +998,67 @@ def test_usage_errors_exit_2_and_name_the_flag(runner, tmp_path, command):
         cfg.write_text(f"{flag[2:]} = abc\n")
         runs += [(flag, "'abc'", (flag, "abc")), (flag, "'abc'", ("--config", str(cfg)))]
     for flag, value, args in runs:
-        result = invoke(runner, command, *args)
+        result = cli_runner.invoke(command, *args)
         assert (result.exit_code, result.stdout) == (2, ""), args
         # the flag as a whole word, not inside the usage's --output or --threshold
         assert re.search(rf"(?<![\w-]){flag}(?![\w-])", result.stderr), (args, result.stderr)
         assert value is None or value in result.stderr, (args, result.stderr)
+    # the subcommand's own parser writes its help
+    result = cli_runner.invoke(command, "--help")
+    assert result.exit_code == 0, result.stderr
+    assert result.stdout.startswith(f"usage: caseflow {command} "), result.stdout
 
 
-def test_no_subcommand_is_a_usage_error(runner):
-    result = invoke(runner)
+def test_no_subcommand_is_a_usage_error():
+    result = cli_runner.invoke()
     assert (result.exit_code, result.stdout) == (2, "")
     assert result.stderr.lower().startswith("usage: "), result.stderr
 
 
-def test_config_hash_inside_a_value_is_not_a_comment(runner, data_dir, tmp_path):
+def test_a_run_builds_only_its_subcommands_parser(data_dir, monkeypatch):
+    built = []
+
+    def counted(self, **kwargs):
+        built.append(kwargs["prog"])
+        init(self, **kwargs)
+
+    init = _Parser.__init__
+    monkeypatch.setattr(_Parser, "__init__", counted)
+    result = cli_runner.invoke("analyze", "--model", str(data_dir / "clinic.pnml"))
+    assert result.exit_code == 0, result.stderr
+    assert built == ["caseflow analyze"]
+
+
+def test_config_hash_inside_a_value_is_not_a_comment(data_dir, tmp_path):
     model = tmp_path / "run#3" / "clinic.net"
     model.parent.mkdir()
     model.write_text((data_dir / "clinic.net").read_text())
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"# the model of run 3\nmodel = {model}  # copied\n")
-    via_config = invoke(runner, "analyze", "--config", str(cfg))
+    via_config = cli_runner.invoke("analyze", "--config", str(cfg))
     assert via_config.exit_code == 0, via_config.stderr
-    assert via_config.stdout == invoke(runner, "analyze", *model_args(data_dir)).stdout
+    assert via_config.stdout == cli_runner.invoke("analyze", *model_args(data_dir)).stdout
 
 
-def test_config_quoted_value_keeps_a_hash_after_whitespace(runner, data_dir, tmp_path):
+def test_config_quoted_value_keeps_a_hash_after_whitespace(data_dir, tmp_path):
     model = tmp_path / "runs" / "q #3" / "clinic.net"
     model.parent.mkdir(parents=True)
     model.write_text((data_dir / "clinic.net").read_text())
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f'model = "{model}"  # quoted, as the path holds " #"\n')
-    via_config = invoke(runner, "analyze", "--config", str(cfg))
+    via_config = cli_runner.invoke("analyze", "--config", str(cfg))
     assert via_config.exit_code == 0, via_config.stderr
-    assert via_config.stdout == invoke(runner, "analyze", *model_args(data_dir)).stdout
+    assert via_config.stdout == cli_runner.invoke("analyze", *model_args(data_dir)).stdout
 
 
-def test_evaluate_takes_the_labeled_log_from_config_input(runner, data_dir, tmp_path):
+def test_evaluate_takes_the_labeled_log_from_config_input(data_dir, tmp_path):
     log = tmp_path / "labeled.csv"
     log.write_text(SELF_EVAL_LOG)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"input = {log}\n")
     common = (*model_args(data_dir), "--heuristics", str(data_dir / "heuristics.csv"))
-    via_config = invoke(runner, "evaluate", *common, "--config", str(cfg))
-    via_flag = invoke(runner, "evaluate", *common, "--input", str(log))
+    via_config = cli_runner.invoke("evaluate", *common, "--config", str(cfg))
+    via_flag = cli_runner.invoke("evaluate", *common, "--input", str(log))
     assert via_config.exit_code == 0 and via_flag.exit_code == 0
     reports = [json.loads(r.stdout) for r in (via_config, via_flag)]
     for report in reports:
@@ -1054,22 +1066,22 @@ def test_evaluate_takes_the_labeled_log_from_config_input(runner, data_dir, tmp_
     assert reports[0] == reports[1]
 
 
-def test_replay_echoes_in_delivery_order(runner, data_dir, clinic_events):
-    result = invoke(runner, "replay", "--input", str(data_dir / "stream.csv"))
+def test_replay_echoes_in_delivery_order(data_dir, clinic_events):
+    result = cli_runner.invoke("replay", "--input", str(data_dir / "stream.csv"))
     assert result.exit_code == 0
     assert result.stdout == events_to_csv(clinic_events)
     assert "delivered 30 events" in result.stderr
 
 
-def test_replay_writes_each_row_before_the_next_pause(runner, data_dir, clinic_events,
+def test_replay_writes_each_row_before_the_next_pause(data_dir, clinic_events,
                                                       monkeypatch):
     # what has reached standard output when each pause begins; so slow a
     # replay makes every later second a pause, however slow the host
     seen = []
     monkeypatch.setattr("caseflow.streams.time.sleep",
                         lambda seconds: seen.append(sys.stdout.buffer.getvalue().decode()))
-    result = invoke(runner, "replay", "--input", str(data_dir / "stream.csv"),
-                    "--speedup", "0.01")
+    result = cli_runner.invoke("replay", "--input", str(data_dir / "stream.csv"),
+                               "--speedup", "0.01")
     assert result.exit_code == 0
     first = clinic_events[0].timestamp
     assert seen == [events_to_csv(clinic_events[:i])
@@ -1078,30 +1090,30 @@ def test_replay_writes_each_row_before_the_next_pause(runner, data_dir, clinic_e
 
 @pytest.mark.parametrize("command", ["replay", "correlate"])
 @pytest.mark.parametrize("speedup", ["0", "-1", "nan"])
-def test_nonpositive_speedup_is_rejected_as_a_usage_error(runner, data_dir, tmp_path,
+def test_nonpositive_speedup_is_rejected_as_a_usage_error(data_dir, tmp_path,
                                                           command, speedup):
     args = correlate_args(data_dir) if command == "correlate" else (
         "--input", str(data_dir / "stream.csv"))
-    via_flag = invoke(runner, command, *args, "--speedup", speedup)
+    via_flag = cli_runner.invoke(command, *args, "--speedup", speedup)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"speedup = {speedup}\n")
-    via_config = invoke(runner, command, *args, "--config", str(cfg))
+    via_config = cli_runner.invoke(command, *args, "--config", str(cfg))
     for result in (via_flag, via_config):
         assert result.exit_code == 2
         assert f"argument --speedup: {float(speedup)} is not in the range x>0" in result.stderr
-    assert invoke(runner, command, *args, "--speedup", "inf").exit_code == 0
+    assert cli_runner.invoke(command, *args, "--speedup", "inf").exit_code == 0
 
 
 @pytest.mark.parametrize("command", ["correlate", "evaluate"])
-def test_nan_threshold_is_rejected_as_a_usage_error(runner, data_dir, tmp_path, command):
+def test_nan_threshold_is_rejected_as_a_usage_error(data_dir, tmp_path, command):
     log = tmp_path / "labeled.csv"
     log.write_text(SELF_EVAL_LOG)
     args = (*model_args(data_dir), "--heuristics", str(data_dir / "heuristics.csv"), "--input", str(log))
-    via_flag = invoke(runner, command, *args, "--threshold", "nan")
+    via_flag = cli_runner.invoke(command, *args, "--threshold", "nan")
     cfg = tmp_path / "run.cfg"
     cfg.write_text("threshold = nan\n")
-    via_config = invoke(runner, command, *args, "--config", str(cfg))
+    via_config = cli_runner.invoke(command, *args, "--config", str(cfg))
     for result in (via_flag, via_config):
         assert result.exit_code == 2
         assert "argument --threshold: nan is not in the range 0<=x<=100" in result.stderr
-    assert invoke(runner, command, *args, "--threshold", "60").exit_code == 0
+    assert cli_runner.invoke(command, *args, "--threshold", "60").exit_code == 0

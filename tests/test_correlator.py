@@ -383,6 +383,30 @@ def test_a_paired_stream_needs_the_start_activity_window(clinic_td, clinic_table
     assert str(err.value) == "MISSING_HEURISTIC: no duration window for: A"
 
 
+@pytest.mark.parametrize("without, taken, rejected, code, following", [
+    # a start in a completions-only stream, a minute ahead of the events after it
+    ((), [ev(0, "A"), ev(1, "A")], ev(0, "B", "started", minute=56), "MIXED_LIFECYCLE",
+     [ev(3, "B"), ev(4, "B"), ev(5, "C")]),
+    # a completion without a lifecycle in a paired stream
+    ((), [ev(0, "A", "started"), ev(1, "A", "completed")], ev(30, "B"), "MIXED_LIFECYCLE",
+     [ev(2, "B", "started"), ev(4, "B", "completed")]),
+    # a first start whose window is missing, then a completions-only stream that needs none
+    (("A",), [], ev(5, "A", "started"), "MISSING_HEURISTIC", [ev(0, "A"), ev(2, "B")]),
+], ids=["start-in-completions", "no-lifecycle-in-paired", "windowless-first-start"])
+def test_a_rejected_event_leaves_the_correlator_as_it_was(
+    clinic_td, clinic_table, without, taken, rejected, code, following
+):
+    table = HeuristicTable({a: w for a, w in clinic_table.items() if a not in without})
+    seen, unseen = Correlator(clinic_td, table), Correlator(clinic_td, table)
+    feed(seen, taken)
+    feed(unseen, taken)
+    with pytest.raises(CorrelationError) as err:
+        seen.ingest(rejected)
+    assert err.value.code == code
+    # the same instances, seqs included, as if the rejected event had never come
+    assert feed(seen, following) == feed(unseen, following)
+
+
 @pytest.mark.parametrize("start, opening, end", [(0, 10, 10), (0.5, 10.6, 10.9)])
 def test_retirement_keeps_open_started_events_a_start_window_can_reach(start, opening, end):
     # A's own window, read only when its completion pairs, is wider than any

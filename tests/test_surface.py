@@ -20,7 +20,7 @@ from caseflow import (
     StreamFormatError,
     correlator,
 )
-from caseflow.cli import _parsers
+from caseflow.cli import _parser
 from caseflow.errors import CaseflowError
 from caseflow.store import CaseStore
 
@@ -62,12 +62,11 @@ def test_readme_cli_examples_use_only_real_flags():
             if line.startswith("caseflow "):
                 commands.append(line.split())
     assert commands, "README has no `caseflow ...` example"
-    parser, _ = _parsers()
-    for _, *args in commands:
+    for _, name, *args in commands:
         try:  # argparse names on stderr a flag it does not know, or a value it rejects
-            parser.parse_args(args)
+            _parser(name).parse_args(args)
         except SystemExit:
-            pytest.fail(f"caseflow {' '.join(args)} does not parse")
+            pytest.fail(f"caseflow {name} {' '.join(args)} does not parse")
 
 
 def public_names(cls) -> set[str]:
