@@ -95,8 +95,6 @@ _MODEL = {
 }
 _HEURISTICS = {"heuristics": dict(help="Duration windows CSV.")}
 _INPUT = {"input": dict(dest="input_path", metavar="INPUT", help="Events: CSV or JSON lines.")}
-_SPEEDUP = {"speedup": dict(type=_float_in("x>0", lambda x: x > 0), default=math.inf,
-                            help="Replay speed factor; inf is no pacing (default: %(default)s).")}
 _OUTPUT = {"output": dict(help="Write here instead of stdout."),
            "config": dict(help="key=value defaults file.")}
 
@@ -181,13 +179,13 @@ def analyze(model, silent_labels, output):
         out.write(json.dumps(td.to_json_dict(), indent=2, sort_keys=True) + "\n")
 
 
-def correlate(model, silent_labels, heuristics, input_path, threshold, speedup, output):
+def correlate(model, silent_labels, heuristics, input_path, threshold, output):
     """Correlate an unlabeled stream and export the result as CSV.
 
     Each input row is read, correlated and written in one pass: an event's
-    rows go out once its instant is over, flushed then under pacing. The
-    stream must be in timestamp order. A regular --output file is replaced
-    only when the whole stream correlated.
+    rows go out once its instant is over, flushed then if the input is not a
+    regular file, such as a pipe. The stream must be in timestamp order. A
+    regular --output file is replaced only when the whole stream correlated.
     """
     td = _load_td(model, silent_labels)
     table = _load_table(heuristics)
@@ -195,15 +193,15 @@ def correlate(model, silent_labels, heuristics, input_path, threshold, speedup, 
         correlator = Correlator(td, table, keep_instances=False)
         with _output_stream(output) as out:
             writer = ExportWriter(out, threshold)
-            paced = math.isfinite(speedup)
+            live = not os.path.isfile(input_path)
 
             def correlate_one(event):
                 writer.write(correlator.ingest(event))
-                if paced:
+                if live:
                     writer.flush()
 
             try:
-                replay(iter_events(source), correlate_one, speedup=speedup)
+                replay(iter_events(source), correlate_one)
             except (CaseflowError, ReplayError):  # the rows resolved so far go out first
                 with suppress(OSError):  # a failing stdout must not mask the error
                     writer.flush()
@@ -266,9 +264,10 @@ _THRESHOLD = _float_in("0<=x<=100", lambda x: 0 <= x <= 100)
 _COMMANDS = {
     "analyze": (analyze, {**_MODEL, **_OUTPUT}),
     "correlate": (correlate, {**_MODEL, **_HEURISTICS, **_INPUT, "threshold": dict(
-        type=_THRESHOLD, default=0.0, help="Minimum trust to keep (default: %(default)s)."),
-        **_SPEEDUP, **_OUTPUT}),
-    "replay": (replay_command, {**_INPUT, **_SPEEDUP, **_OUTPUT}),
+        type=_THRESHOLD, default=0.0, help="Minimum trust to keep (default: %(default)s)."), **_OUTPUT}),
+    "replay": (replay_command, {**_INPUT, "speedup": dict(
+        type=_float_in("x>0", lambda x: x > 0), default=math.inf,
+        help="Replay speed factor; inf is no pacing (default: %(default)s)."), **_OUTPUT}),
     "evaluate": (evaluate, {**_MODEL, **_HEURISTICS, **_INPUT, "threshold": dict(
         type=_THRESHOLD, help="Score rows at or above this trust; without it, each event's "
                               "most trusted row."), **_OUTPUT}),
@@ -301,9 +300,10 @@ def _parser(name: str | None = None) -> argparse.ArgumentParser:
         return parser
     parser = _Parser(prog="caseflow",
                      description="Correlate unlabeled event streams to cases using a workflow model.")
-    choices = parser.add_subparsers(dest="command", required=True)  # the name usage errors give
+    # the names usage errors give; with no --help of their own, which a flag before one would reach
+    choices = parser.add_subparsers(dest="command", required=True, parser_class=argparse.ArgumentParser)
     for name, (function, _) in _COMMANDS.items():
-        choices.add_parser(name, help=function.__doc__.split("\n")[0])
+        choices.add_parser(name, add_help=False, help=function.__doc__.split("\n")[0])
     return parser
 
 

@@ -10,7 +10,9 @@ import stat
 import subprocess
 import sys
 import threading
+import time
 import warnings
+from datetime import datetime
 from pathlib import Path
 
 import pytest
@@ -962,6 +964,7 @@ def test_config_values_are_type_checked_like_flags(data_dir, tmp_path):
     ("evaluate", "mode"),
     ("evaluate", "truth"),
     ("replay", "threshold"),
+    ("correlate", "speedup"),
 ])
 def test_config_rejects_unknown_keys(data_dir, tmp_path, command, key):
     # such a key would otherwise leave its option at the default, unnoticed
@@ -974,14 +977,16 @@ def test_config_rejects_unknown_keys(data_dir, tmp_path, command, key):
     assert result.stderr == f"error: {cfg}:3: unknown key {key!r}\n"
 
 
-@pytest.mark.parametrize("flag", ["--truth", "--mode", "--model-format"])
+@pytest.mark.parametrize("flag", ["--truth", "--mode", "--model-format", "--speedup"])
 def test_flags_decided_by_the_input_are_not_options(data_dir, flag):
-    result = cli_runner.invoke("evaluate", *correlate_args(data_dir), flag, "x")
+    # correlate flushes a live input by itself; pacing is replay's
+    command = "correlate" if flag == "--speedup" else "evaluate"
+    result = cli_runner.invoke(command, *correlate_args(data_dir), flag, "x")
     assert result.exit_code == 2
     assert f"unrecognized arguments: {flag} x" in result.stderr
 
 
-NUMERIC_FLAGS = {"correlate": ("--threshold", "--speedup"), "evaluate": ("--threshold",),
+NUMERIC_FLAGS = {"correlate": ("--threshold",), "evaluate": ("--threshold",),
                  "replay": ("--speedup",)}
 
 
@@ -1007,6 +1012,13 @@ def test_usage_errors_exit_2_and_name_the_flag(tmp_path, command):
     result = cli_runner.invoke(command, "--help")
     assert result.exit_code == 0, result.stderr
     assert result.stdout.startswith(f"usage: caseflow {command} "), result.stdout
+
+
+def test_an_unknown_flag_before_a_subcommand_is_a_usage_error_even_with_help():
+    for args in (("--foo", "analyze", "--help"), ("--foo", "analyze", "--model", "x")):
+        result = cli_runner.invoke(*args)
+        assert (result.exit_code, result.stdout) == (2, ""), args
+        assert "unrecognized arguments: --foo" in result.stderr, (args, result.stderr)
 
 
 def test_no_subcommand_is_a_usage_error():
@@ -1088,12 +1100,70 @@ def test_replay_writes_each_row_before_the_next_pause(data_dir, clinic_events,
                     for i, event in enumerate(clinic_events) if event.timestamp > first]
 
 
-@pytest.mark.parametrize("command", ["replay", "correlate"])
+def caseflow_process(*args: str, **popen) -> subprocess.Popen:
+    """python -m caseflow with these arguments, on the package this test imported."""
+    return subprocess.Popen([sys.executable, "-m", "caseflow", *args], env=package_env(),
+                            stderr=subprocess.PIPE, **popen)
+
+
+@pytest.mark.skipif(not Path("/dev/stdin").exists(), reason="reads /dev/stdin")
+def test_correlate_writes_each_instant_of_a_live_input_once_a_later_one_arrives(data_dir,
+                                                                                clinic_events):
+    # the export of the whole file, each row with the instant it belongs to
+    export = cli_runner.invoke("correlate", *correlate_args(data_dir)).stdout.splitlines(True)
+    instants = [datetime.fromisoformat(row.split(",")[1]) for row in export[1:]]
+    received = []
+    with caseflow_process("correlate", *correlate_args(data_dir)[:-1], "/dev/stdin",
+                          stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True) as proc:
+        reader = threading.Thread(target=lambda: [received.append(row) for row in proc.stdout],
+                                  daemon=True)
+        reader.start()
+        try:
+            proc.stdin.write("timestamp,activity\n")
+            for i, event in enumerate(clinic_events):
+                proc.stdin.write(f"{event.timestamp},{event.activity}\n")
+                proc.stdin.flush()
+                if i and event.timestamp != clinic_events[i - 1].timestamp:
+                    # the pipe stays open, so only a flush can have sent the earlier instants
+                    over = export[:1] + [row for row, t in zip(export[1:], instants)
+                                         if t < event.timestamp]
+                    deadline = time.monotonic() + 20
+                    while len(received) < len(over) and time.monotonic() < deadline:
+                        time.sleep(0.01)
+                    assert received == over, f"after the first event at {event.timestamp}"
+        finally:
+            proc.stdin.close()
+            reader.join(timeout=60)
+        errors = proc.stderr.read()
+    assert (proc.returncode, reader.is_alive(), received) == (0, False, export), errors
+
+
+@pytest.mark.skipif(not Path("/dev/stdin").exists(), reason="reads /dev/stdin")
+@pytest.mark.parametrize("log", ["stream", "paired"])
+def test_replay_piped_into_correlate_exports_the_files_bytes(data_dir, tmp_path, clinic_net,
+                                                             clinic_table, log):
+    # pacing is replay's alone; piped into correlate, it changes no byte of the export
+    path = data_dir / "stream.csv"
+    if log == "paired":
+        path = tmp_path / "paired.csv"
+        path.write_text(events_to_csv(strip_case_ids(simulate.simulate_log(
+            clinic_net, clinic_table, random.Random(8), 40, paired=True))[0]))
+    args = ("correlate", *correlate_args(data_dir)[:-1])
+    direct = caseflow_process(*args, str(path), stdout=subprocess.PIPE)
+    replay = caseflow_process("replay", "--speedup", "1e9", "--input", str(path),
+                              stdout=subprocess.PIPE)
+    piped = caseflow_process(*args, "/dev/stdin", stdin=replay.stdout, stdout=subprocess.PIPE)
+    replay.stdout.close()  # the pipe's one reader is correlate
+    outputs = [proc.communicate(timeout=60) for proc in (direct, piped, replay)]
+    assert [proc.returncode for proc in (direct, piped, replay)] == [0, 0, 0], outputs
+    assert outputs[1][0] == outputs[0][0] and outputs[0][0].count(b"\n") > 30
+
+
+@pytest.mark.parametrize("command", ["replay"])
 @pytest.mark.parametrize("speedup", ["0", "-1", "nan"])
 def test_nonpositive_speedup_is_rejected_as_a_usage_error(data_dir, tmp_path,
                                                           command, speedup):
-    args = correlate_args(data_dir) if command == "correlate" else (
-        "--input", str(data_dir / "stream.csv"))
+    args = ("--input", str(data_dir / "stream.csv"))
     via_flag = cli_runner.invoke(command, *args, "--speedup", speedup)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"speedup = {speedup}\n")
