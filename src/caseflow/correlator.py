@@ -12,7 +12,10 @@ produced in total. An event with no allocation at all is kept as noise.
 
 from __future__ import annotations
 
+from collections.abc import Set
 from datetime import timedelta
+from itertools import groupby
+from operator import itemgetter
 
 from .errors import CaseflowError
 from .store import KIND_AVG, KIND_RANGE, Allocation, CaseStore, CorrelatedEventInstance
@@ -26,6 +29,12 @@ _OPENS_ONLY = (0, 0, 0, timedelta(0), ())
 # ingest builds its records as _new(record type, fields in declared order),
 # which skips the named tuples' own __new__, written in Python
 _new = tuple.__new__
+
+# ingest sorts an event's allocations by case, then anchor; the sort is
+# stable, so allocations that share both keep the search's order, by their
+# sorted members
+_case_and_anchor = itemgetter(0, 2)
+_case = itemgetter(0)
 
 
 class CorrelationError(CaseflowError):
@@ -67,7 +76,8 @@ class Correlator:
         self._require_windows(a for a in td.activities() if td.alternatives(a))
         # activity -> (min, max, average, max as a timedelta, anchorings).
         # An anchoring is one member of a dependency alternative as the
-        # anchor: (members, spend key, member, the other members). An
+        # anchor: (members, spend key, member, the other members), by the
+        # alternative's sorted members, the order the search keeps. An
         # alternative whose members can all re-occur in a loop may be
         # satisfied again and has no spend key; anything else, once
         # confirmed, is spent for the anchors up to the one that confirmed
@@ -81,14 +91,10 @@ class Correlator:
             anchorings = tuple(
                 (dep_set, None if all(map(td.is_loop_entry, dep_set)) else (activity, dep_set),
                  member, tuple(dep_set - {member}))
-                for dep_set in td.alternatives(activity)
+                for dep_set in sorted(td.alternatives(activity), key=sorted)
                 for member in dep_set
             )
             self._plan[activity] = (mn, mx, table.avg(activity), timedelta(seconds=mx), anchorings)
-        # _order sorts an event's allocations by case, anchor, then sorted members;
-        # ranking every dependency set once spares sorting members per event
-        dep_sets = {frozenset()}.union(*(td.alternatives(a) for a in td.activities()))
-        self._rank = {dep_set: i for i, dep_set in enumerate(sorted(dep_sets, key=sorted))}
         # (activity, m) -> kind_probabilities of the activity's window
         self._probability: dict[tuple[str, int], dict[str, float]] = {}
         # nothing older than the widest window, plus the second an unfloored
@@ -171,16 +177,10 @@ class Correlator:
         # one run per case, in case order; within a case by anchor, then
         # members: in one event and case, the anchor decides the duration and
         # the kind
-        ordered = sorted(allocations, key=self._order)
         instances = []
-        i = 0
-        while i < m:
-            case_id = ordered[i][0]
-            j = i + 1
-            while j < m and ordered[j][0] == case_id:
-                j += 1
-            allocs = tuple(ordered[i:j])
-            if j == i + 1:
+        for case_id, run in groupby(sorted(allocations, key=_case_and_anchor), _case):
+            allocs = tuple(run)
+            if len(allocs) == 1:
                 # one of m > 1 allocations scores at most 75
                 trust = raw = 100.0 * probability[allocs[0][4]]
             else:
@@ -194,11 +194,11 @@ class Correlator:
             ))
             instances.append(inst)
             store.add(inst)
-            i = j
         return instances
 
-    def candidate_allocations(self, event) -> set[Allocation]:
-        """Every allocation the event would produce against the current store.
+    def candidate_allocations(self, event) -> Set[Allocation]:
+        """Every allocation the event would produce against the current store, as
+        a set-like view in the search's order, or a set for a paired completion.
 
         Pure query: the store is not changed. An event of an activity without
         dependencies opens a fresh case instead of allocating, so it yields
@@ -214,9 +214,6 @@ class Correlator:
         return self.store.dependency_allocations(event.timestamp, mn, avg, max_span, anchorings)
 
     # internals
-
-    def _order(self, allocation: Allocation) -> tuple:
-        return allocation[0], allocation[2], self._rank[allocation[1]]
 
     def _require_windows(self, activities) -> None:
         missing = sorted(a for a in activities if a not in self.table)

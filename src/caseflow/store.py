@@ -41,6 +41,7 @@ import csv
 import io
 from bisect import bisect_left
 from collections import defaultdict
+from collections.abc import KeysView
 from datetime import datetime, timedelta
 from typing import NamedTuple
 
@@ -210,18 +211,19 @@ class CaseStore:
 
     # the searches
 
-    def dependency_allocations(self, ts, mn, avg, max_span, anchorings) -> set[Allocation]:
+    def dependency_allocations(self, ts, mn, avg, max_span, anchorings) -> KeysView[Allocation]:
         """Each allocation of an event at ts through one of its anchorings, each
         (members, spend key or None, anchor member, the other members), whose
-        duration lies in its window mn..max_span of average avg."""
+        duration lies in its window mn..max_span of average avg: a set-like
+        view, once each, in the anchorings' order, each one's anchors oldest first."""
         ts0 = floor_to_second(ts)
         # anchors from lo on lie at most max whole seconds before the event,
         # earlier ones more; anchors after the event fail the min check
         lo = ts0 - max_span
         index, cases = self._time_index, self._live
-        # a set: same-instant occurrences of one member in one case index
-        # the same (anchor, case) twice
-        out: set[Allocation] = set()
+        # a dict as an ordered set: same-instant occurrences of one member in
+        # one case index the same (anchor, case) twice
+        out: dict[Allocation, None] = {}
         for dep_set, spend_key, member, others in anchorings:
             entries = index.get(member)
             if entries is None:
@@ -244,10 +246,10 @@ class CaseStore:
                     if first is None or first > anchor:
                         break
                 else:
-                    out.add(_new(Allocation, (
+                    out[_new(Allocation, (
                         case_id, dep_set, anchor, duration, KIND_AVG if duration == avg else KIND_RANGE
-                    )))
-        return out
+                    ))] = None
+        return out.keys()
 
     def pairing_allocations(self, ts, activity, mn, mx, avg) -> set[Allocation]:
         """Each pairing of a completion of activity at ts with a live case's

@@ -408,6 +408,16 @@ def test_a_sink_failure_from_a_bug_is_not_an_error_exit(tmp_path, monkeypatch):
     assert isinstance(err.value.cause, KeyError)
 
 
+def test_an_interrupt_during_correlation_aborts(tmp_path, monkeypatch):
+    # Ctrl-C is no Exception, so replay does not wrap it as a sink failure
+    def interrupted(self, event):
+        raise KeyboardInterrupt
+    monkeypatch.setattr("caseflow.cli.Correlator.ingest", interrupted)
+    result = cli_runner.invoke("correlate",
+                               *toy_args(tmp_path, "timestamp,activity\n2021-03-01 09:00:00,A\n"))
+    assert (result.exit_code, result.stderr) == (1, "\nAborted!\n")
+
+
 BAD_TIMESTAMP = "error: BAD_TIMESTAMP: row 2: cannot parse timestamp 'noon'\n"
 
 # name: (files written beside the toy model and windows, as text or as raw
@@ -696,6 +706,40 @@ def test_the_cli_group_leaves_the_callers_heap_unfrozen(data_dir):
     result = cli_runner.invoke("correlate", *correlate_args(data_dir))
     assert result.exit_code == 0
     assert gc.get_freeze_count() == before
+
+
+# Prints, for the last event of test_correlator's ordering scenario, each
+# instance's raw trust and its allocations in their order.
+ORDERING_PROGRAM = """\
+from test_correlator import ingest_three_cases_and_then_l
+for inst in ingest_three_cases_and_then_l()[-1]:
+    print(inst.case_id, repr(inst.raw_trust), [(sorted(a.dependency_set), str(a.anchor)) for a in inst.allocations])
+"""
+
+
+def test_allocation_order_does_not_follow_the_hash_seed(data_dir, tmp_path, clinic_net, clinic_table):
+    # a frozenset iterates in an order that varies with the interpreter's hash
+    # seed, so only fresh interpreters see whether any order leans on it
+    log = simulate.simulate_log(clinic_net, clinic_table, random.Random(5), 200,
+                                gap_range=(5, 15), weights={"M": 3, "G": 3})
+    stream = tmp_path / "stream.csv"
+    stream.write_text(events_to_csv(strip_case_ids(log)[0]))
+    outputs = set()
+    for seed in ("0", "1", "2"):
+        env = package_env()
+        env["PYTHONHASHSEED"] = seed
+        env["PYTHONPATH"] += os.pathsep + str(Path(__file__).parent)
+        runs = [subprocess.run(command, env=env, capture_output=True, text=True, timeout=60) for command in (
+            [sys.executable, "-c", ORDERING_PROGRAM],
+            [sys.executable, "-m", "caseflow", "correlate", *model_args(data_dir),
+             "--heuristics", str(data_dir / "heuristics.csv"), "--input", str(stream), "--threshold", "0"],
+        )]
+        for run in runs:
+            assert run.returncode == 0, run.stderr
+        outputs.add(tuple(run.stdout for run in runs))
+    assert len(outputs) == 1
+    (scenario, export), = outputs
+    assert len(scenario.splitlines()) == 3 and export.count("\n") > len(log)
 
 
 def run_into_full(entry: list[str], unbuffered: bool) -> subprocess.CompletedProcess:

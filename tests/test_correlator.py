@@ -569,26 +569,28 @@ def test_raw_trust_is_exactly_the_sum_of_instance_probabilities(
     assert shared
 
 
-def test_an_events_instances_and_allocations_keep_their_order():
-    # L follows {G}, {H} or {I, J}, each of which follows A; A opens case 1
-    # at 0 s, case 2 at 8 s and case 3 at 20 s, and every other event before
-    # L fits one case alone
+def ingest_three_cases_and_then_l():
+    """The results of a stream where L follows {G}, {H} or {I, J}, each of
+    which follows A: A opens case 1 at 0 s, case 2 at 8 s and case 3 at
+    20 s, and every other event before L, the last, fits one case alone."""
     after_a = frozenset({frozenset({"A"})})
-    g, h, ij = frozenset({"G"}), frozenset({"H"}), frozenset({"I", "J"})
     td = TaskDependencies(
         deps={"A": frozenset(), "G": after_a, "H": after_a, "I": after_a, "J": after_a,
-              "L": frozenset({g, h, ij})},
+              "L": frozenset({frozenset({"G"}), frozenset({"H"}), frozenset({"I", "J"})})},
         loop_entries=frozenset(),
     )
     window = (1, 4)
     corr = Correlator(td, HeuristicTable({"G": window, "H": window, "I": window, "J": window, "L": (1, 45)}))
-    stream = [ev(0, "A"), ev(1, "I"), ev(2, "J"), ev(3, "G"), ev(4, "H"), ev(8, "A"), ev(10, "G"),
-              ev(20, "A"), ev(21, "I"), ev(21, "J"), ev(21, "G")]
-    assert [[(i.case_id, i.trust) for i in r] for r in feed(corr, stream)] == [
+    return feed(corr, [ev(0, "A"), ev(1, "I"), ev(2, "J"), ev(3, "G"), ev(4, "H"), ev(8, "A"),
+                       ev(10, "G"), ev(20, "A"), ev(21, "I"), ev(21, "J"), ev(21, "G"), ev(27, "L")])
+
+
+def test_an_events_instances_and_allocations_keep_their_order():
+    *before, instances = ingest_three_cases_and_then_l()
+    assert [[(i.case_id, i.trust) for i in r] for r in before] == [
         [(case_id, 100.0)] for case_id in (1, 1, 1, 1, 1, 2, 2, 3, 3, 3, 3)
     ]
-
-    instances = corr.ingest(ev(27, "L"))
+    g, h, ij = frozenset({"G"}), frozenset({"H"}), frozenset({"I", "J"})
 
     def at(second):
         return ev(second, "L").timestamp

@@ -59,8 +59,9 @@ def test_readme_cli_examples_use_only_real_flags():
     commands = []
     for block in re.findall(r"^```sh\n(.*?)^```", README.read_text(), re.M | re.S):
         for line in block.replace("\\\n", " ").splitlines():
-            if line.startswith("caseflow "):
-                commands.append(line.split())
+            for command in line.split("|"):  # each command of a pipeline
+                if command.strip().startswith("caseflow "):
+                    commands.append(command.split())
     assert commands, "README has no `caseflow ...` example"
     for _, name, *args in commands:
         try:  # argparse names on stderr a flag it does not know, or a value it rejects
