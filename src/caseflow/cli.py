@@ -23,7 +23,7 @@ from .correlator import Correlator
 from .dependencies import build_task_dependencies
 from .errors import CaseflowError
 from .heuristics import extract_heuristics, load_heuristics, save_heuristics
-from .model import DEFAULT_SILENT_LABELS, parse_pnml, parse_simple_net, validate
+from .model import parse_pnml, parse_simple_net, validate
 from .store import ExportWriter
 from .streams import (
     ReplayError,
@@ -88,26 +88,21 @@ def _float_in(describe: str, within):
 
 
 # each option as its config key, the long flag name with '_' for '-', and its add_argument keywords
-_MODEL = {
-    "model": dict(help="Workflow model file."),
-    "silent_labels": dict(default=",".join(sorted(DEFAULT_SILENT_LABELS)),
-                          help="Comma-separated silent transition labels (default: %(default)s)."),
-}
+_MODEL = {"model": dict(help="Workflow model file; it marks which transitions are silent.")}
 _HEURISTICS = {"heuristics": dict(help="Duration windows CSV.")}
 _INPUT = {"input": dict(dest="input_path", metavar="INPUT", help="Events: CSV or JSON lines.")}
 _OUTPUT = {"output": dict(help="Write here instead of stdout."),
            "config": dict(help="key=value defaults file.")}
 
 
-def _load_td(model, silent_labels):
+def _load_td(model):
     """Parse and validate the model, then derive its task dependencies."""
     if model is None:
         _fail("a model file is required (--model or config)")
     text = _read_text(model, "model")
-    labels = frozenset(x.strip() for x in silent_labels.split(",") if x.strip())
     pnml = model.endswith(".pnml") or text.lstrip().startswith("<")
     parse = parse_pnml if pnml else parse_simple_net
-    net = parse(text, silent_labels=labels)
+    net = parse(text)
     diagnostics = validate(net)
     if not diagnostics.ok():
         for error in diagnostics.errors:
@@ -170,16 +165,16 @@ def _output_stream(output: str | None):
         temporary.unlink(missing_ok=True)
 
 
-def analyze(model, silent_labels, output):
+def analyze(model, output):
     """Derive task dependencies and loop entries from a workflow model."""
     import json  # here and, with evaluation, in evaluate only, so correlate loads neither
 
-    td = _load_td(model, silent_labels)
+    td = _load_td(model)
     with _output_stream(output) as out:
         out.write(json.dumps(td.to_json_dict(), indent=2, sort_keys=True) + "\n")
 
 
-def correlate(model, silent_labels, heuristics, input_path, threshold, output):
+def correlate(model, heuristics, input_path, threshold, output):
     """Correlate an unlabeled stream and export the result as CSV.
 
     Each input row is read, correlated and written in one pass: an event's
@@ -187,7 +182,7 @@ def correlate(model, silent_labels, heuristics, input_path, threshold, output):
     regular file, such as a pipe. The stream must be in timestamp order. A
     regular --output file is replaced only when the whole stream correlated.
     """
-    td = _load_td(model, silent_labels)
+    td = _load_td(model)
     table = _load_table(heuristics)
     with _open_input(input_path) as source:
         correlator = Correlator(td, table, keep_instances=False)
@@ -225,13 +220,13 @@ def replay_command(input_path, speedup, output):
     _echo(f"delivered {report.delivered} events in {report.wall_seconds:.3f}s")
 
 
-def evaluate(model, silent_labels, heuristics, input_path, threshold, output):
+def evaluate(model, heuristics, input_path, threshold, output):
     """Strip a labeled log, re-correlate it, and score the result."""
     import json
 
     from .evaluation import build_report, score
 
-    td = _load_td(model, silent_labels)
+    td = _load_td(model)
     table = _load_table(heuristics)
     stream, truth_labels = strip_case_ids(_read_stream(input_path))
     mode = "max_trust" if threshold is None else "threshold"
@@ -250,10 +245,10 @@ def evaluate(model, silent_labels, heuristics, input_path, threshold, output):
         out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def extract_heuristics_command(input_path, model, silent_labels, output):
+def extract_heuristics_command(input_path, model, output):
     """Measure per-activity duration windows from a labeled log."""
     events = _read_stream(input_path)
-    td = None if model is None else _load_td(model, silent_labels)
+    td = None if model is None else _load_td(model)
     table = extract_heuristics(events, td=td)
     with _output_stream(output) as out:
         out.write(save_heuristics(table))

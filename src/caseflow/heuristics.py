@@ -37,9 +37,6 @@ class HeuristicTable:
     def __contains__(self, activity: str) -> bool:
         return activity in self._entries
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def activities(self) -> frozenset[str]:
         return frozenset(self._entries)
 

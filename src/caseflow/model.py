@@ -3,7 +3,8 @@
 A workflow net is a Petri net with one source place, one sink place, and
 every node on a path between them. Node identity is an opaque id; the
 activity names used by the rest of the package are the labels of the
-non-silent transitions.
+non-silent transitions. The model file alone says which transitions are
+silent; each parser's docstring gives its format's rule.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import NamedTuple
 
 from .errors import CaseflowError
 
-DEFAULT_SILENT_LABELS = frozenset({"tau"})
+_TAU = "tau"  # the label of a silent transition that carries one
 
 
 class NetError(CaseflowError, ValueError):
@@ -149,12 +150,12 @@ def _reachable(starts, step):
     return seen
 
 
-def parse_pnml(text: str, silent_labels=DEFAULT_SILENT_LABELS) -> WorkflowNet:
+def parse_pnml(text: str) -> WorkflowNet:
     """Parse the PNML subset: net, place, transition (with name/text), arc.
 
-    A transition is silent when its label is absent or empty, when the label
-    belongs to silent_labels, or when a toolspecific element marks it
-    invisible (activity="$invisible$" or an <invisible>true</invisible> child).
+    A transition is silent when its label is absent, empty or "tau", or when
+    a toolspecific element marks it invisible (activity="$invisible$" or an
+    <invisible>true</invisible> child).
     """
     try:
         root = ET.fromstring(text)
@@ -177,7 +178,7 @@ def parse_pnml(text: str, silent_labels=DEFAULT_SILENT_LABELS) -> WorkflowNet:
         elif tag == "transition":
             tid = _require_id(el, "transition")
             label, invisible = _pnml_transition(el, local)
-            silent = not label or label in silent_labels or invisible
+            silent = not label or label == _TAU or invisible
             transitions.append(Transition(tid, label or None, silent))
         elif tag == "arc":
             src, dst = el.get("source"), el.get("target")
@@ -218,7 +219,7 @@ def _pnml_transition(el, local):
     return label or "", invisible
 
 
-def parse_simple_net(text: str, silent_labels=DEFAULT_SILENT_LABELS) -> WorkflowNet:
+def parse_simple_net(text: str) -> WorkflowNet:
     """Parse the line-oriented net format, meant for hand-written fixtures.
 
     Directives, one per line ('#' starts a comment):
@@ -227,8 +228,8 @@ def parse_simple_net(text: str, silent_labels=DEFAULT_SILENT_LABELS) -> Workflow
         arc <from> <to>
 
     A transition's label defaults to its id; "-" stands for no label. The
-    trailing keyword "silent", a missing label, or a label in silent_labels
-    all mark the transition silent.
+    trailing keyword "silent", no label, or the label "tau" marks the
+    transition silent.
     """
     places, transitions, flows = [], [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -250,7 +251,7 @@ def parse_simple_net(text: str, silent_labels=DEFAULT_SILENT_LABELS) -> Workflow
                 raise NetError("UNKNOWN_DIRECTIVE", f"line {lineno}: bad transition declaration")
             tid = body[0]
             label = None if body[-1] == "-" else body[-1]  # the label, else the id
-            silent = silent_flag or not label or label in silent_labels
+            silent = silent_flag or not label or label == _TAU
             transitions.append(Transition(tid, label, silent))
         elif directive == "arc":
             if len(args) != 2:

@@ -89,26 +89,6 @@ def test_analyze_acyclic_net_has_no_loop_entries(tmp_path):
     assert doc["deps"] == {"A": [], "B": [["A"]]}
 
 
-# A, then a transition labelled skip, then B
-SKIP_NET = TOY_NET.replace("arc p1 tb\n", "place p3\ntransition ts skip\narc p1 ts\narc ts p3\narc p3 tb\n")
-
-
-def test_analyze_takes_silent_labels_from_the_flag_or_the_config(tmp_path):
-    model = tmp_path / "skip.net"
-    model.write_text(SKIP_NET)
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("silent_labels = skip\n")
-
-    def deps(*args):
-        result = cli_runner.invoke("analyze", "--model", str(model), *args)
-        assert result.exit_code == 0, result.stderr
-        return json.loads(result.stdout)["deps"]
-
-    assert deps() == {"A": [], "B": [["skip"]], "skip": [["A"]]}
-    assert deps("--silent-labels", "skip, tau") == {"A": [], "B": [["A"]]}
-    assert deps("--config", str(cfg)) == {"A": [], "B": [["A"]]}
-
-
 def test_analyze_rejects_invalid_net(tmp_path):
     model = tmp_path / "two_sources.net"
     model.write_text(TWO_SOURCE_NET)
@@ -1009,6 +989,8 @@ def test_config_values_are_type_checked_like_flags(data_dir, tmp_path):
     ("evaluate", "truth"),
     ("replay", "threshold"),
     ("correlate", "speedup"),
+    ("analyze", "silent_labels"),
+    ("correlate", "silent_labels"),
 ])
 def test_config_rejects_unknown_keys(data_dir, tmp_path, command, key):
     # such a key would otherwise leave its option at the default, unnoticed
@@ -1021,13 +1003,18 @@ def test_config_rejects_unknown_keys(data_dir, tmp_path, command, key):
     assert result.stderr == f"error: {cfg}:3: unknown key {key!r}\n"
 
 
-@pytest.mark.parametrize("flag", ["--truth", "--mode", "--model-format", "--speedup"])
+@pytest.mark.parametrize("flag", ["--truth", "--mode", "--model-format", "--speedup", "--silent-labels"])
 def test_flags_decided_by_the_input_are_not_options(data_dir, flag):
-    # correlate flushes a live input by itself; pacing is replay's
-    command = "correlate" if flag == "--speedup" else "evaluate"
-    result = cli_runner.invoke(command, *correlate_args(data_dir), flag, "x")
-    assert result.exit_code == 2
-    assert f"unrecognized arguments: {flag} x" in result.stderr
+    # correlate flushes a live input by itself; pacing is replay's; the model marks its
+    # silent transitions
+    commands = {"--speedup": ["correlate"],
+                "--silent-labels": ["analyze", "correlate", "evaluate", "extract-heuristics"]}
+    args = {"analyze": model_args(data_dir),
+            "extract-heuristics": model_args(data_dir) + ("--input", str(data_dir / "stream.csv"))}
+    for command in commands.get(flag, ["evaluate"]):
+        result = cli_runner.invoke(command, *args.get(command, correlate_args(data_dir)), flag, "x")
+        assert result.exit_code == 2, command
+        assert f"unrecognized arguments: {flag} x" in result.stderr, command
 
 
 NUMERIC_FLAGS = {"correlate": ("--threshold",), "evaluate": ("--threshold",),

@@ -35,7 +35,7 @@ def test_window_avg_and_range(clinic_table):
 def test_membership(clinic_table):
     assert "B" in clinic_table
     assert "Z" not in clinic_table
-    assert len(clinic_table) == 13
+    assert len(clinic_table.activities()) == 13
 
 
 def test_window_unknown_activity(clinic_table):
@@ -60,9 +60,9 @@ def test_table_rejects_bad_windows(entries, code):
 
 
 def test_load_empty_text_gives_empty_table():
-    assert len(load_heuristics("")) == 0
-    assert len(load_heuristics("  \n ")) == 0
-    assert len(load_heuristics(" \t\n\r \n\u3000")) == 0
+    assert load_heuristics("").activities() == frozenset()
+    assert load_heuristics("  \n ").activities() == frozenset()
+    assert load_heuristics(" \t\n\r \n\u3000").activities() == frozenset()
 
 
 def test_blank_lines_may_come_before_the_header():
@@ -256,7 +256,7 @@ def test_events_without_case_ids_are_ignored(clinic_td):
 
 
 def test_extract_empty_stream(clinic_td):
-    assert len(extract_heuristics([], clinic_td)) == 0
+    assert extract_heuristics([], clinic_td).activities() == frozenset()
 
 
 def scanned_windows(events, td):

@@ -60,7 +60,7 @@ def test_label_defaults_to_id_and_dash_means_silent():
     assert transition(net, "skip").label is None
 
 
-def test_silent_keyword_and_silent_label_set():
+def test_silent_keyword_and_tau_label():
     net = parse_simple_net(
         """
         place p0
@@ -76,9 +76,6 @@ def test_silent_keyword_and_silent_label_set():
     assert transition(net, "a").silent
     assert transition(net, "a").label == "keep"
     assert transition(net, "b").silent
-    # the silent-label set is configurable
-    net2 = parse_simple_net("place p0\ntransition b tau\narc p0 b", silent_labels=frozenset())
-    assert not transition(net2, "b").silent
 
 
 @pytest.mark.parametrize(
