@@ -14,7 +14,6 @@ from .dependencies import DependencyError, build_task_dependencies
 from .heuristics import HeuristicError, HeuristicTable, load_heuristics
 from .model import NetError, parse_pnml
 from .streams import (
-    ReplayError,
     StreamFormatError,
     UncorrelatedEvent,
     read_events,
@@ -31,7 +30,6 @@ __all__ = [
     "HeuristicError",
     "HeuristicTable",
     "NetError",
-    "ReplayError",
     "StreamFormatError",
     "UncorrelatedEvent",
     "build_task_dependencies",

@@ -25,14 +25,7 @@ from .errors import CaseflowError
 from .heuristics import extract_heuristics, load_heuristics, save_heuristics
 from .model import parse_pnml, parse_simple_net, validate
 from .store import ExportWriter
-from .streams import (
-    ReplayError,
-    _csv_event_writer,
-    iter_events,
-    read_events,
-    replay,
-    strip_case_ids,
-)
+from .streams import _csv_event_writer, iter_events, read_events, replay, strip_case_ids
 
 
 def _echo(text: str) -> None:
@@ -189,15 +182,12 @@ def correlate(model, heuristics, input_path, threshold, output):
         with _output_stream(output) as out:
             writer = ExportWriter(out, threshold)
             live = not os.path.isfile(input_path)
-
-            def correlate_one(event):
-                writer.write(correlator.ingest(event))
-                if live:
-                    writer.flush()
-
             try:
-                replay(iter_events(source), correlate_one)
-            except (CaseflowError, ReplayError):  # the rows resolved so far go out first
+                for event in iter_events(source):
+                    writer.write(correlator.ingest(event))
+                    if live:
+                        writer.flush()
+            except CaseflowError:  # the rows resolved so far go out first
                 with suppress(OSError):  # a failing stdout must not mask the error
                     writer.flush()
                 raise
@@ -230,15 +220,12 @@ def evaluate(model, heuristics, input_path, threshold, output):
     table = _load_table(heuristics)
     stream, truth_labels = strip_case_ids(_read_stream(input_path))
     mode = "max_trust" if threshold is None else "threshold"
+    correlator = Correlator(td, table)
     latencies = []
-
-    def timed_ingest(event):
+    for event in stream:
         before = time.perf_counter()
         correlator.ingest(event)
         latencies.append(time.perf_counter() - before)
-
-    correlator = Correlator(td, table)
-    replay(stream, timed_ingest)
     counts = score(correlator.store.instances(), truth_labels, mode=mode, threshold=threshold)
     payload = build_report(counts, latencies)
     with _output_stream(output) as out:
@@ -305,8 +292,8 @@ def _parser(name: str | None = None) -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> None:
     """Run a command line, sys.argv's by default, building only its subcommand's parser (one
     that names none gets help or a usage error). A package error is reported as `error: CODE:
-    message`, exit 2, as is a failed read or write or a sink failure caused by either; any other
-    cause is a bug. A broken pipe is a quiet exit 1. Parsing is guarded: --help writes to stdout."""
+    message`, exit 2, as is a failed read or write; anything else is a bug and raises as itself.
+    A broken pipe is a quiet exit 1. Parsing is guarded: --help writes to stdout."""
     try:
         argv = sys.argv[1:] if argv is None else argv
         if not argv or argv[0] not in _COMMANDS:
@@ -323,15 +310,12 @@ def main(argv: list[str] | None = None) -> None:
         function(**kwargs)
         if sys.stdout is not None:  # so that a buffered write fails here, not at exit
             sys.stdout.flush()
-    except (CaseflowError, ReplayError, OSError) as exc:
-        cause = exc.cause if isinstance(exc, ReplayError) else exc
-        if isinstance(cause, BrokenPipeError):  # as when the output goes to `head`
+    except (CaseflowError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError):  # as when the output goes to `head`
             # the interpreter flushes stdout at exit, which must not fail on it again
             with suppress(AttributeError, OSError, ValueError):  # no stdout, or no descriptor
                 os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             sys.exit(1)
-        if not isinstance(cause, (CaseflowError, OSError)):
-            raise
         try:
             if sys.stdout is not None:
                 sys.stdout.flush()

@@ -135,11 +135,11 @@ class Correlator:
         plan = self._plan.get(activity)
         if plan is not None:
             if paired_completion and lifecycle != "completed":
-                raise CorrelationError(
-                    "MIXED_LIFECYCLE", f"paired stream needs started/completed lifecycles, got {lifecycle!r}")
+                raise CorrelationError("MIXED_LIFECYCLE", f"paired stream needs started/completed "
+                                       f"lifecycles, got {lifecycle!r} for {activity} at {ts}")
             if lifecycle == "started" and self._mode == MODE_COMPLETED:
-                raise CorrelationError(
-                    "MIXED_LIFECYCLE", "stream opened without lifecycle pairing; started events not allowed")
+                raise CorrelationError("MIXED_LIFECYCLE", f"stream opened without lifecycle pairing; "
+                                       f"started events not allowed, got {activity} at {ts}")
         self._last_ts = ts
         seq = self._seq
         self._seq += 1

@@ -24,18 +24,6 @@ class StreamFormatError(CaseflowError, ValueError):
     """An event stream, or a row of one, that cannot be read."""
 
 
-class ReplayError(Exception):
-    """Raised when the sink fails; position is the index of the offending event."""
-
-    def __init__(self, position: int, cause: BaseException):
-        super().__init__(position, cause)
-        self.position = position
-        self.cause = cause
-
-    def __str__(self) -> str:
-        return f"sink failed at event {self.position}: {self.cause}"
-
-
 class UncorrelatedEvent(NamedTuple):
     timestamp: datetime
     activity: str
@@ -248,8 +236,8 @@ def replay(events, sink, speedup: float = math.inf) -> ReplayReport:
     the whole schedule. Infinite speedup delivers as fast as possible.
 
     Events are drawn from the iterable one at a time, so a generator is
-    read only as fast as the sink consumes it. A sink failure is raised as
-    a ReplayError; a failure of the iterable itself passes through as it is.
+    read only as fast as the sink consumes it. A failure of the sink or of
+    the iterable passes through as it is.
     """
     if not speedup > 0:  # NaN too
         raise ValueError("speedup must be positive")
@@ -265,9 +253,6 @@ def replay(events, sink, speedup: float = math.inf) -> ReplayReport:
             delay = target - time.monotonic()
             if delay > 0:
                 time.sleep(delay)
-        try:
-            sink(ev)
-        except Exception as exc:
-            raise ReplayError(delivered, exc) from exc
+        sink(ev)
         delivered += 1
     return ReplayReport(delivered, time.monotonic() - start_wall)

@@ -146,8 +146,8 @@ def test_started_event_after_completions_only_opening(clinic_correlator):
     with pytest.raises(CorrelationError) as err:
         clinic_correlator.ingest(ev(2, "B", lifecycle="started"))
     assert err.value.code == "MIXED_LIFECYCLE"
-    assert str(err.value) == (
-        "MIXED_LIFECYCLE: stream opened without lifecycle pairing; started events not allowed")
+    assert str(err.value) == ("MIXED_LIFECYCLE: stream opened without lifecycle pairing; started "
+                              "events not allowed, got B at 2019-06-16 11:55:02")
 
 
 def test_paired_stream_rejects_missing_lifecycle(clinic_correlator):
@@ -156,11 +156,12 @@ def test_paired_stream_rejects_missing_lifecycle(clinic_correlator):
     with pytest.raises(CorrelationError) as err:
         clinic_correlator.ingest(ev(2, "B"))
     assert err.value.code == "MIXED_LIFECYCLE"
-    assert str(err.value) == "MIXED_LIFECYCLE: paired stream needs started/completed lifecycles, got None"
+    assert str(err.value) == ("MIXED_LIFECYCLE: paired stream needs started/completed lifecycles, "
+                              "got None for B at 2019-06-16 11:55:02")
     with pytest.raises(CorrelationError) as err:
         clinic_correlator.ingest(ev(3, "B", lifecycle="suspended"))
-    assert str(err.value) == (
-        "MIXED_LIFECYCLE: paired stream needs started/completed lifecycles, got 'suspended'")
+    assert str(err.value) == ("MIXED_LIFECYCLE: paired stream needs started/completed lifecycles, "
+                              "got 'suspended' for B at 2019-06-16 11:55:03")
 
 
 def test_paired_stream_pairs_completions_with_earliest_start(clinic_td, clinic_table):

@@ -9,7 +9,6 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 from caseflow import (
-    ReplayError,
     StreamFormatError,
     UncorrelatedEvent,
     read_events,
@@ -474,25 +473,35 @@ def test_replay_draws_events_only_as_the_sink_takes_them():
     assert [e.timestamp.second for e in seen] == [0, 1, 2]
 
 
-def test_replay_wraps_sink_failures_with_position():
+def test_a_sink_failure_passes_through_replay_as_it_is():
+    # as a failure of the iterable does
+    failure = KeyError("boom")
+    delivered = []
+
     def sink(event):
         if event.activity == "B":
-            raise RuntimeError("boom")
+            raise failure
+        delivered.append(event)
 
-    with pytest.raises(ReplayError) as err:
-        replay([ev(1, "A"), ev(2, "B")], sink)
-    assert err.value.position == 1
-    assert "boom" in str(err.value)
+    with pytest.raises(KeyError) as err:
+        replay([ev(1, "A"), ev(1, "B"), ev(2, "C")], sink)
+    assert err.value is failure
+    assert [e.activity for e in delivered] == ["A"]
 
 
 def test_paced_replay_reports_sink_and_source_failures_as_the_fast_path_does():
+    failure = KeyError("boom")
+    delivered = []
+
     def sink(event):
         if event.activity == "B":
-            raise RuntimeError("boom")
+            raise failure
+        delivered.append(event)
 
-    with pytest.raises(ReplayError) as err:
-        replay([ev(1, "A"), ev(1, "B")], sink, speedup=1e6)
-    assert err.value.position == 1
+    with pytest.raises(KeyError) as err:
+        replay([ev(1, "A"), ev(1, "B"), ev(2, "C")], sink, speedup=1e6)
+    assert err.value is failure
+    assert [e.activity for e in delivered] == ["A"]
 
     def source():
         yield ev(1, "A")

@@ -16,7 +16,6 @@ from caseflow import (
     HeuristicError,
     HeuristicTable,
     NetError,
-    ReplayError,
     StreamFormatError,
     correlator,
 )
@@ -116,9 +115,3 @@ def test_each_error_type_is_a_bodiless_caseflow_error(cls, value_error):
     assert (type(back), str(back), back.code, back.message) == (cls, str(err), err.code,
                                                                  err.message)
 
-
-def test_a_sink_failure_survives_pickle():
-    err = ReplayError(3, NetError("UNKNOWN_NODE", "x"))
-    back = pickle.loads(pickle.dumps(err))
-    assert (type(back), str(back), back.position) == (ReplayError, str(err), 3)
-    assert (type(back.cause), back.cause.code, back.cause.message) == (NetError, "UNKNOWN_NODE", "x")
