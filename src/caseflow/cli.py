@@ -3,8 +3,8 @@
 Subcommands cover the whole pipeline: analyze a model into task
 dependencies, correlate an event stream, replay a log at speed, evaluate
 correlation quality against a labeled log, and extract duration heuristics
-from one. Every option can also come from a key=value config file; explicit
-flags win over the file.
+from one. Flags are the only settings; each subcommand's --help marks the
+ones it requires.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ import argparse
 import gc
 import math
 import os
-import re
 import sys
 import time
+import warnings
 from contextlib import contextmanager, suppress
 from pathlib import Path
 
@@ -45,30 +45,6 @@ def _read_text(path: str, what: str) -> str:
         _fail(f"cannot read {what}: {exc}")
 
 
-# a config line up to its comment: '#' at the start of the line or after
-# whitespace starts one, but not inside a quoted span; a lone quote is text
-_UNCOMMENTED = re.compile(r"""(?:[^"'#]|"[^"]*"|'[^']*'|["']|(?<=\S)#)*""")
-
-
-def _read_config(path: str, options: dict[str, dict]) -> dict[str, str]:
-    """A key=value file's values by destination, as text, for the command's defaults, so that
-    argparse converts and checks a value like a flag's when no flag replaces it. A key is a
-    long flag name with '_' for '-'; '#' after whitespace starts a comment, unless it is quoted."""
-    values = {}
-    for i, raw in enumerate(_read_text(path, "config").splitlines(), start=1):
-        line = _UNCOMMENTED.match(raw).group().strip()
-        if not line:
-            continue
-        if "=" not in line:
-            _fail(f"{path}:{i}: expected key=value")
-        key, value = line.split("=", 1)
-        key = key.strip()
-        if key not in options:
-            _fail(f"{path}:{i}: unknown key {key!r}")
-        values[options[key].get("dest", key)] = value.strip().strip("\"'")
-    return values
-
-
 def _float_in(describe: str, within):
     """An argparse type: a float for which within holds, which NaN never does."""
     def convert(text: str) -> float:
@@ -80,18 +56,17 @@ def _float_in(describe: str, within):
     return convert
 
 
-# each option as its config key, the long flag name with '_' for '-', and its add_argument keywords
-_MODEL = {"model": dict(help="Workflow model file; it marks which transitions are silent.")}
-_HEURISTICS = {"heuristics": dict(help="Duration windows CSV.")}
-_INPUT = {"input": dict(dest="input_path", metavar="INPUT", help="Events: CSV or JSON lines.")}
-_OUTPUT = {"output": dict(help="Write here instead of stdout."),
-           "config": dict(help="key=value defaults file.")}
+# each option as its long flag name, with '_' for '-', and its add_argument keywords
+_MODEL = {"model": dict(required=True,
+                        help="Workflow model file; it marks which transitions are silent.")}
+_HEURISTICS = {"heuristics": dict(required=True, help="Duration windows CSV.")}
+_INPUT = {"input": dict(dest="input_path", metavar="INPUT", required=True,
+                        help="Events: CSV or JSON lines.")}
+_OUTPUT = {"output": dict(help="Write here instead of stdout.")}
 
 
 def _load_td(model):
     """Parse and validate the model, then derive its task dependencies."""
-    if model is None:
-        _fail("a model file is required (--model or config)")
     text = _read_text(model, "model")
     pnml = model.endswith(".pnml") or text.lstrip().startswith("<")
     parse = parse_pnml if pnml else parse_simple_net
@@ -105,12 +80,6 @@ def _load_td(model):
     return build_task_dependencies(net)
 
 
-def _load_table(path):
-    if path is None:
-        _fail("a heuristics file is required (--heuristics or config)")
-    return load_heuristics(_read_text(path, "heuristics"))
-
-
 def _open(path, mode: str, what: str, encoding: str = "utf-8"):
     try:
         return open(path, mode, encoding=encoding)
@@ -118,14 +87,8 @@ def _open(path, mode: str, what: str, encoding: str = "utf-8"):
         _fail(f"cannot {what}: {exc}")
 
 
-def _open_input(path):
-    if path is None:
-        _fail("an input stream is required (--input or config)")
-    return _open(path, "r", "read input", "utf-8-sig")
-
-
 def _read_stream(path):
-    with _open_input(path) as handle:
+    with _open(path, "r", "read input", "utf-8-sig") as handle:
         return read_events(handle)
 
 
@@ -176,8 +139,8 @@ def correlate(model, heuristics, input_path, threshold, output):
     regular --output file is replaced only when the whole stream correlated.
     """
     td = _load_td(model)
-    table = _load_table(heuristics)
-    with _open_input(input_path) as source:
+    table = load_heuristics(_read_text(heuristics, "heuristics"))
+    with _open(input_path, "r", "read input", "utf-8-sig") as source:
         correlator = Correlator(td, table, keep_instances=False)
         with _output_stream(output) as out:
             writer = ExportWriter(out, threshold)
@@ -217,7 +180,7 @@ def evaluate(model, heuristics, input_path, threshold, output):
     from .evaluation import build_report, score
 
     td = _load_td(model)
-    table = _load_table(heuristics)
+    table = load_heuristics(_read_text(heuristics, "heuristics"))
     stream, truth_labels = strip_case_ids(_read_stream(input_path))
     mode = "max_trust" if threshold is None else "threshold"
     correlator = Correlator(td, table)
@@ -253,7 +216,8 @@ _COMMANDS = {
     "evaluate": (evaluate, {**_MODEL, **_HEURISTICS, **_INPUT, "threshold": dict(
         type=_THRESHOLD, help="Score rows at or above this trust; without it, each event's "
                               "most trusted row."), **_OUTPUT}),
-    "extract-heuristics": (extract_heuristics_command, {**_INPUT, **_MODEL, **_OUTPUT}),
+    "extract-heuristics": (extract_heuristics_command, {**_INPUT, "model": dict(
+        help="Workflow model file; a completions-only log needs it."), **_OUTPUT}),
 }
 
 
@@ -299,15 +263,10 @@ def main(argv: list[str] | None = None) -> None:
         if not argv or argv[0] not in _COMMANDS:
             _parser().parse_args(argv)  # writes help or a usage error, and exits
         name, *argv = argv
-        function, options = _COMMANDS[name]
-        parser = _parser(name)
-        args = parser.parse_args(argv)
-        if args.config is not None:  # the file's values become defaults, so a flag still wins
-            parser.set_defaults(**_read_config(args.config, options))
-            args = parser.parse_args(argv)
-        kwargs = vars(args)
-        del kwargs["config"]
-        function(**kwargs)
+        args = _parser(name).parse_args(argv)
+        with warnings.catch_warnings():  # a warning is one line, as an error is
+            warnings.showwarning = lambda message, *_: _echo(f"warning: {message}")
+            _COMMANDS[name][0](**vars(args))
         if sys.stdout is not None:  # so that a buffered write fails here, not at exit
             sys.stdout.flush()
     except (CaseflowError, OSError) as exc:

@@ -96,12 +96,6 @@ def test_analyze_rejects_invalid_net(tmp_path):
     assert "UNIQUE_SOURCE" in result.stderr
 
 
-def test_analyze_requires_a_model():
-    result = cli_runner.invoke("analyze")
-    assert result.exit_code == 2
-    assert "model file is required" in result.stderr
-
-
 def test_analyze_writes_output_file(data_dir, tmp_path, clinic_td):
     out = tmp_path / "td.json"
     result = cli_runner.invoke("analyze", *model_args(data_dir), "--output", str(out))
@@ -236,15 +230,11 @@ def test_correlate_rejects_a_case_id_over_the_integer_digit_limit(data_dir, tmp_
     assert result.stderr.startswith("error: BAD_ROW: row 2") and result.stderr.count("\n") == 1
 
 
-def test_a_stream_format_flag_or_key_is_an_error(data_dir, tmp_path):
+def test_a_stream_format_flag_or_key_is_an_error(data_dir):
     # the stream's first non-blank line picks CSV or JSON lines, so no option names it
     result = cli_runner.invoke("correlate", *correlate_args(data_dir), "--format", "csv")
     assert result.exit_code == 2
     assert "unrecognized arguments: --format csv" in result.stderr
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("format = csv\n")
-    result = cli_runner.invoke("correlate", *correlate_args(data_dir), "--config", str(cfg))
-    assert (result.exit_code, result.stderr) == (2, f"error: {cfg}:1: unknown key 'format'\n")
 
 
 def test_correlate_rejects_out_of_range_threshold(data_dir):
@@ -420,9 +410,6 @@ ERROR_EXITS = {
         "analyze --model {tmp}/bad.net",
         "error: EMPTY_PRODUCER: a synchronizing place has no producer\n",
     ),
-    "missing-heuristics": ({"in.csv": "timestamp,activity\n"},
-                           "correlate --model {tmp}/toy.net --input {tmp}/in.csv",
-                           "error: a heuristics file is required (--heuristics or config)\n"),
     "unreadable-heuristics": (
         {"in.csv": "timestamp,activity\n"},
         "correlate --model {tmp}/toy.net --heuristics {tmp}/no.csv --input {tmp}/in.csv",
@@ -431,8 +418,6 @@ ERROR_EXITS = {
     "min-gt-max": ({"bad.csv": "activity,min,max\nA,1,1\nB,3,1\n", "in.csv": "timestamp,activity\n"},
                    "correlate --model {tmp}/toy.net --heuristics {tmp}/bad.csv --input {tmp}/in.csv",
                    "error: MIN_GT_MAX: B: min 3 exceeds max 1\n"),
-    "missing-input": ({}, "correlate --model {tmp}/toy.net --heuristics {tmp}/toy.csv",
-                      "error: an input stream is required (--input or config)\n"),
     "correlate-missing-heuristic": (
         {"sparse.csv": "activity,min,max\nA,1,1\n", "in.csv": "timestamp,activity\n"},
         "correlate --model {tmp}/toy.net --heuristics {tmp}/sparse.csv --input {tmp}/in.csv",
@@ -462,10 +447,6 @@ ERROR_EXITS = {
     "extract-missing-td": (
         {"in.csv": SELF_EVAL_LOG}, "extract-heuristics --input {tmp}/in.csv",
         "error: MISSING_TD: a completions-only stream needs task dependencies to measure durations\n",
-    ),
-    "unreadable-config": (
-        {}, "analyze --config {tmp}/no.cfg",
-        "error: cannot read config: [Errno 2] No such file or directory: '{tmp}/no.cfg'\n",
     ),
     "undecodable-model": (
         {"bad.net": b"place p0\n\xff"}, "analyze --model {tmp}/bad.net",
@@ -540,20 +521,6 @@ def test_a_byte_order_mark_changes_no_input(data_dir, tmp_path, model, fmt):
     plain, marked = results
     assert plain.exit_code == 0 and plain.stdout.count("\n") > 20
     assert (marked.exit_code, marked.stdout, marked.stderr) == (0, plain.stdout, plain.stderr)
-
-
-def test_a_byte_order_mark_changes_no_config(data_dir, tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_bytes(BOM + (
-        f"model = {data_dir / 'clinic.net'}\n"
-        f"heuristics = {data_dir / 'heuristics.csv'}\n"
-        f"input = {data_dir / 'stream.csv'}\n"
-        "threshold = 60\n"
-    ).encode())
-    via_config = cli_runner.invoke("correlate", "--config", str(cfg))
-    via_flags = cli_runner.invoke("correlate", *correlate_args(data_dir), "--threshold", "60")
-    assert (via_config.exit_code, via_config.stderr) == (0, via_flags.stderr)
-    assert via_config.stdout == via_flags.stdout
 
 
 def test_correlate_exports_offset_timestamps_with_their_offsets(tmp_path):
@@ -855,6 +822,19 @@ def test_evaluate_warns_once_per_undefined_ratio(data_dir, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert re.findall(r"(\S+) undefined", proc.stderr) == ["precision", "f-score"], proc.stderr
+    assert proc.stderr == "".join(f"warning: {what} undefined (zero denominator); reporting 0\n"
+                                  for what in ("precision", "f-score"))
+
+
+def test_a_warning_is_one_line_as_an_error_is(tmp_path):
+    # a fresh interpreter, as pytest would record the warning instead of printing it
+    log = tmp_path / "disordered.csv"
+    log.write_text("timestamp,activity\n2021-03-01 09:00:05,A\n2021-03-01 09:00:01,A\n")
+    proc = subprocess.run([sys.executable, "-m", "caseflow", "replay", "--input", str(log)],
+                          env=package_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert re.fullmatch(r"warning: event stream out of order; sorting by timestamp\n"
+                        r"delivered 2 events in \d+\.\d{3}s\n", proc.stderr), proc.stderr
 
 
 def test_evaluate_missing_truth_file(data_dir, tmp_path):
@@ -938,6 +918,17 @@ def test_correlate_takes_the_windows_extracted_from_a_completions_log(
     assert len(result.stdout.splitlines()) > len(log)
 
 
+def test_extract_heuristics_from_a_paired_log_needs_no_model(tmp_path):
+    # started/completed pairs time each activity by themselves, so --model is optional
+    log = tmp_path / "paired.csv"
+    log.write_text("timestamp,activity,lifecycle,case_id\n"
+                   "2021-03-01 09:00:00,A,started,1\n2021-03-01 09:00:04,A,completed,1\n"
+                   "2021-03-01 09:00:05,B,started,1\n2021-03-01 09:00:07,B,completed,1\n")
+    result = cli_runner.invoke("extract-heuristics", "--input", str(log))
+    assert (result.exit_code, result.stderr) == (0, "")
+    assert result.stdout == "activity,min,max\nA,4,4\nB,2,2\n"
+
+
 def test_extract_heuristics_empty_log(tmp_path):
     log = tmp_path / "empty.csv"
     log.write_text("timestamp,activity,case_id\n")
@@ -954,78 +945,15 @@ def test_extract_heuristics_without_timestamps(tmp_path):
     assert "MISSING_COLUMN" in result.stderr
 
 
-def test_config_file_supplies_defaults(data_dir, tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        f"model = {data_dir / 'clinic.net'}\n"
-        f"heuristics = {data_dir / 'heuristics.csv'}\n"
-        f"input = {data_dir / 'stream.csv'}\n"
-        "threshold = 60  # keep only confident rows\n"
-    )
-    via_config = cli_runner.invoke("correlate", "--config", str(cfg))
-    via_flags = cli_runner.invoke("correlate", *correlate_args(data_dir), "--threshold", "60")
-    assert via_config.exit_code == 0
-    assert via_config.stdout == via_flags.stdout
-
-
-def test_explicit_flag_overrides_config(data_dir, tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        f"model = {data_dir / 'clinic.net'}\n"
-        f"heuristics = {data_dir / 'heuristics.csv'}\n"
-        f"input = {data_dir / 'stream.csv'}\n"
-        "threshold = 60\n"
-    )
-    overridden = cli_runner.invoke("correlate", "--config", str(cfg), "--threshold", "0")
-    unfiltered = cli_runner.invoke("correlate", *correlate_args(data_dir))
-    assert overridden.stdout == unfiltered.stdout
-    assert len(overridden.stdout.splitlines()) == 67
-
-
-def test_config_rejects_malformed_lines(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("just a line without equals\n")
-    result = cli_runner.invoke("analyze", "--config", str(cfg))
-    assert result.exit_code == 2
-    assert "expected key=value" in result.stderr
-
-
-def test_config_values_are_type_checked_like_flags(data_dir, tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("threshold = abc\n")
-    result = cli_runner.invoke("correlate", *correlate_args(data_dir), "--config", str(cfg))
-    assert result.exit_code == 2
-    assert "threshold" in result.stderr
-
-
-@pytest.mark.parametrize("command, key", [
-    ("correlate", "treshold"),
-    ("analyze", "model_format"),
-    ("evaluate", "mode"),
-    ("evaluate", "truth"),
-    ("replay", "threshold"),
-    ("correlate", "speedup"),
-    ("analyze", "silent_labels"),
-    ("correlate", "silent_labels"),
-])
-def test_config_rejects_unknown_keys(data_dir, tmp_path, command, key):
-    # such a key would otherwise leave its option at the default, unnoticed
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"# a misspelt or a removed key\n\n{key} = 60\n")
-    args = {"analyze": model_args(data_dir), "replay": ("--input", str(data_dir / "stream.csv"))}
-    result = cli_runner.invoke(command, *args.get(command, correlate_args(data_dir)),
-                               "--config", str(cfg))
-    assert result.exit_code == 2
-    assert result.stderr == f"error: {cfg}:3: unknown key {key!r}\n"
-
-
-@pytest.mark.parametrize("flag", ["--truth", "--mode", "--model-format", "--speedup", "--silent-labels"])
+@pytest.mark.parametrize("flag", ["--truth", "--mode", "--model-format", "--speedup", "--silent-labels",
+                                  "--config"])
 def test_flags_decided_by_the_input_are_not_options(data_dir, flag):
     # correlate flushes a live input by itself; pacing is replay's; the model marks its
-    # silent transitions
+    # silent transitions; flags are the only settings
     commands = {"--speedup": ["correlate"],
-                "--silent-labels": ["analyze", "correlate", "evaluate", "extract-heuristics"]}
-    args = {"analyze": model_args(data_dir),
+                "--silent-labels": ["analyze", "correlate", "evaluate", "extract-heuristics"],
+                "--config": list(REQUIRED_FLAGS)}
+    args = {"analyze": model_args(data_dir), "replay": ("--input", str(data_dir / "stream.csv")),
             "extract-heuristics": model_args(data_dir) + ("--input", str(data_dir / "stream.csv"))}
     for command in commands.get(flag, ["evaluate"]):
         result = cli_runner.invoke(command, *args.get(command, correlate_args(data_dir)), flag, "x")
@@ -1035,22 +963,22 @@ def test_flags_decided_by_the_input_are_not_options(data_dir, flag):
 
 NUMERIC_FLAGS = {"correlate": ("--threshold",), "evaluate": ("--threshold",),
                  "replay": ("--speedup",)}
+REQUIRED_FLAGS = {"analyze": ("--model",), "correlate": ("--model", "--heuristics", "--input"),
+                  "replay": ("--input",), "evaluate": ("--model", "--heuristics", "--input"),
+                  "extract-heuristics": ("--input",)}
 
 
-@pytest.mark.parametrize("command", ["analyze", "correlate", "replay", "evaluate",
-                                     "extract-heuristics"])
+@pytest.mark.parametrize("command", list(REQUIRED_FLAGS))
 def test_usage_errors_exit_2_and_name_the_flag(tmp_path, command):
     # an unknown flag, -h (only --help is help), an abbreviation of a real flag, and a value
-    # that is not a number, as a flag or from a config file; each comes before any file is read
+    # that is not a number; each comes before any file is read, so none of these need exist
+    required = [arg for flag in REQUIRED_FLAGS[command] for arg in (flag, str(tmp_path / "none"))]
     numeric = NUMERIC_FLAGS.get(command, ())
     runs = [(flag, None, (flag, "x")) for flag in ("--no-such-flag", "-h", "--out")]
     runs += [("--thresh", None, ("--thresh", "50"))] if "--threshold" in numeric else []
-    for flag in numeric:
-        cfg = tmp_path / f"{flag[2:]}.cfg"
-        cfg.write_text(f"{flag[2:]} = abc\n")
-        runs += [(flag, "'abc'", (flag, "abc")), (flag, "'abc'", ("--config", str(cfg)))]
+    runs += [(flag, "'abc'", (flag, "abc")) for flag in numeric]
     for flag, value, args in runs:
-        result = cli_runner.invoke(command, *args)
+        result = cli_runner.invoke(command, *required, *args)
         assert (result.exit_code, result.stdout) == (2, ""), args
         # the flag as a whole word, not inside the usage's --output or --threshold
         assert re.search(rf"(?<![\w-]){flag}(?![\w-])", result.stderr), (args, result.stderr)
@@ -1059,6 +987,18 @@ def test_usage_errors_exit_2_and_name_the_flag(tmp_path, command):
     result = cli_runner.invoke(command, "--help")
     assert result.exit_code == 0, result.stderr
     assert result.stdout.startswith(f"usage: caseflow {command} "), result.stdout
+
+
+@pytest.mark.parametrize("command, flag", [(command, flag) for command, flags in REQUIRED_FLAGS.items()
+                                           for flag in flags])
+def test_a_missing_required_flag_is_a_usage_error(tmp_path, command, flag):
+    # the others point at no file, as argparse stops before any is read
+    others = [arg for other in REQUIRED_FLAGS[command] if other != flag
+              for arg in (other, str(tmp_path / "none"))]
+    result = cli_runner.invoke(command, *others)
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr.endswith(f"error: the following arguments are required: {flag}\n"), \
+        result.stderr
 
 
 def test_an_unknown_flag_before_a_subcommand_is_a_usage_error_even_with_help():
@@ -1086,43 +1026,6 @@ def test_a_run_builds_only_its_subcommands_parser(data_dir, monkeypatch):
     result = cli_runner.invoke("analyze", "--model", str(data_dir / "clinic.pnml"))
     assert result.exit_code == 0, result.stderr
     assert built == ["caseflow analyze"]
-
-
-def test_config_hash_inside_a_value_is_not_a_comment(data_dir, tmp_path):
-    model = tmp_path / "run#3" / "clinic.net"
-    model.parent.mkdir()
-    model.write_text((data_dir / "clinic.net").read_text())
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"# the model of run 3\nmodel = {model}  # copied\n")
-    via_config = cli_runner.invoke("analyze", "--config", str(cfg))
-    assert via_config.exit_code == 0, via_config.stderr
-    assert via_config.stdout == cli_runner.invoke("analyze", *model_args(data_dir)).stdout
-
-
-def test_config_quoted_value_keeps_a_hash_after_whitespace(data_dir, tmp_path):
-    model = tmp_path / "runs" / "q #3" / "clinic.net"
-    model.parent.mkdir(parents=True)
-    model.write_text((data_dir / "clinic.net").read_text())
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f'model = "{model}"  # quoted, as the path holds " #"\n')
-    via_config = cli_runner.invoke("analyze", "--config", str(cfg))
-    assert via_config.exit_code == 0, via_config.stderr
-    assert via_config.stdout == cli_runner.invoke("analyze", *model_args(data_dir)).stdout
-
-
-def test_evaluate_takes_the_labeled_log_from_config_input(data_dir, tmp_path):
-    log = tmp_path / "labeled.csv"
-    log.write_text(SELF_EVAL_LOG)
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"input = {log}\n")
-    common = (*model_args(data_dir), "--heuristics", str(data_dir / "heuristics.csv"))
-    via_config = cli_runner.invoke("evaluate", *common, "--config", str(cfg))
-    via_flag = cli_runner.invoke("evaluate", *common, "--input", str(log))
-    assert via_config.exit_code == 0 and via_flag.exit_code == 0
-    reports = [json.loads(r.stdout) for r in (via_config, via_flag)]
-    for report in reports:
-        del report["latency_ms"]
-    assert reports[0] == reports[1]
 
 
 def test_replay_echoes_in_delivery_order(data_dir, clinic_events):
@@ -1208,16 +1111,11 @@ def test_replay_piped_into_correlate_exports_the_files_bytes(data_dir, tmp_path,
 
 @pytest.mark.parametrize("command", ["replay"])
 @pytest.mark.parametrize("speedup", ["0", "-1", "nan"])
-def test_nonpositive_speedup_is_rejected_as_a_usage_error(data_dir, tmp_path,
-                                                          command, speedup):
+def test_nonpositive_speedup_is_rejected_as_a_usage_error(data_dir, command, speedup):
     args = ("--input", str(data_dir / "stream.csv"))
-    via_flag = cli_runner.invoke(command, *args, "--speedup", speedup)
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"speedup = {speedup}\n")
-    via_config = cli_runner.invoke(command, *args, "--config", str(cfg))
-    for result in (via_flag, via_config):
-        assert result.exit_code == 2
-        assert f"argument --speedup: {float(speedup)} is not in the range x>0" in result.stderr
+    result = cli_runner.invoke(command, *args, "--speedup", speedup)
+    assert result.exit_code == 2
+    assert f"argument --speedup: {float(speedup)} is not in the range x>0" in result.stderr
     assert cli_runner.invoke(command, *args, "--speedup", "inf").exit_code == 0
 
 
@@ -1226,11 +1124,7 @@ def test_nan_threshold_is_rejected_as_a_usage_error(data_dir, tmp_path, command)
     log = tmp_path / "labeled.csv"
     log.write_text(SELF_EVAL_LOG)
     args = (*model_args(data_dir), "--heuristics", str(data_dir / "heuristics.csv"), "--input", str(log))
-    via_flag = cli_runner.invoke(command, *args, "--threshold", "nan")
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("threshold = nan\n")
-    via_config = cli_runner.invoke(command, *args, "--config", str(cfg))
-    for result in (via_flag, via_config):
-        assert result.exit_code == 2
-        assert "argument --threshold: nan is not in the range 0<=x<=100" in result.stderr
+    result = cli_runner.invoke(command, *args, "--threshold", "nan")
+    assert result.exit_code == 2
+    assert "argument --threshold: nan is not in the range 0<=x<=100" in result.stderr
     assert cli_runner.invoke(command, *args, "--threshold", "60").exit_code == 0
